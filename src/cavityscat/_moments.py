@@ -24,6 +24,19 @@ reduce, for m+n even (they vanish for odd m+n), to single integrals of the
     g(tau) = I trig(m (s+tau)/2) trig(n s/2) ds   over s in [0, 2*pi - tau],
 
 which is what `s_moment` / `p_moment` evaluate.
+
+The singular blocks need the log series sum_k coeff_k {S|P}_{2k+1}(n, m)
+with coeff_k = (-1)^k (c/2)^{2k}/(k!)^2 for every mode pair.  Those closed
+forms are linear in the tables of one frequency at a time, so
+`log_series_matrix` folds the series into three sums per frequency q,
+
+    A_q = sum_k coeff_k l_s(2k, q)     B_q = sum_k coeff_k l_c(2k, q)
+    C_q = sum_k coeff_k l_c(2k+1, q),
+
+and combines them per pair: 4/(m^2-n^2) (m A_n - n A_m) (sin) or
+4/(m^2-n^2) (n A_n - m A_m) (cos, zero modes included) off the diagonal, and
+2 pi B_m - C_m +- 2 A_m/m (2 (2 pi B_0 - C_0) for the cos zero mode) on it.
+`log_series_sum` is the per-pair reference.
 """
 
 from __future__ import annotations
@@ -31,6 +44,7 @@ from __future__ import annotations
 from math import lgamma, log, log10, pi
 
 import mpmath as mp
+import numpy as np
 
 _TABLE_DPS_MARGIN = 25
 
@@ -166,19 +180,24 @@ def bessel_K_for(c: float, floor: int = 8) -> int:
     return K
 
 
+def _series_dps(c: float, K: int) -> int:
+    """Working digits of the alternating log series: enough headroom over the
+    largest term magnitude, (c pi)^{2K+2} relative to the sum."""
+    return 40 + int(max(0.0, (2 * K + 2) * log10(max(c, 1e-300) * pi)))
+
+
 def log_series_sum(kind: str, n: int, m: int, c: float, K: int) -> complex:
     """(2i/pi) * sum_{k=0}^{K} (-1)^k (c/2)^{2k}/(k!)^2 * {S|P}_{2k+1}(n, m).
 
     The terms peak far above the sum once c exceeds ~1 (the truncated J0
     series diverges pointwise before the factorial wins), so the sum is
     accumulated in mpmath with exact table values and rounded once at the end.
+    This is the per-pair reference of `log_series_matrix`.
     """
     if (m + n) % 2:
         return 0.0 + 0.0j
     moment = s_moment_mp if kind == "sin" else p_moment_mp
-    # precision: enough headroom over the largest term magnitude
-    extra = max(0.0, (2 * K + 2) * log10(max(c, 1e-300) * pi))
-    with mp.workdps(40 + int(extra)):
+    with mp.workdps(_series_dps(c, K)):
         ch = mp.mpf(c) / 2
         coeff = mp.mpf(1)
         total = mp.mpf(0)
@@ -187,3 +206,49 @@ def log_series_sum(kind: str, n: int, m: int, c: float, K: int) -> complex:
                 coeff = -coeff * ch * ch / (k * k)
             total += coeff * moment(2 * k + 1, n, m)
         return complex(0.0, 2.0 / pi) * float(total)
+
+
+def log_series_matrix(kind: str, modes_m, modes_n, c: float, K: int) -> np.ndarray:
+    """`log_series_sum` for every pair (m, n) in modes_m x modes_n.
+
+    The series is folded into the per-frequency sums A_q, B_q, C_q (module
+    docstring), each accumulated in mpmath at the reference's working
+    precision and rounded once.  Off-diagonal pairs combine the rounded A_q
+    in one float expression; diagonal pairs combine in mpf and round once;
+    odd m+n pairs are exact zeros.
+    """
+    m = np.asarray(modes_m, dtype=int)
+    n = np.asarray(modes_n, dtype=int)
+    diag_q = set(m.tolist()) & set(n.tolist())
+    A: dict[int, float] = {}
+    diag: dict[int, float] = {}
+    with mp.workdps(_series_dps(c, K)):
+        ch2 = (mp.mpf(c) / 2) ** 2
+        coeffs = [mp.mpf(1)]
+        for k in range(1, K + 1):
+            coeffs.append(-coeffs[-1] * ch2 / (k * k))
+        for q in sorted(set(m.tolist()) | set(n.tolist())):
+            tab = _table(q, 2 * K + 1)
+            a = mp.fdot(coeffs, tab.ls[0:2 * K + 1:2])
+            A[q] = float(a)
+            if q not in diag_q:
+                continue
+            b = mp.fdot(coeffs, tab.lc[0:2 * K + 1:2])
+            cc = mp.fdot(coeffs, tab.lc[1:2 * K + 2:2])
+            if q == 0:  # sin(0 s/2) vanishes; the cos zero mode is P's own case
+                diag[q] = 0.0 if kind == "sin" else float(2 * (2 * mp.pi * b - cc))
+            else:
+                sgn = 1 if kind == "sin" else -1
+                diag[q] = float(2 * mp.pi * b - cc + sgn * 2 * a / q)
+    am = np.array([A[q] for q in m.tolist()])[:, None]
+    an = np.array([A[q] for q in n.tolist()])[None, :]
+    M, N = m[:, None], n[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "sin":
+            out = 4.0 / (M * M - N * N) * (M * an - N * am)
+        else:
+            out = 4.0 / (M * M - N * N) * (N * an - M * am)
+    rows, cols = np.nonzero(M == N)
+    out[rows, cols] = [diag[q] for q in m[rows].tolist()]
+    out[(M + N) % 2 == 1] = 0.0
+    return (2j / pi) * out

@@ -204,6 +204,8 @@ class SystemFactorization:
             raise SingularSystemError(f"system singular (rcond = {self.rcond:g})")
 
     def solve(self, rhs: np.ndarray) -> ApertureSolution:
+        """Solve for one right-hand side, or for one per column of a matrix;
+        then every coefficient array keeps that column axis."""
         x = sla.lu_solve((self._lu, self._piv), rhs)
         lay = self.layout
         coeffs = tuple(x[lay.block_slice(k)].copy() for k in range(lay.K))

@@ -121,7 +121,8 @@ def cmd_rcs(args) -> int:
     postprocess.export_sweep(sweep, path)
     _write_manifest(out, "rcs", args.spec,
                     {"angles": args.angles, "phi_min": args.phi_min, "phi_max": args.phi_max},
-                    [path.name], time.perf_counter() - t0, {"size": spec.K * spec.N})
+                    [path.name], time.perf_counter() - t0,
+                    {"rcond": sweep.rcond, "size": spec.K * spec.N})
     print(f"backscatter sweep over {args.angles} angles -> {path}")
     return EXIT_OK
 

@@ -10,7 +10,7 @@ from math import pi, sqrt
 import numpy as np
 
 from .assembly import (ApertureSolution, SystemFactorization, build_system,
-                       exp_trig_integral, incident_vector_tm)
+                       exp_trig_integral)
 from .errors import UnsupportedPolarizationError, ValidationError
 from .modal import (ModalTables, build_modal_tables, interior_coefficients,
                     vertical_profile, vertical_profile_dy)
@@ -34,6 +34,7 @@ class RcsSweep:
     angles: np.ndarray    # observation angles phi in (0, pi)
     sigma: np.ndarray     # linear RCS
     sigma_db: np.ndarray  # 10 log10 sigma
+    rcond: float | None = None  # 1-norm rcond estimate of the shared system
 
 
 def _interface_coefficients(spec: ProblemSpec, tables: ModalTables,
@@ -157,10 +158,32 @@ def rcs_tm(spec: ProblemSpec, solution: ApertureSolution, phi: float) -> float:
     return float(k0 * abs(np.sin(phi) * total) ** 2)
 
 
+def _phase_integrals(p: np.ndarray, w: float) -> np.ndarray:
+    """(e^{i p w} - 1)/(i p) elementwise, w at p = 0 (array form of the
+    incident-vector phase integral)."""
+    zero = p == 0.0
+    ps = np.where(zero, 1.0, p)
+    return np.where(zero, w, np.expm1(1j * ps * w) / (1j * ps))
+
+
+def _aperture_phases(alphas: np.ndarray, cav, modes) -> np.ndarray:
+    """e^{i alpha a} I_0^w e^{i alpha x} sin(m pi x/w) dx for every alpha (rows)
+    and mode m (columns): `exp_trig_integral` in closed form over arrays."""
+    mu = np.asarray(modes, dtype=float) * pi / cav.w
+    a = alphas[:, None]
+    sin_part = (_phase_integrals(a + mu, cav.w) - _phase_integrals(a - mu, cav.w)) / 2j
+    return np.exp(1j * alphas * cav.a)[:, None] * sin_part
+
+
 def backscatter_sweep(spec: ProblemSpec, angles) -> RcsSweep:
     """Monostatic sweep: for each observation angle phi the incident angle is
     theta = pi/2 - phi (observation equals incidence).  The system matrix is
-    independent of theta, so one factorization serves every angle."""
+    independent of theta, so one factorization serves every angle.
+
+    With alpha = kappa0 cos(phi) the incident vector of a row is -2i beta
+    times the same aperture phase integral that the far-field amplitude
+    weights its coefficient with, so one phase matrix gives every right-hand
+    side (one multi-column solve) and every amplitude (one product)."""
     if spec.polarization != "TM":
         raise UnsupportedPolarizationError("RCS aperture formula is defined for TM only")
     angles = np.asarray(angles, dtype=float)
@@ -168,25 +191,20 @@ def backscatter_sweep(spec: ProblemSpec, angles) -> RcsSweep:
         raise ValidationError("angles", "observation angles must lie in (0, pi)")
     spec = validate(spec)
     tables = build_modal_tables(spec)
-    cache = SingularBlockCache(spec.quad)
-    base = build_system(spec, tables, cache)
+    base = build_system(spec, tables, SingularBlockCache(spec.quad))
     fact = SystemFactorization(base)
-    sigma = np.empty_like(angles)
-    from dataclasses import replace
-
-    from .model import IncidentWave
-    for i, phi in enumerate(angles):
-        theta = pi / 2.0 - phi
-        sp = replace(spec, wave=IncidentWave(kappa0=spec.wave.kappa0, theta=theta))
-        rhs = np.zeros(base.layout.size, dtype=complex)
-        for k, cav in enumerate(sp.cavities):
-            sl = base.layout.block_slice(k)
-            rhs[sl] = [incident_vector_tm(sp.wave, cav, m) for m in base.layout.modes]
-        sol = fact.solve(rhs)
-        sigma[i] = rcs_tm(sp, sol, phi)
+    k0 = spec.wave.kappa0
+    alpha = k0 * np.cos(angles)
+    beta = k0 * np.sin(angles)
+    phases = np.concatenate([_aperture_phases(alpha, cav, base.layout.modes)
+                             for cav in spec.cavities], axis=1)
+    sol = fact.solve((-2j * beta[:, None] * phases).T)
+    coeffs = np.concatenate(sol.coefficients)  # (rows, angles)
+    amp = np.sin(angles) * np.einsum("ar,ra->a", phases, coeffs)
+    sigma = k0 * np.abs(amp) ** 2
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(np.where(sigma > 0, sigma, np.nan))
-    return RcsSweep(angles=angles, sigma=sigma, sigma_db=db)
+    return RcsSweep(angles=angles, sigma=sigma, sigma_db=db, rcond=fact.rcond)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ raised until that remainder is below roundoff, so the series carries the
 whole singular weight; the moments come from `_moments` which evaluates them
 exactly (the float-seeded downward recursions printed in the recurrence
 family lose too much accuracy once c exceeds ~1 -- see the recursion
-evaluators below, which are kept as consistency checks).
+evaluators below, which are kept as consistency checks).  The series is
+folded into three sums per frequency (`_moments.log_series_matrix`), and
+the smooth integrand, a function of |s-t| alone, is evaluated once per
+(panel offset, node, node) of the uniform grid and gathered by index.
 
 Off-diagonal (cross-cavity) blocks have a smooth kernel and use plain tensor
 Gauss with panels graded toward the facing edges when the gap is small.
@@ -207,15 +210,37 @@ def bessel_truncation(c: float, cfg: QuadratureConfig) -> int:
     return _moments.bessel_K_for(c, cfg.bessel_K)
 
 
-def _grid_kernel(c: float, pts: np.ndarray, K: int) -> np.ndarray:
+def _offset_distances(pts: np.ndarray, panels: int) -> np.ndarray:
+    """|s - t| on a uniform composite grid, one value per (panel offset
+    P - Q, node i of panel P, node j of panel Q); the offset axis runs from
+    1 - panels to panels - 1."""
+    blocks = pts.reshape(panels, -1)
+    offsets = np.arange(1 - panels, panels)
+    rows = blocks[np.maximum(offsets, 0)]
+    cols = blocks[np.maximum(-offsets, 0)]
+    return np.abs(rows[:, :, None] - cols[:, None, :])
+
+
+def _gather_offsets(per_offset: np.ndarray) -> np.ndarray:
+    """Full grid matrix [P*q + i, Q*q + j] = per_offset[P - Q + panels - 1, i, j]."""
+    n_off, q, _ = per_offset.shape
+    panels = (n_off + 1) // 2
+    idx = np.arange(panels)[:, None] - np.arange(panels)[None, :] + panels - 1
+    return per_offset[idx].transpose(0, 2, 1, 3).reshape(panels * q, panels * q)
+
+
+def _grid_kernel(c: float, pts: np.ndarray, panels: int, K: int) -> np.ndarray:
     """Combined smooth integrand on the tensor grid: regularized kernel plus
-    (2i/pi) times the Bessel-tail remainder against ln|s-t|."""
-    D = np.abs(pts[:, None] - pts[None, :])
+    (2i/pi) times the Bessel-tail remainder against ln|s-t|.
+
+    It depends on |s-t| only, so it is evaluated once per (panel offset,
+    node, node) and gathered into the full matrix."""
+    D = _offset_distances(pts, panels)
     kern = special.regularized_kernel_abs(D, KernelScale(c))
     with np.errstate(divide="ignore"):
         lnD = np.where(D > 0, np.log(np.where(D > 0, D, 1.0)), 0.0)
     rem = special.j0_series_remainder(c * D, K)
-    return kern + (2j / pi) * rem * lnD
+    return _gather_offsets(kern + (2j / pi) * rem * lnD)
 
 
 def singular_block_matrix(modes_m, modes_n, c: float, kind: str,
@@ -226,27 +251,16 @@ def singular_block_matrix(modes_m, modes_n, c: float, kind: str,
     K = bessel_truncation(c, cfg)
     rule = gauss_rule(cfg.points_per_panel)
     pts, wts = composite_nodes(0.0, TWO_PI, cfg.panels, rule)
-    kern = _grid_kernel(c, pts, K)
+    kern = _grid_kernel(c, pts, cfg.panels, K)
     f = np.sin if kind == "sin" else np.cos
     modes_m = np.asarray(list(modes_m), dtype=int)
     modes_n = np.asarray(list(modes_n), dtype=int)
     Tm = f(0.5 * pts[:, None] * modes_m[None, :]) * wts[:, None]
     Tn = f(0.5 * pts[:, None] * modes_n[None, :]) * wts[:, None]
     out = Tm.T @ kern @ Tn
-    # exact log-part series and exact parity zeros
-    series_cache: dict[tuple[int, int], complex] = {}
-    for i, m in enumerate(modes_m):
-        for j, n in enumerate(modes_n):
-            if (m + n) % 2:
-                out[i, j] = 0.0
-                continue
-            key = (min(m, n), max(m, n))
-            val = series_cache.get(key)
-            if val is None:
-                val = _moments.log_series_sum(kind, int(n), int(m), c, K)
-                series_cache[key] = val
-            out[i, j] += val
-    return out
+    # exact parity zeros and the exact log-part series
+    out[(modes_m[:, None] + modes_n[None, :]) % 2 == 1] = 0.0
+    return out + _moments.log_series_matrix(kind, modes_m, modes_n, c, K)
 
 
 def singular_block(m: int, n: int, c: float, kind: str, cfg: QuadratureConfig) -> complex:
@@ -260,45 +274,48 @@ def _c_key(c: float) -> float:
     return float(f"{c:.15g}")
 
 
-class SingularBlockCache:
-    """Memo for singular blocks keyed by (kind, m, n, c to 15 significant digits).
+def _modes_key(modes) -> tuple:
+    return tuple(int(m) for m in modes)
 
-    populate() fills whole mode matrices in one tensor-grid pass; get() falls
-    back to a one-off evaluation.  Reads are safe to share once populated.
+
+class SingularBlockCache:
+    """Memo of singular-block matrices keyed by (kind, row modes, column
+    modes, c to 15 significant digits).
+
+    matrix() returns the stored square matrix (read-only), filling it by
+    populate() in one tensor-grid pass on a miss; get() reads an entry from
+    any stored matrix that holds it and otherwise stores a one-off 1x1 block.
     """
 
     def __init__(self, cfg: QuadratureConfig):
         self.cfg = cfg
-        self._blocks: dict[tuple, complex] = {}
+        self._mats: dict[tuple, np.ndarray] = {}
+
+    def _store(self, kind: str, rows: tuple, cols: tuple, c: float) -> np.ndarray:
+        mat = singular_block_matrix(rows, cols, c, kind, self.cfg)
+        mat.setflags(write=False)
+        self._mats[(kind, rows, cols, _c_key(c))] = mat
+        return mat
 
     def populate(self, kind: str, modes, c: float) -> None:
-        modes = list(modes)
-        ck = _c_key(c)
-        mat = singular_block_matrix(modes, modes, c, kind, self.cfg)
-        for i, m in enumerate(modes):
-            for j, n in enumerate(modes):
-                self._blocks[(kind, m, n, ck)] = complex(mat[i, j])
+        modes = _modes_key(modes)
+        self._store(kind, modes, modes, c)
 
     def matrix(self, kind: str, modes, c: float) -> np.ndarray:
-        modes = list(modes)
-        ck = _c_key(c)
-        if any((kind, m, n, ck) not in self._blocks for m in modes for n in modes):
+        modes = _modes_key(modes)
+        key = (kind, modes, modes, _c_key(c))
+        if key not in self._mats:
             self.populate(kind, modes, c)
-        out = np.empty((len(modes), len(modes)), dtype=complex)
-        for i, m in enumerate(modes):
-            for j, n in enumerate(modes):
-                out[i, j] = self._blocks[(kind, m, n, ck)]
-        return out
+        return self._mats[key]
 
     def get(self, kind: str, m: int, n: int, c: float) -> complex:
         if (m + n) % 2:
             return 0.0 + 0.0j
-        key = (kind, m, n, _c_key(c))
-        val = self._blocks.get(key)
-        if val is None:
-            val = singular_block(m, n, c, kind, self.cfg)
-            self._blocks[key] = val
-        return val
+        ck = _c_key(c)
+        for (k, rows, cols, kc), mat in self._mats.items():
+            if k == kind and kc == ck and m in rows and n in cols:
+                return complex(mat[rows.index(m), cols.index(n)])
+        return complex(self._store(kind, (int(m),), (int(n),), c)[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,11 @@ def test_rcs_subcommand_and_te_rejection(tmp_path):
                      "--angles", "9"]) == 0
     lines = (out / "rcs.csv").read_text().splitlines()
     assert lines[0] == "phi_rad,sigma,sigma_db" and len(lines) == 10
+    diag = _manifest(out)["diagnostics"]
+    assert diag["size"] == 6
+    # the rcond of the one factorization that serves every angle
+    _, sol = cs.solve(cs.load_spec(spec_path))
+    assert diag["rcond"] == sol.rcond and 0.0 < diag["rcond"] <= 1.0
 
     te_path = _write_spec(tmp_path, _tiny_te(), "te.json")
     code = cli.main(["rcs", "--spec", str(te_path), "--out", str(tmp_path / "out2")])

@@ -197,3 +197,40 @@ def test_bessel_truncation_rule():
         assert (2 * K + 2) * log(c * pi) - 2 * sum(log(j) for j in range(1, K + 2)) < -16 * log(10)
         assert (2 * K) * log(c * pi) - 2 * sum(log(j) for j in range(1, K + 1)) >= -16 * log(10) \
             or K == cfg.bessel_K
+
+
+@pytest.mark.parametrize("N, c", [(30, 0.24), (150, 1.0), (40, 4.0), (60, 8.0)])
+def test_folded_log_series_matches_per_pair(N, c):
+    # the per-frequency fold against the per-pair mpmath series, on the
+    # diagonal, the zero-mode row/column and a sample of off-diagonal pairs
+    from cavityscat import _moments
+    K = _moments.bessel_K_for(c, 8)
+    rng = np.random.default_rng(N)
+    sample = rng.integers(0, N + 1, size=(80, 2)).tolist()
+    for kind, lo in (("sin", 1), ("cos", 0)):
+        modes = list(range(lo, N + 1))
+        folded = _moments.log_series_matrix(kind, modes, modes, c, K)
+        pairs = [(m, m) for m in modes] + [(m, n) for m, n in sample if m >= lo and n >= lo]
+        pairs += [(0, n) for n in range(0, N + 1, 2) if kind == "cos"]
+        got = np.array([folded[m - lo, n - lo] for m, n in pairs])
+        want = np.array([_moments.log_series_sum(kind, n, m, c, K) for m, n in pairs])
+        assert np.array_equal(got == 0, want == 0), (kind, N, c)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), (kind, N, c)
+        diag = np.array([folded[i, i] for i in range(len(modes))])
+        ref = want[:len(modes)]
+        assert np.all(np.abs(diag - ref) <= 1e-14 * np.abs(ref)), (kind, N, c)
+
+
+def test_folded_log_series_zero_modes_and_parity():
+    from cavityscat import _moments
+    K = _moments.bessel_K_for(1.0, 8)
+    sin = _moments.log_series_matrix("sin", [0, 1, 2, 3], [0, 1, 2, 3, 4], 1.0, K)
+    assert np.all(sin[0] == 0) and np.all(sin[:, 0] == 0)  # sin(0 s/2) vanishes
+    cos = _moments.log_series_matrix("cos", [0, 1, 2], [0, 1, 2, 3, 4], 1.0, K)
+    for i, m in enumerate((0, 1, 2)):
+        for j, n in enumerate((0, 1, 2, 3, 4)):
+            want = _moments.log_series_sum("cos", n, m, 1.0, K)
+            if (m + n) % 2:
+                assert cos[i, j] == 0
+            else:
+                assert abs(cos[i, j] - want) <= 1e-15 * abs(want), (m, n)

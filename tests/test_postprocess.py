@@ -204,3 +204,68 @@ def test_export_sweep_schema(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "phi_rad,sigma,sigma_db"
     assert len(lines) == 3
+
+
+def _per_angle_sweep(spec, angles):
+    """Per-angle reference: a spec per incidence theta = pi/2 - phi, a scalar
+    incident vector per mode, one solve per angle and the scalar RCS formula."""
+    from dataclasses import replace
+
+    from cavityscat.assembly import SystemFactorization, build_system, incident_vector_tm
+    from cavityscat.modal import build_modal_tables
+    from cavityscat.quadrature import SingularBlockCache
+    base = build_system(spec, build_modal_tables(spec), SingularBlockCache(spec.quad))
+    fact = SystemFactorization(base)
+    sigma = []
+    for phi in angles:
+        sp = replace(spec, wave=cs.IncidentWave(spec.wave.kappa0, pi / 2.0 - phi))
+        rhs = np.concatenate([[incident_vector_tm(sp.wave, cav, m) for m in base.layout.modes]
+                              for cav in sp.cavities])
+        sigma.append(rcs_tm(sp, fact.solve(rhs), phi))
+    return np.array(sigma), fact.rcond
+
+
+def test_backscatter_matches_per_angle_path():
+    # two unequal cavities; the angles include the degenerate directions
+    # kappa0 cos(phi) = +-m pi/w of both apertures
+    k0 = 4 * pi
+    lay = (cs.Layer(0.0, -0.3, complex(2 * k0, 0.5)),)
+    spec = cs.validate(cs.ProblemSpec(
+        wave=cs.IncidentWave(k0, 0.4), polarization="TM",
+        cavities=(cs.Cavity(-1.2, -0.2, lay), cs.Cavity(0.3, 0.8, lay)),
+        N=10, quad=QuadratureConfig(panels=16, points_per_panel=4)))
+    degenerate = [np.arccos(sgn * m * pi / (w * k0)) for w in (1.0, 0.5)
+                  for m in range(1, 4) for sgn in (1, -1) if m * pi / (w * k0) < 1]
+    angles = np.sort(np.concatenate([np.linspace(0.05, pi - 0.05, 23), degenerate, [pi / 2]]))
+    sweep = backscatter_sweep(spec, angles)
+    want, rcond = _per_angle_sweep(spec, angles)
+    assert np.all(np.abs(sweep.sigma - want) <= 1e-13 * np.abs(want))
+    assert sweep.rcond == rcond
+
+
+def test_phase_integrals_match_scalar_form_through_zero():
+    from cavityscat.assembly import _phase_integral
+    ps = np.array([0.0, 1e-300, -1e-300, 1e-12, -1e-9, 0.3, -2.0, 50.0])
+    got = postprocess._phase_integrals(ps, 0.7)
+    assert got[0] == 0.7
+    for p, g in zip(ps, got):
+        want = _phase_integral(float(p), 0.7)
+        assert abs(g - want) <= 1e-15 * abs(want), p
+
+
+def test_numpy_expm1_matches_hand_series_near_zero():
+    # the closed-form phase integrals use numpy's complex expm1; sweep it
+    # against the hand series of the scalar path (|z| < 0.5), on and off the
+    # imaginary axis, and against exp(z) - 1 beyond, where both are O(1)
+    from cavityscat.assembly import _cexpm1
+    ys = np.concatenate([np.logspace(-14, np.log10(0.49), 200),
+                         -np.logspace(-14, np.log10(0.49), 200)])
+    rng = np.random.default_rng(0)
+    zs = np.concatenate([1j * ys, (rng.uniform(-0.35, 0.35, 400) + 1j * rng.uniform(-0.35, 0.35, 400))
+                         * 10.0 ** rng.uniform(-12, 0, 400)])
+    for z in zs:
+        hand = _cexpm1(complex(z))
+        assert abs(np.expm1(z) - hand) <= 1e-15 * abs(hand), z
+    for y in np.linspace(-40.0, 40.0, 801):
+        z = 1j * y
+        assert abs(np.expm1(z) - _cexpm1(z)) <= 1e-15 * max(1.0, abs(z)), z

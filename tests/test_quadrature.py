@@ -121,3 +121,43 @@ def test_cross_block_requires_disjoint():
     cj = cs.Cavity(0.5, 1.5, lay)
     with pytest.raises(cs.ValidationError):
         cross_block(1, 1, ck, cj, 2.0, "sin", CFG)
+
+
+@pytest.mark.parametrize("panels, ppp, c", [(16, 4, 0.5), (32, 6, 1.0), (24, 6, 4.0), (24, 6, 8.0)])
+def test_panel_offset_kernel_matches_direct_grid(panels, ppp, c):
+    from cavityscat import special
+    from cavityscat.quadrature import (_gather_offsets, _grid_kernel, _offset_distances,
+                                       bessel_truncation, composite_nodes, gauss_rule)
+    from cavityscat.special import KernelScale
+    rule = gauss_rule(ppp)
+    K = bessel_truncation(c, CFG)
+    pts, _ = composite_nodes(0.0, 2 * pi, panels, rule)
+    D = np.abs(pts[:, None] - pts[None, :])
+    offsets = _offset_distances(pts, panels)
+    assert offsets.shape == (2 * panels - 1, ppp, ppp)
+    gathered = _gather_offsets(offsets)
+    assert np.array_equal(gathered == 0, D == 0)
+    assert np.max(np.abs(gathered - D)) <= 8 * np.finfo(float).eps * 2 * pi
+    with np.errstate(divide="ignore"):
+        lnD = np.where(D > 0, np.log(np.where(D > 0, D, 1.0)), 0.0)
+    direct = (special.regularized_kernel_abs(D, KernelScale(c))
+              + (2j / pi) * special.j0_series_remainder(c * D, K) * lnD)
+    got = _grid_kernel(c, pts, panels, K)
+    assert np.linalg.norm(got - direct) <= 3e-15 * max(1.0, c) * np.linalg.norm(direct)
+
+
+def test_cache_stores_whole_matrices():
+    cache = SingularBlockCache(CFG)
+    modes = range(1, 7)
+    mat = cache.matrix("sin", modes, 0.8)
+    assert cache.matrix("sin", list(modes), 0.8) is mat  # a hit, same stored matrix
+    assert not mat.flags.writeable
+    assert np.array_equal(mat, singular_block_matrix(modes, modes, 0.8, "sin", CFG))
+    # entries of a stored matrix are served without a new evaluation
+    assert cache.get("sin", 2, 4, 0.8) == mat[1, 3]
+    assert cache.get("sin", 2, 3, 0.8) == 0.0
+    # an entry outside every stored matrix is evaluated once and kept
+    far = cache.get("sin", 3, 9, 0.8)
+    assert abs(far - singular_block(3, 9, 0.8, "sin", CFG)) <= 1e-14 * abs(far)
+    assert cache.get("sin", 3, 9, 0.8) == far
+    assert cache.matrix("cos", modes, 0.8) is not mat
