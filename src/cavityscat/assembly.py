@@ -4,6 +4,7 @@ incident-wave vectors, and the dense solve."""
 from __future__ import annotations
 
 import cmath
+import itertools
 from dataclasses import dataclass, field
 from math import pi
 
@@ -11,7 +12,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import SingularSystemError
-from .modal import ModalTables, build_modal_tables
+from .modal import ModalTables, _cexpm1, build_modal_tables
 from .model import Cavity, IncidentWave, ProblemSpec
 from .quadrature import SingularBlockCache, cross_block_matrix
 
@@ -62,19 +63,6 @@ class ApertureSolution:
     def coefficient(self, k: int, n: int) -> complex:
         idx = n - 1 if self.layout.polarization == "TM" else n
         return complex(self.coefficients[k][idx])
-
-
-def _cexpm1(z: complex) -> complex:
-    if abs(z) < 0.5:
-        term = z
-        acc = z
-        for j in range(2, 24):
-            term = term * z / j
-            acc += term
-            if abs(term) <= 1e-18 * abs(acc):
-                break
-        return acc
-    return cmath.exp(z) - 1.0
 
 
 def _phase_integral(p: float, w: float) -> complex:
@@ -150,6 +138,10 @@ def build_system(spec: ProblemSpec, tables: ModalTables | None = None,
     rhs = np.zeros(size, dtype=complex)
     k0 = spec.wave.kappa0
 
+    # Block (j, k) of a cavity pair is the transpose of block (k, j): both
+    # integrate the same graded grids against the symmetric kernel, so each
+    # pair is integrated once.
+    pairs = itertools.combinations(range(spec.K), 2)
     if spec.polarization == "TM":
         for k, cav in enumerate(spec.cavities):
             sl = layout.block_slice(k)
@@ -157,28 +149,30 @@ def build_system(spec: ProblemSpec, tables: ModalTables | None = None,
             block = np.diag(0.5 * cav.w * imped) - _tm_diag_block(spec, tables, cache, k)
             lhs[sl, sl] = block
             rhs[sl] = [incident_vector_tm(spec.wave, cav, m) for m in layout.modes]
-            for j in range(spec.K):
-                if j == k:
-                    continue
-                lhs[sl, layout.block_slice(j)] = -_tm_cross_block(spec, k, j)
+        for k, j in pairs:
+            cross = _tm_cross_block(spec, k, j)
+            lhs[layout.block_slice(k), layout.block_slice(j)] = -cross
+            lhs[layout.block_slice(j), layout.block_slice(k)] = -cross.T
     else:
         modes = np.arange(0, spec.N + 1)
+        t_hats = []
         for k, cav in enumerate(spec.cavities):
             sl = layout.block_slice(k)
             c = k0 * cav.w / (2.0 * pi)
             cos_b = cache.matrix("cos", modes, c)
             t_hat = np.array([tables.connection(k, n).impedance for n in layout.modes])
+            t_hats.append(t_hat)
             mhat = (-0.5j) * (cav.w / (2.0 * pi)) ** 2 * cos_b * t_hat[None, :]
             dvec = np.full(layout.block, 0.5 * cav.w)
             dvec[0] = cav.w
             lhs[sl, sl] = np.diag(dvec) - mhat
             rhs[sl] = [incident_vector_te(spec.wave, cav, m) for m in layout.modes]
-            for j in range(spec.K):
-                if j == k:
-                    continue
-                cc = cross_block_matrix(cav, spec.cavities[j], modes, modes, k0, "cos", spec.quad)
-                t_j = np.array([tables.connection(j, n).impedance for n in layout.modes])
-                lhs[sl, layout.block_slice(j)] = 0.5j * cc * t_j[None, :]  # -M_hat_{k,j}
+        for k, j in pairs:
+            cc = cross_block_matrix(spec.cavities[k], spec.cavities[j], modes, modes, k0,
+                                    "cos", spec.quad)
+            # -M_hat_{k,j} and -M_hat_{j,k}
+            lhs[layout.block_slice(k), layout.block_slice(j)] = 0.5j * cc * t_hats[j][None, :]
+            lhs[layout.block_slice(j), layout.block_slice(k)] = 0.5j * cc.T * t_hats[k][None, :]
 
     if not np.all(np.isfinite(lhs)):
         raise SingularSystemError("assembled matrix contains non-finite entries")

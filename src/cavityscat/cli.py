@@ -148,17 +148,24 @@ def cmd_enhance(args) -> int:
     kappas = np.linspace(args.kappa_min, args.kappa_max, args.kappa_steps)
     cavs = [args.cavity] if args.cavity is not None else list(range(spec.K))
     cols = {k: np.empty(len(kappas)) for k in cavs}
+    rconds = np.empty(len(kappas))
     for i, kap in enumerate(kappas):
         sp = _rescaled_spec(spec, float(kap))
         tables, sol = assembly.solve(sp)
+        rconds[i] = sol.rcond
         for k in cavs:
             cols[k][i] = postprocess.enhancement(sp, tables, sol, k)
     path = out / "enhancement.csv"
     postprocess.export_enhancement(kappas, cols, path)
+    diagnostics = {"size": assembly.ModeLayout(spec.polarization, spec.N, spec.K).size,
+                   "rcond_below_warn": int(np.count_nonzero(rconds < assembly.RCOND_WARN))}
+    if len(kappas):
+        worst = int(np.argmin(rconds))
+        diagnostics.update(rcond_min=float(rconds[worst]), rcond_min_kappa=float(kappas[worst]))
     _write_manifest(out, "enhance", args.spec,
                     {"kappa_min": args.kappa_min, "kappa_max": args.kappa_max,
                      "kappa_steps": args.kappa_steps, "cavities": cavs},
-                    [path.name], time.perf_counter() - t0, {})
+                    [path.name], time.perf_counter() - t0, diagnostics)
     print(f"enhancement spectrum over {args.kappa_steps} wavenumbers -> {path}")
     return EXIT_OK
 

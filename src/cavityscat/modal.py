@@ -1,4 +1,5 @@
-"""Per-mode vertical wavenumbers, layer coefficients, and connection solves.
+"""Per-mode vertical wavenumbers, layer coefficients, connection solves, and
+the mode profiles inside a layer.
 
 Index conventions match the layered geometry: inside a cavity of width w the
 n-th mode has vertical wavenumber beta_l = (kappa_l^2 - (n pi/w)^2)^{1/2}
@@ -192,43 +193,41 @@ def interior_coefficients(cavity: Cavity, polarization: str, coeffs: ModeCoeffic
     return (u0,) + interior
 
 
-def vertical_profile(layer: Layer, beta_l: complex, u_top: complex, u_bottom: complex, y):
-    """Mode profile u(y) inside one layer, y in [y_bottom, y_top].
+def layer_profiles(layer: Layer, betas, u_top, u_bottom, y, *, modes, layer_index: int,
+                   cavity: int | None = None):
+    """Profiles of several modes inside one layer, and their y-derivatives.
 
-    Interpolates the interface values: u(y_top) = u_top, u(y_bottom) = u_bottom.
-    Exponentials carry the dominant factor divided out, so evanescent modes
-    with large |beta| |h| stay finite.
+    betas, u_top, u_bottom and modes hold one entry per mode; y holds points
+    in [y_bottom, y_top].  Returns (values, dy), each of shape (modes, points):
+    the profile of mode i interpolates u_top[i] at y_top and u_bottom[i] at
+    y_bottom, and both arrays come from the same four exponentials, each of
+    modulus <= 1, so evanescent modes with large |beta| |h| stay finite.  Modes
+    with beta = 0 are linear in y.  A resonant layer raises
+    ModalResonanceError naming the mode, the layer and the cavity.
     """
-    y = np.asarray(y, dtype=float)
+    betas = np.asarray(betas, dtype=complex)[:, None]
+    u_top = np.asarray(u_top, dtype=complex)[:, None]
+    u_bottom = np.asarray(u_bottom, dtype=complex)[:, None]
+    y = np.asarray(y, dtype=float)[None, :]
     h = layer.h
-    if beta_l == 0:
-        val = ((u_bottom - u_top) * y + u_top * layer.y_bottom - u_bottom * layer.y_top) / h
-        return val if val.shape else complex(val)
-    one_minus_r = -_cexpm1(-2j * beta_l * h)
-    if abs(one_minus_r) <= _RESONANCE_RTOL * 2.0:
-        raise ModalResonanceError(-1, -1)
-    ib = 1j * beta_l
-    num = (u_bottom * (np.exp(ib * (y - layer.y_bottom)) - np.exp(-ib * (y - layer.y_top + h)))
-           - u_top * (np.exp(ib * (y - layer.y_bottom - h)) - np.exp(-ib * (y - layer.y_bottom + h))))
-    val = num / one_minus_r
-    return val if val.shape else complex(val)
-
-
-def vertical_profile_dy(layer: Layer, beta_l: complex, u_top: complex, u_bottom: complex, y):
-    """d/dy of vertical_profile, from the closed form (not finite differences)."""
-    y = np.asarray(y, dtype=float)
-    h = layer.h
-    if beta_l == 0:
-        val = (u_bottom - u_top) / h * np.ones_like(y)
-        return val if val.shape else complex(val)
-    one_minus_r = -_cexpm1(-2j * beta_l * h)
-    if abs(one_minus_r) <= _RESONANCE_RTOL * 2.0:
-        raise ModalResonanceError(-1, -1)
-    ib = 1j * beta_l
-    num = (u_bottom * (np.exp(ib * (y - layer.y_bottom)) + np.exp(-ib * (y - layer.y_top + h)))
-           - u_top * (np.exp(ib * (y - layer.y_bottom - h)) + np.exp(-ib * (y - layer.y_bottom + h))))
-    val = ib * num / one_minus_r
-    return val if val.shape else complex(val)
+    flat = betas == 0
+    # beta = 1j stands in on flat rows: never resonant, and np.where drops it
+    ib = 1j * np.where(flat, 1j, betas)
+    one_minus_r = -np.expm1(-2.0 * ib * h)
+    resonant = ~flat & (np.abs(one_minus_r) <= _RESONANCE_RTOL * (1.0 + np.abs(1.0 - one_minus_r)))
+    if np.any(resonant):
+        raise ModalResonanceError(int(np.asarray(modes)[np.argmax(resonant)]),
+                                  layer_index, cavity)
+    e1 = np.exp(ib * (y - layer.y_bottom))
+    e2 = np.exp(-ib * (y - layer.y_top + h))
+    e3 = np.exp(ib * (y - layer.y_bottom - h))
+    e4 = np.exp(-ib * (y - layer.y_bottom + h))
+    values = np.where(flat, ((u_bottom - u_top) * y + u_top * layer.y_bottom
+                             - u_bottom * layer.y_top) / h,
+                      (u_bottom * (e1 - e2) - u_top * (e3 - e4)) / one_minus_r)
+    dy = np.where(flat, (u_bottom - u_top) / h,
+                  ib * (u_bottom * (e1 + e2) - u_top * (e3 + e4)) / one_minus_r)
+    return values, dy
 
 
 def single_layer_impedance_tm(kappa: complex, w: float, depth: float, n: int) -> complex:

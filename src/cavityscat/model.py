@@ -79,7 +79,6 @@ class QuadratureConfig:
     panels: int = 64
     points_per_panel: int = 4
     bessel_K: int = 8
-    lift_threshold: int = 11  # recommended >= 2*points_per_panel
 
 
 @dataclass(frozen=True)
@@ -131,8 +130,6 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
         raise ValidationError("quadrature.points_per_panel", "must be >= 2")
     if q.bessel_K < 1:
         raise ValidationError("quadrature.bessel_K", "must be >= 1")
-    if q.lift_threshold < 8:
-        raise ValidationError("quadrature.lift_threshold", "must be >= 8")
 
     for ci, cav in enumerate(spec.cavities):
         tag = f"cavities[{ci}]"
@@ -188,7 +185,6 @@ def spec_to_dict(spec: ProblemSpec) -> dict:
             "panels": spec.quad.panels,
             "points_per_panel": spec.quad.points_per_panel,
             "bessel_K": spec.quad.bessel_K,
-            "lift_threshold": spec.quad.lift_threshold,
         },
         "cavities": [
             {
@@ -222,12 +218,13 @@ def spec_from_dict(doc: dict, path="<dict>") -> ProblemSpec:
                             theta=float(_require(doc, "theta", path)))
         polarization = str(_require(doc, "polarization", path))
         N = int(_require(doc, "N", path))
+        # unknown keys are ignored; older files carry "lift_threshold", a
+        # setting nothing read
         qd = doc.get("quadrature", {})
         quad = QuadratureConfig(
             panels=int(qd.get("panels", QuadratureConfig.panels)),
             points_per_panel=int(qd.get("points_per_panel", QuadratureConfig.points_per_panel)),
             bessel_K=int(qd.get("bessel_K", QuadratureConfig.bessel_K)),
-            lift_threshold=int(qd.get("lift_threshold", QuadratureConfig.lift_threshold)),
         )
         cavities = []
         for ci, cd in enumerate(_require(doc, "cavities", path)):

@@ -13,9 +13,12 @@ from .assembly import (ApertureSolution, SystemFactorization, build_system,
                        exp_trig_integral)
 from .errors import UnsupportedPolarizationError, ValidationError
 from .modal import (ModalTables, build_modal_tables, interior_coefficients,
-                    vertical_profile, vertical_profile_dy)
+                    layer_profiles)
 from .model import ProblemSpec, validate
 from .quadrature import SingularBlockCache, composite_nodes, gauss_rule
+
+# Four-point Gauss panels of the enhancement y-integrals.
+_ENHANCE_RULE = gauss_rule(4)
 
 
 @dataclass(frozen=True)
@@ -37,25 +40,20 @@ class RcsSweep:
     rcond: float | None = None  # 1-norm rcond estimate of the shared system
 
 
-def _interface_coefficients(spec: ProblemSpec, tables: ModalTables,
-                            solution: ApertureSolution, k: int, n: int):
-    cav = spec.cavities[k]
-    u0 = solution.coefficient(k, n)
-    return interior_coefficients(cav, spec.polarization, tables.coeffs(k, n),
-                                 tables.connection(k, n), u0)
-
-
 _SNAP = 1e-12  # relative slack for boundary samples hit by roundoff
 
 
-def _locate_layer(cav, y: float) -> int:
+def _locate_layer(cav, y) -> np.ndarray:
+    """Layer index of each ordinate in y (an interface belongs to the layer
+    above it)."""
+    y = np.asarray(y, dtype=float)
     tol = _SNAP * max(1.0, cav.depth)
-    if y > tol or y < -cav.depth - tol:
-        raise ValidationError("y", f"point y = {y} outside cavity depth [{-cav.depth}, 0]")
-    for li, lay in enumerate(cav.layers):
-        if y >= lay.y_bottom:
-            return li
-    return cav.L - 1
+    outside = (y > tol) | (y < -cav.depth - tol)
+    if np.any(outside):
+        raise ValidationError("y", f"point y = {float(y[outside].flat[0])} outside cavity "
+                                   f"depth [{-cav.depth}, 0]")
+    bottoms = np.array([lay.y_bottom for lay in cav.layers])
+    return np.minimum(np.searchsorted(-bottoms, -y), cav.L - 1)
 
 
 def locate_cavity(spec: ProblemSpec, x: float) -> int:
@@ -65,28 +63,60 @@ def locate_cavity(spec: ProblemSpec, x: float) -> int:
     raise ValidationError("x", f"point x = {x} lies outside every aperture")
 
 
+def _mode_profiles(spec: ProblemSpec, tables: ModalTables, solution: ApertureSolution,
+                   k: int, ys, layers):
+    """Mode numbers of cavity k, and the profile values and y-derivatives of
+    every mode at the ordinates ys lying in the given layers (modes x points).
+
+    The interface coefficients of all modes (modes x L+1) are built once; each
+    layer then evaluates all of its points in one array call."""
+    cav = spec.cavities[k]
+    modes = np.array(tables.modes())
+    ifc = np.array([interior_coefficients(cav, spec.polarization, tables.coeffs(k, n),
+                                          tables.connection(k, n), solution.coefficient(k, n))
+                    for n in modes])
+    betas = np.array([tables.coeffs(k, n).betas for n in modes])
+    ys = np.asarray(ys, dtype=float)
+    values = np.empty((len(modes), len(ys)), dtype=complex)
+    dy = np.empty_like(values)
+    for li in np.unique(layers):
+        sel = layers == li
+        values[:, sel], dy[:, sel] = layer_profiles(
+            cav.layers[li], betas[:, li], ifc[:, li], ifc[:, li + 1], ys[sel],
+            modes=modes, layer_index=int(li), cavity=k)
+    return modes, values, dy
+
+
+def _transverse(spec: ProblemSpec, cav, modes, xs) -> np.ndarray:
+    """sin (TM) or cos (TE) of n pi (x - a)/w for every mode (rows) and x."""
+    trig = np.sin if spec.polarization == "TM" else np.cos
+    return trig(modes[:, None] * (pi * (np.asarray(xs, dtype=float) - cav.a) / cav.w)[None, :])
+
+
+def _field_points(spec: ProblemSpec, tables: ModalTables, solution: ApertureSolution,
+                  k: int, xs, ys):
+    """Layer indices and total field at the points (xs, ys) of cavity k."""
+    cav = spec.cavities[k]
+    xs = np.asarray(xs, dtype=float)
+    tol = _SNAP * max(1.0, abs(cav.a), abs(cav.b))
+    outside = (xs < cav.a - tol) | (xs > cav.b + tol)
+    if np.any(outside):
+        raise ValidationError("x", f"point x = {float(xs[outside][0])} outside cavity {k} "
+                                   f"aperture [{cav.a}, {cav.b}]")
+    layers = _locate_layer(cav, ys)  # validates the y range before clamping
+    ys = np.clip(ys, -cav.depth, 0.0)
+    modes, prof, _ = _mode_profiles(spec, tables, solution, k, ys, layers)
+    tr = _transverse(spec, cav, modes, np.clip(xs, cav.a, cav.b))
+    return layers, np.einsum("mp,mp->p", prof, tr)
+
+
 def field_at(spec: ProblemSpec, tables: ModalTables, solution: ApertureSolution,
              x: float, y: float, k: int | None = None) -> complex:
     """Total field inside cavity k at (x, y): mode profiles times the
     sine (TM) or cosine (TE) transverse factors."""
     if k is None:
         k = locate_cavity(spec, x)
-    cav = spec.cavities[k]
-    tol = _SNAP * max(1.0, abs(cav.a), abs(cav.b))
-    if not (cav.a - tol <= x <= cav.b + tol):
-        raise ValidationError("x", f"point x = {x} outside cavity {k} aperture [{cav.a}, {cav.b}]")
-    li = _locate_layer(cav, y)  # validates the y range before clamping
-    x = min(max(x, cav.a), cav.b)
-    y = min(max(y, -cav.depth), 0.0)
-    lay = cav.layers[li]
-    trig = np.sin if spec.polarization == "TM" else np.cos
-    xi = pi * (x - cav.a) / cav.w
-    total = 0.0 + 0.0j
-    for n in tables.modes():
-        ifc = _interface_coefficients(spec, tables, solution, k, n)
-        prof = vertical_profile(lay, tables.coeffs(k, n).betas[li], ifc[li], ifc[li + 1], y)
-        total += prof * trig(n * xi)
-    return total
+    return complex(_field_points(spec, tables, solution, k, [x], [y])[1][0])
 
 
 def field_grid(spec: ProblemSpec, tables: ModalTables, solution: ApertureSolution,
@@ -95,23 +125,9 @@ def field_grid(spec: ProblemSpec, tables: ModalTables, solution: ApertureSolutio
     cav = spec.cavities[k]
     xs = np.linspace(cav.a, cav.b, nx)
     ys = np.linspace(-cav.depth, 0.0, ny)
-    trig = np.sin if spec.polarization == "TM" else np.cos
-    xi = pi * (xs - cav.a) / cav.w
-    layer_of = np.array([_locate_layer(cav, y) for y in ys])
-    modes = list(tables.modes())
-    # profile values per (mode, y)
-    prof = np.zeros((len(modes), ny), dtype=complex)
-    for mi, n in enumerate(modes):
-        ifc = _interface_coefficients(spec, tables, solution, k, n)
-        betas = tables.coeffs(k, n).betas
-        for li in range(cav.L):
-            sel = layer_of == li
-            if not np.any(sel):
-                continue
-            prof[mi, sel] = vertical_profile(cav.layers[li], betas[li],
-                                             ifc[li], ifc[li + 1], ys[sel])
-    tr = trig(np.asarray(modes)[:, None] * xi[None, :])
-    vals = prof.T @ tr  # (ny, nx)
+    layer_of = _locate_layer(cav, ys)
+    modes, prof, _ = _mode_profiles(spec, tables, solution, k, ys, layer_of)
+    vals = prof.T @ _transverse(spec, cav, modes, xs)  # (ny, nx)
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     return FieldMap(x=X.ravel(), y=Y.ravel(),
                     cavity=np.full(X.size, k, dtype=int),
@@ -126,8 +142,7 @@ def diagonal_trace(spec: ProblemSpec, tables: ModalTables, solution: ApertureSol
     ts = np.linspace(0.0, 1.0, samples)
     xs = cav.a + ts * cav.w
     ys = -ts * cav.depth
-    vals = np.array([field_at(spec, tables, solution, x, y, k) for x, y in zip(xs, ys)])
-    layers = np.array([_locate_layer(cav, y) for y in ys])
+    layers, vals = _field_points(spec, tables, solution, k, xs, ys)
     return FieldMap(x=xs, y=ys, cavity=np.full(samples, k, dtype=int),
                     layer=layers, values=vals)
 
@@ -221,19 +236,15 @@ def enhancement(spec: ProblemSpec, tables: ModalTables, solution: ApertureSoluti
     denominator is sqrt(w * depth).
     """
     cav = spec.cavities[k]
-    rule = gauss_rule(4)
-    panels = max(1, points_per_layer // 4)
-    num = 0.0
-    for n in tables.modes():
-        ifc = _interface_coefficients(spec, tables, solution, k, n)
-        betas = tables.coeffs(k, n).betas
-        acc = 0.0
-        for li, lay in enumerate(cav.layers):
-            ys, wy = composite_nodes(lay.y_bottom, lay.y_top, panels, rule)
-            vals = vertical_profile(lay, betas[li], ifc[li], ifc[li + 1], ys)
-            acc += float(np.sum(wy * np.abs(vals) ** 2))
-        c_n = cav.w if (spec.polarization == "TE" and n == 0) else 0.5 * cav.w
-        num += c_n * acc
+    panels = max(1, points_per_layer // _ENHANCE_RULE.q)
+    nodes = [composite_nodes(lay.y_bottom, lay.y_top, panels, _ENHANCE_RULE)
+             for lay in cav.layers]
+    ys = np.concatenate([n[0] for n in nodes])
+    wy = np.concatenate([n[1] for n in nodes])
+    layers = np.repeat(np.arange(cav.L), panels * _ENHANCE_RULE.q)
+    modes, prof, _ = _mode_profiles(spec, tables, solution, k, ys, layers)
+    c_n = np.where((modes == 0) & (spec.polarization == "TE"), cav.w, 0.5 * cav.w)
+    num = float(c_n @ (np.abs(prof) ** 2 @ wy))
     return sqrt(num / (cav.w * cav.depth))
 
 
@@ -243,16 +254,9 @@ def interface_value_jump(spec: ProblemSpec, tables: ModalTables, solution: Apert
     closed-form profiles of the layers above and below."""
     cav = spec.cavities[k]
     y = cav.layers[li].y_top
-    trig = np.sin if spec.polarization == "TM" else np.cos
-    xi = pi * (x - cav.a) / cav.w
-    above = below = 0.0 + 0.0j
-    for n in tables.modes():
-        ifc = _interface_coefficients(spec, tables, solution, k, n)
-        betas = tables.coeffs(k, n).betas
-        tr = trig(n * xi)
-        above += vertical_profile(cav.layers[li - 1], betas[li - 1], ifc[li - 1], ifc[li], y) * tr
-        below += vertical_profile(cav.layers[li], betas[li], ifc[li], ifc[li + 1], y) * tr
-    return above, below
+    modes, prof, _ = _mode_profiles(spec, tables, solution, k, [y, y], np.array([li - 1, li]))
+    above, below = _transverse(spec, cav, modes, [x])[:, 0] @ prof
+    return complex(above), complex(below)
 
 
 def te_flux_jump(spec: ProblemSpec, tables: ModalTables, solution: ApertureSolution,
@@ -261,18 +265,10 @@ def te_flux_jump(spec: ProblemSpec, tables: ModalTables, solution: ApertureSolut
     evaluated from the closed-form profile derivative."""
     cav = spec.cavities[k]
     y = cav.layers[li].y_top
-    trig = np.sin if spec.polarization == "TM" else np.cos
-    xi = pi * (x - cav.a) / cav.w
-    above = below = 0.0 + 0.0j
-    for n in tables.modes():
-        ifc = _interface_coefficients(spec, tables, solution, k, n)
-        betas = tables.coeffs(k, n).betas
-        tr = trig(n * xi)
-        above += vertical_profile_dy(cav.layers[li - 1], betas[li - 1], ifc[li - 1], ifc[li], y) * tr
-        below += vertical_profile_dy(cav.layers[li], betas[li], ifc[li], ifc[li + 1], y) * tr
-    ka = cav.layers[li - 1].kappa
-    kb = cav.layers[li].kappa
-    return above / (ka * ka), below / (kb * kb)
+    modes, _, dy = _mode_profiles(spec, tables, solution, k, [y, y], np.array([li - 1, li]))
+    above, below = _transverse(spec, cav, modes, [x])[:, 0] @ dy
+    return (complex(above / cav.layers[li - 1].kappa ** 2),
+            complex(below / cav.layers[li].kappa ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -180,8 +180,8 @@ def p_recursion_rhs(k: int, n: int, m: int) -> float:
 
 def log_double_moment_direct(kind: str, k: int, n: int, m: int,
                              panels: int = 48, q: int = 8) -> float:
-    """Tensor-Gauss evaluation of S_k/P_k; only sound for k >= lift_threshold
-    where the integrand is C^{k-2}."""
+    """Tensor-Gauss evaluation of S_k/P_k; only sound for large k (about
+    k >= 11), where the integrand is C^{k-2} (validation path)."""
     f = np.sin if kind == "sin" else np.cos
     pts, wts = composite_nodes(0.0, TWO_PI, panels, gauss_rule(q))
     S, T = np.meshgrid(pts, pts, indexing="ij")

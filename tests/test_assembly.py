@@ -182,3 +182,49 @@ def test_te_single_cavity_against_independent_assembly():
     G = np.array([incident_vector_te(spec.wave, cav, m) for m in range(N + 1)])
     ref = np.linalg.solve(D - M * t[None, :], G)
     assert np.max(np.abs(prod - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+
+def _two_call_cross_blocks(spec, tables):
+    """Reference: every ordered cavity pair (k, j) from its own cross-block
+    integrals, as -M_{k,j} (TM) or -M_hat_{k,j} (TE)."""
+    from cavityscat.quadrature import cross_block_matrix
+    k0 = spec.wave.kappa0
+    modes = np.array(list(tables.modes()))
+    blocks = {}
+    for k, cav_k in enumerate(spec.cavities):
+        for j, cav_j in enumerate(spec.cavities):
+            if j == k:
+                continue
+            cc = cross_block_matrix(cav_k, cav_j, modes, modes, k0, "cos", spec.quad)
+            if spec.polarization == "TM":
+                ss = cross_block_matrix(cav_k, cav_j, modes, modes, k0, "sin", spec.quad)
+                mn = modes[:, None] * modes[None, :]
+                blocks[k, j] = -(0.5j * k0 * k0 * ss - 0.5j * mn * pi * pi / (cav_j.w * cav_k.w) * cc)
+            else:
+                t_j = np.array([tables.connection(j, n).impedance for n in modes])
+                blocks[k, j] = 0.5j * cc * t_j[None, :]
+    return blocks
+
+
+@pytest.mark.parametrize("pol", ["TM", "TE"])
+def test_cross_pairs_integrated_once(pol, monkeypatch):
+    # block (j, k) is the transpose of block (k, j); three cavities
+    spec = example4_spec(pol, N=6, panels=16)
+    tables = build_modal_tables(spec)
+    calls = []
+    cross = assembly.cross_block_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return cross(*args)
+
+    monkeypatch.setattr(assembly, "cross_block_matrix", counted)
+    lhs = build_system(spec, tables).lhs
+    monkeypatch.undo()
+    per_kind = 2 if pol == "TM" else 1
+    assert len(calls) == 3 * per_kind  # 3 pairs, not 6 ordered pairs
+    ref = lhs.copy()
+    lay = assembly.ModeLayout(spec.polarization, spec.N, spec.K)
+    for (k, j), block in _two_call_cross_blocks(spec, tables).items():
+        ref[lay.block_slice(k), lay.block_slice(j)] = block
+    assert np.linalg.norm(lhs - ref) <= 1e-13 * np.linalg.norm(ref)

@@ -1,6 +1,7 @@
 import json
 from math import pi
 
+import numpy as np
 import pytest
 
 import cavityscat as cs
@@ -81,18 +82,34 @@ def test_rcs_subcommand_and_te_rejection(tmp_path):
     assert code == cli.EXIT_INPUT
 
 
-def test_enhance_subcommand(tmp_path):
+def test_enhance_subcommand(tmp_path, monkeypatch):
     spec = cs.validate(cs.ProblemSpec(
         wave=cs.IncidentWave(1.5, 0.0), polarization="TE",
         cavities=(cs.Cavity(-0.025, 0.025, (cs.Layer(0.0, -1.0, 1.5 + 0j),)),),
         N=4, quad=QuadratureConfig(panels=12)))
     spec_path = _write_spec(tmp_path, spec)
     out = tmp_path / "out"
+    factorizations = []
+    init = cs.SystemFactorization.__init__
+
+    def counted(self, system):
+        init(self, system)
+        factorizations.append(self.rcond)
+
+    monkeypatch.setattr(cs.SystemFactorization, "__init__", counted)
     assert cli.main(["enhance", "--spec", str(spec_path), "--out", str(out),
                      "--kappa-min", "1.4", "--kappa-max", "1.55",
                      "--kappa-steps", "6"]) == 0
     lines = (out / "enhancement.csv").read_text().splitlines()
     assert lines[0] == "kappa,Q_E_0" and len(lines) == 7
+    # one factorization per wavenumber; the manifest names the worst one
+    kappas = np.linspace(1.4, 1.55, 6)
+    assert len(factorizations) == 6
+    diag = _manifest(out)["diagnostics"]
+    assert diag["size"] == 5
+    assert diag["rcond_min"] == min(factorizations)
+    assert diag["rcond_min_kappa"] == kappas[int(np.argmin(factorizations))]
+    assert diag["rcond_below_warn"] == 0
 
 
 def test_convergence_subcommand(tmp_path):

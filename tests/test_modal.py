@@ -10,8 +10,8 @@ from cavityscat import modal
 from cavityscat.errors import ModalResonanceError
 from cavityscat.modal import (beta, connection_te, connection_tm, interior_coefficients,
                               layer_coeffs, mode_coefficients,
-                              single_layer_impedance_te, single_layer_impedance_tm,
-                              vertical_profile, vertical_profile_dy)
+                              layer_profiles, single_layer_impedance_te,
+                              single_layer_impedance_tm)
 
 SQRT_PI2_M_225 = 2.76036309225604569175440409845  # sqrt(pi^2 - 2.25), mpmath dps=30
 PI_SQRT3 = 5.44139809270265355178223477293
@@ -180,20 +180,28 @@ def test_interior_coefficients_tm_bottom_zero_and_l2():
     assert abs(vals[1] - want_u1) <= 1e-13 * abs(want_u1)
 
 
+def _profile(lay, bl, ut, ub, y, n=1):
+    """Values and y-derivatives of one mode at the points y (or one point)."""
+    vals, dy = layer_profiles(lay, [bl], [ut], [ub], np.atleast_1d(y), modes=[n], layer_index=0)
+    return (vals[0], dy[0]) if np.ndim(y) else (vals[0, 0], dy[0, 0])
+
+
 def test_vertical_profile_interpolates_interfaces():
     lay = cs.Layer(-0.2, -0.9, 3.0 + 0.7j)
     bl = beta(lay.kappa, 1.3, 2)
     ut, ub = 0.3 - 0.1j, -0.7 + 0.4j
-    assert abs(vertical_profile(lay, bl, ut, ub, -0.2) - ut) <= 1e-13
-    assert abs(vertical_profile(lay, bl, ut, ub, -0.9) - ub) <= 1e-13
+    vals, _ = _profile(lay, bl, ut, ub, np.array([-0.2, -0.9]), n=2)
+    assert abs(vals[0] - ut) <= 1e-13
+    assert abs(vals[1] - ub) <= 1e-13
 
 
 def test_vertical_profile_beta_zero_is_linear():
     lay = cs.Layer(0.0, -1.0, 1 + 0j)
     ys = np.linspace(-1.0, 0.0, 11)
-    vals = vertical_profile(lay, 0.0 + 0.0j, 1.0, 0.25, ys)
+    vals, dy = _profile(lay, 0.0 + 0.0j, 1.0, 0.25, ys)
     want = 0.25 + (1.0 - 0.25) * (ys + 1.0)
     assert np.max(np.abs(vals - want)) <= 1e-14
+    assert np.max(np.abs(dy - 0.75)) <= 1e-14
 
 
 def test_vertical_profile_matches_empty_cavity_closed_form():
@@ -204,20 +212,21 @@ def test_vertical_profile_matches_empty_cavity_closed_form():
     for n in (1, 2, 7):
         bl = beta(complex(kap), w, n)
         u0 = complex(rng.normal(), rng.normal())
-        for y in rng.uniform(-h, 0.0, 10):
-            got = vertical_profile(lay, bl, u0, 0.0, float(y))
+        ys = rng.uniform(-h, 0.0, 10)
+        got, _ = _profile(lay, bl, u0, 0.0, ys, n=n)
+        for y, g in zip(ys, got):
             e2 = cmath.exp(2j * bl * h)
             want = (cmath.exp(-1j * bl * y) - e2 * cmath.exp(1j * bl * y)) / (1 - e2) * u0
-            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            assert abs(g - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_vertical_profile_evanescent_stays_finite():
     # deep strongly evanescent mode: naive exponentials would overflow
     lay = cs.Layer(0.0, -1.0, 1.0 + 0j)
     bl = beta(1.0 + 0j, 0.05, 30)  # |beta| ~ 1885
-    vals = vertical_profile(lay, bl, 1.0, 0.5, np.linspace(-1.0, 0.0, 21))
-    assert np.all(np.isfinite(vals))
-    assert abs(vertical_profile(lay, bl, 1.0, 0.5, 0.0) - 1.0) <= 1e-12
+    vals, dy = _profile(lay, bl, 1.0, 0.5, np.linspace(-1.0, 0.0, 21), n=30)
+    assert np.all(np.isfinite(vals)) and np.all(np.isfinite(dy))
+    assert abs(_profile(lay, bl, 1.0, 0.5, 0.0, n=30)[0] - 1.0) <= 1e-12
 
 
 def test_vertical_profile_ode_residual_order():
@@ -228,9 +237,9 @@ def test_vertical_profile_ode_residual_order():
     ys = np.linspace(-0.95, -0.25, 9)
     resid = []
     for d in (1e-2, 5e-3, 2.5e-3):
-        u0 = vertical_profile(lay, bl, ut, ub, ys)
-        up = vertical_profile(lay, bl, ut, ub, ys + d)
-        um = vertical_profile(lay, bl, ut, ub, ys - d)
+        u0 = _profile(lay, bl, ut, ub, ys)[0]
+        up = _profile(lay, bl, ut, ub, ys + d)[0]
+        um = _profile(lay, bl, ut, ub, ys - d)[0]
         r = (up + um - 2 * u0) / d ** 2 + bl * bl * u0
         resid.append(float(np.median(np.abs(r))))
     order = np.polyfit(np.log([1e-2, 5e-3, 2.5e-3]), np.log(resid), 1)[0]
@@ -242,10 +251,41 @@ def test_profile_derivative_matches_fd():
     bl = beta(lay.kappa, 0.9, 2)
     ut, ub = 0.8 - 0.3j, -0.2 + 0.6j
     y, d = -0.5, 1e-6
-    fd = (vertical_profile(lay, bl, ut, ub, y + d)
-          - vertical_profile(lay, bl, ut, ub, y - d)) / (2 * d)
-    got = vertical_profile_dy(lay, bl, ut, ub, y)
+    fd = (_profile(lay, bl, ut, ub, y + d, n=2)[0]
+          - _profile(lay, bl, ut, ub, y - d, n=2)[0]) / (2 * d)
+    got = _profile(lay, bl, ut, ub, y, n=2)[1]
     assert abs(got - fd) <= 1e-8 * max(1.0, abs(got))
+
+
+def test_layer_profiles_batch_matches_single_modes():
+    # kappa*w = n*pi makes mode 2 flat (beta = 0), mode 400 is evanescent
+    # (e^{|beta h|} would overflow) and mode 1 propagates: the batch equals
+    # each mode evaluated alone
+    w = 0.5
+    lay = cs.Layer(-0.3, -1.4, complex(4 * math.pi))
+    modes = [2, 400, 1]
+    betas = [beta(lay.kappa, w, n) for n in modes]
+    assert betas[0] == 0 and betas[1].imag > 2000 and betas[2].imag == 0
+    ut = np.array([0.4 + 0.1j, 1.0 - 0.3j, -0.6j])
+    ub = np.array([-0.2 + 0.5j, 0.7, 0.3 + 0.3j])
+    ys = np.linspace(-1.4, -0.3, 13)
+    vals, dy = layer_profiles(lay, betas, ut, ub, ys, modes=modes, layer_index=1, cavity=0)
+    assert vals.shape == dy.shape == (3, 13)
+    assert np.all(np.isfinite(vals)) and np.all(np.isfinite(dy))
+    for i, n in enumerate(modes):
+        v1, d1 = _profile(lay, betas[i], ut[i], ub[i], ys, n=n)
+        assert np.array_equal(vals[i], v1) and np.array_equal(dy[i], d1)
+    assert np.max(np.abs(vals[0] - (ub[0] + (ut[0] - ub[0]) * (ys + 1.4) / 1.1))) <= 1e-14
+    assert abs(vals[:, 0] - ub).max() <= 1e-13 and abs(vals[:, -1] - ut).max() <= 1e-13
+
+
+def test_layer_profiles_resonance_names_mode_layer_and_cavity():
+    # beta h = -pi: e^{-2 i beta h} = 1, the layer formulas are undefined
+    lay = cs.Layer(0.0, -1.0, complex(math.pi))
+    with pytest.raises(ModalResonanceError) as exc:
+        layer_profiles(lay, [2.0 + 0j, math.pi + 0j], [1.0, 1.0], [0.0, 0.0], [-0.5],
+                       modes=[3, 5], layer_index=2, cavity=1)
+    assert (exc.value.mode, exc.value.layer, exc.value.cavity) == (5, 2, 1)
 
 
 def test_connection_resonance_raises():

@@ -70,7 +70,6 @@ def test_invariant_violations_name_offending_field(field, build):
     (cs.QuadratureConfig(panels=0), "panels"),
     (cs.QuadratureConfig(points_per_panel=1), "points_per_panel"),
     (cs.QuadratureConfig(bessel_K=0), "bessel_K"),
-    (cs.QuadratureConfig(lift_threshold=7), "lift_threshold"),
 ])
 def test_quadrature_config_validation(quad, field):
     spec = cs.ProblemSpec(cs.IncidentWave(1.0, 0.0), "TM",
@@ -111,6 +110,17 @@ def test_roundtrip_lossy_kappa(tmp_path):
     path = tmp_path / "lossy.json"
     cs.save_spec(spec, path)
     assert cs.load_spec(path) == spec
+
+
+def test_ignored_lift_threshold_key_loads(tmp_path):
+    # older spec files carry quadrature.lift_threshold, a setting nothing read
+    doc = spec_to_dict(example4_spec("TM"))
+    assert "lift_threshold" not in doc["quadrature"]
+    plain, legacy = tmp_path / "plain.json", tmp_path / "legacy.json"
+    plain.write_text(json.dumps(doc))
+    doc["quadrature"]["lift_threshold"] = 7
+    legacy.write_text(json.dumps(doc))
+    assert cs.load_spec(legacy) == cs.load_spec(plain)
 
 
 def test_missing_field_names_it(tmp_path):

@@ -1,3 +1,5 @@
+import cmath
+
 import numpy as np
 import pytest
 from math import pi, sqrt
@@ -84,6 +86,95 @@ def test_helmholtz_residual_order():
         tables, sol = cs.solve(spec)
         rep = fd_interior_check(spec, tables, sol, points_per_layer=8)
         assert rep.oracle_value.real >= 1.9, (pol, rep.oracle_value)
+
+
+def _scalar_profile(lay, bl, ut, ub, y, dy=False):
+    """Reference: one mode's closed-form profile (or its y-derivative) at one
+    ordinate, with the hand expm1 series."""
+    from cavityscat.modal import _cexpm1
+    h = lay.h
+    if bl == 0:
+        return (ub - ut) / h if dy else ((ub - ut) * y + ut * lay.y_bottom - ub * lay.y_top) / h
+    ib = 1j * bl
+    sgn = 1.0 if dy else -1.0
+    num = (ub * (cmath.exp(ib * (y - lay.y_bottom)) + sgn * cmath.exp(-ib * (y - lay.y_top + h)))
+           - ut * (cmath.exp(ib * (y - lay.y_bottom - h))
+                   + sgn * cmath.exp(-ib * (y - lay.y_bottom + h))))
+    return (ib if dy else 1.0) * num / -_cexpm1(-2j * bl * h)
+
+
+def _loop_mode(spec, tables, sol, k, n, li, y, dy=False):
+    """Reference: mode n's profile (or its y-derivative) in layer li of cavity k."""
+    from cavityscat.modal import interior_coefficients
+    cav = spec.cavities[k]
+    ifc = interior_coefficients(cav, spec.polarization, tables.coeffs(k, n),
+                                tables.connection(k, n), sol.coefficient(k, n))
+    return _scalar_profile(cav.layers[li], tables.coeffs(k, n).betas[li],
+                           ifc[li], ifc[li + 1], y, dy)
+
+
+def _loop_field(spec, tables, sol, k, x, y, li, dy=False):
+    """Reference: the field (or its y-derivative) in layer li of cavity k at
+    (x, y), summed mode by mode."""
+    cav = spec.cavities[k]
+    trig = np.sin if spec.polarization == "TM" else np.cos
+    return sum(_loop_mode(spec, tables, sol, k, n, li, y, dy) * trig(n * pi * (x - cav.a) / cav.w)
+               for n in tables.modes())
+
+
+def _loop_enhancement(spec, tables, sol, k):
+    from cavityscat.quadrature import composite_nodes, gauss_rule
+    cav = spec.cavities[k]
+    num = 0.0
+    for n in tables.modes():
+        acc = 0.0
+        for li, lay in enumerate(cav.layers):
+            ys, wy = composite_nodes(lay.y_bottom, lay.y_top, 4, gauss_rule(4))
+            vals = np.array([_loop_mode(spec, tables, sol, k, n, li, y) for y in ys])
+            acc += float(np.sum(wy * np.abs(vals) ** 2))
+        num += (cav.w if (spec.polarization == "TE" and n == 0) else 0.5 * cav.w) * acc
+    return sqrt(num / (cav.w * cav.depth))
+
+
+def _layer_of(cav, y):
+    return next((li for li, lay in enumerate(cav.layers) if y >= lay.y_bottom), cav.L - 1)
+
+
+def _close(got, want, rtol=1e-13):
+    got, want = np.asarray(got), np.asarray(want)
+    return np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("fixture", ["tm_two_layer", "te_two_layer"])
+def test_array_paths_match_per_mode_loop(fixture, request):
+    # two layers, the lower one lossy; every array path against the scalar
+    # per-mode loop it replaced
+    spec, tables, sol = request.getfixturevalue(fixture)
+    cav = spec.cavities[0]
+    rng = np.random.default_rng(5)
+    pts = [(float(x), float(y)) for x, y in zip(rng.uniform(cav.a, cav.b, 12),
+                                               rng.uniform(-cav.depth, 0.0, 12))]
+    pts += [(cav.a, 0.0), (cav.b, -cav.depth), (0.1, -0.7)]  # corners, the interface
+    assert _close([field_at(spec, tables, sol, x, y) for x, y in pts],
+                  [_loop_field(spec, tables, sol, 0, x, y, _layer_of(cav, y)) for x, y in pts])
+    fm = field_grid(spec, tables, sol, 0, 7, 9)
+    assert _close(fm.values, [_loop_field(spec, tables, sol, 0, x, y, _layer_of(cav, y))
+                              for x, y in zip(fm.x, fm.y)])
+    tr = diagonal_trace(spec, tables, sol, 0, samples=41)
+    assert _close(tr.values, [_loop_field(spec, tables, sol, 0, min(x, cav.b), y,
+                                          _layer_of(cav, y)) for x, y in zip(tr.x, tr.y)])
+    assert list(tr.layer) == [_layer_of(cav, y) for y in tr.y]
+    ys = [0.0, -0.3, cav.layers[1].y_top, -1.1, -cav.depth]  # interfaces go to the layer above
+    assert list(postprocess._locate_layer(cav, ys)) == [_layer_of(cav, y) for y in ys] == [0, 0, 0, 1, 1]
+    assert abs(enhancement(spec, tables, sol, 0) - _loop_enhancement(spec, tables, sol, 0)) \
+        <= 1e-13 * _loop_enhancement(spec, tables, sol, 0)
+    y = cav.layers[1].y_top
+    for x in (-0.37, 0.05, 0.41):
+        for dy, jump in ((False, interface_value_jump), (True, te_flux_jump)):
+            want = [_loop_field(spec, tables, sol, 0, x, y, li, dy) for li in (0, 1)]
+            if dy:
+                want = [want[0] / cav.layers[0].kappa ** 2, want[1] / cav.layers[1].kappa ** 2]
+            assert _close(jump(spec, tables, sol, 0, 1, x), want), (x, jump.__name__)
 
 
 # --- RCS ---------------------------------------------------------------------
@@ -257,7 +348,7 @@ def test_numpy_expm1_matches_hand_series_near_zero():
     # the closed-form phase integrals use numpy's complex expm1; sweep it
     # against the hand series of the scalar path (|z| < 0.5), on and off the
     # imaginary axis, and against exp(z) - 1 beyond, where both are O(1)
-    from cavityscat.assembly import _cexpm1
+    from cavityscat.modal import _cexpm1
     ys = np.concatenate([np.logspace(-14, np.log10(0.49), 200),
                          -np.logspace(-14, np.log10(0.49), 200)])
     rng = np.random.default_rng(0)
