@@ -10,8 +10,8 @@ Each family satisfies a two-term integration-by-parts recurrence in p with
 seeds at p = 0 (the log seeds are Si(q pi) and Cin(q pi)).  Run upward in p
 the recurrences are exact but cancel heavily once p >> q, so the chains are
 evaluated in mpmath at a working precision sized to the predictable digit
-loss and cached; callers get floats (or mpf where the downstream sum itself
-cancels).
+loss and cached; callers get mpf values and round once, after any sum that
+itself cancels.
 
 The 2-D log moments
 
@@ -113,10 +113,6 @@ def _table(q: int, pmax: int) -> _MomentTable:
     return tab
 
 
-def clear_cache() -> None:
-    _tables.clear()
-
-
 def trig_moment_mp(p: int, q: int, kind: str):
     """mpf value of I s^p trig(q s/2) ds."""
     tab = _table(q, p)
@@ -127,14 +123,6 @@ def log_trig_moment_mp(p: int, q: int, kind: str):
     """mpf value of I s^p ln(s) trig(q s/2) ds."""
     tab = _table(q, p)
     return tab.ls[p] if kind == "sin" else tab.lc[p]
-
-
-def trig_moment(p: int, q: int, kind: str) -> float:
-    return float(trig_moment_mp(p, q, kind))
-
-
-def log_trig_moment(p: int, q: int, kind: str) -> float:
-    return float(log_trig_moment_mp(p, q, kind))
 
 
 def s_moment_mp(k: int, n: int, m: int):

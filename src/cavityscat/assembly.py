@@ -3,7 +3,6 @@ incident-wave vectors, and the dense solve."""
 
 from __future__ import annotations
 
-import cmath
 import itertools
 from dataclasses import dataclass, field
 from math import pi
@@ -12,8 +11,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import SingularSystemError
-from .modal import ModalTables, _cexpm1, build_modal_tables
-from .model import Cavity, IncidentWave, ProblemSpec
+from .modal import ModalTables, build_modal_tables, mode_numbers
+from .model import Cavity, ProblemSpec
 from .quadrature import SingularBlockCache, cross_block_matrix
 
 RCOND_WARN = 1e-14
@@ -27,18 +26,15 @@ class ModeLayout:
 
     @property
     def modes(self) -> range:
-        return range(1, self.N + 1) if self.polarization == "TM" else range(0, self.N + 1)
+        return mode_numbers(self.polarization, self.N)
 
     @property
     def block(self) -> int:
-        return self.N if self.polarization == "TM" else self.N + 1
+        return len(self.modes)
 
     @property
     def size(self) -> int:
         return self.K * self.block
-
-    def row(self, k: int, n: int) -> int:
-        return k * self.block + (n - 1 if self.polarization == "TM" else n)
 
     def block_slice(self, k: int) -> slice:
         return slice(k * self.block, (k + 1) * self.block)
@@ -61,53 +57,39 @@ class ApertureSolution:
     diagnostics: list = field(default_factory=list)
 
     def coefficient(self, k: int, n: int) -> complex:
-        idx = n - 1 if self.layout.polarization == "TM" else n
-        return complex(self.coefficients[k][idx])
+        return complex(self.coefficients[k][n - self.layout.modes.start])
 
 
-def _phase_integral(p: float, w: float) -> complex:
-    """I_0^w e^{i p x} dx = (e^{i p w} - 1)/(i p), stable through p = 0."""
-    z = 1j * p * w
-    if p == 0.0:
-        return complex(w)
-    return _cexpm1(z) / (1j * p)
+def aperture_phases(alphas, cav: Cavity, modes, kind: str) -> np.ndarray:
+    """e^{i alpha a} I_0^w e^{i alpha x} trig(m pi x/w) dx, trig = sin or cos,
+    for every alpha (rows) and mode m (columns), in closed form.
 
-
-def exp_trig_integral(alpha: float, mu: float, w: float, kind: str) -> complex:
-    """I_0^w e^{i alpha x} trig(mu x) dx in closed form.
-
-    The exponential form keeps the degenerate directions alpha = +-mu exact:
-    the resonant branch (terms proportional to w) emerges from the p -> 0
-    limit of (e^{ipw}-1)/(ip) rather than a separate formula.
+    With mu = m pi/w the integral is half the difference (sin) or sum (cos)
+    of (e^{i p w} - 1)/(i p) at p = alpha + mu and alpha - mu, taken as w at
+    p = 0: the degenerate directions alpha = +-mu need no separate formula.
+    This is the TM/TE incident vector (times -2 i beta or 2) and the TM
+    far-field weight of every aperture coefficient.
     """
-    ip = _phase_integral(alpha + mu, w)
-    im = _phase_integral(alpha - mu, w)
-    if kind == "sin":
-        return (ip - im) / 2j
-    return (ip + im) / 2.0
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+    mu = np.asarray(modes, dtype=float) * pi / cav.w
+
+    def phase(p):
+        zero = p == 0.0
+        ps = np.where(zero, 1.0, p)
+        return np.where(zero, cav.w, np.expm1(1j * ps * cav.w) / (1j * ps))
+
+    ip = phase(alphas[:, None] + mu)
+    im = phase(alphas[:, None] - mu)
+    trig = (ip - im) / 2j if kind == "sin" else (ip + im) / 2.0
+    return np.exp(1j * alphas * cav.a)[:, None] * trig
 
 
-def incident_vector_tm(wave: IncidentWave, cavity: Cavity, m: int) -> complex:
-    """F_k(m) = -2 i beta I_0^{w} e^{i alpha (x + a)} sin(m pi x / w) dx."""
-    mu = m * pi / cavity.w
-    return (-2j * wave.beta * cmath.exp(1j * wave.alpha * cavity.a)
-            * exp_trig_integral(wave.alpha, mu, cavity.w, "sin"))
-
-
-def incident_vector_te(wave: IncidentWave, cavity: Cavity, m: int) -> complex:
-    """G_k(m) = 2 I_0^{w} e^{i alpha (x + a)} cos(m pi x / w) dx."""
-    mu = m * pi / cavity.w
-    return (2.0 * cmath.exp(1j * wave.alpha * cavity.a)
-            * exp_trig_integral(wave.alpha, mu, cavity.w, "cos"))
-
-
-def _tm_diag_block(spec: ProblemSpec, tables: ModalTables, cache: SingularBlockCache,
-                   k: int) -> np.ndarray:
+def _tm_diag_block(spec: ProblemSpec, cache: SingularBlockCache, k: int) -> np.ndarray:
     cav = spec.cavities[k]
     k0 = spec.wave.kappa0
     w = cav.w
     c = k0 * w / (2.0 * pi)
-    modes = np.arange(1, spec.N + 1)
+    modes = np.array(mode_numbers("TM", spec.N))
     sin_b = cache.matrix("sin", modes, c)
     cos_b = cache.matrix("cos", modes, c)
     scale = (w / (2.0 * pi)) ** 2
@@ -119,11 +101,10 @@ def _tm_diag_block(spec: ProblemSpec, tables: ModalTables, cache: SingularBlockC
 def _tm_cross_block(spec: ProblemSpec, k: int, j: int) -> np.ndarray:
     cav_k, cav_j = spec.cavities[k], spec.cavities[j]
     k0 = spec.wave.kappa0
-    modes = range(1, spec.N + 1)
+    modes = np.array(mode_numbers("TM", spec.N))
     ss = cross_block_matrix(cav_k, cav_j, modes, modes, k0, "sin", spec.quad)
     cc = cross_block_matrix(cav_k, cav_j, modes, modes, k0, "cos", spec.quad)
-    marr = np.arange(1, spec.N + 1)
-    mn = marr[:, None] * marr[None, :]
+    mn = modes[:, None] * modes[None, :]
     return 0.5j * k0 * k0 * ss - 0.5j * mn * pi * pi / (cav_j.w * cav_k.w) * cc
 
 
@@ -137,6 +118,7 @@ def build_system(spec: ProblemSpec, tables: ModalTables | None = None,
     lhs = np.zeros((size, size), dtype=complex)
     rhs = np.zeros(size, dtype=complex)
     k0 = spec.wave.kappa0
+    wave = spec.wave
 
     # Block (j, k) of a cavity pair is the transpose of block (k, j): both
     # integrate the same graded grids against the symmetric kernel, so each
@@ -146,15 +128,15 @@ def build_system(spec: ProblemSpec, tables: ModalTables | None = None,
         for k, cav in enumerate(spec.cavities):
             sl = layout.block_slice(k)
             imped = np.array([tables.connection(k, n).impedance for n in layout.modes])
-            block = np.diag(0.5 * cav.w * imped) - _tm_diag_block(spec, tables, cache, k)
-            lhs[sl, sl] = block
-            rhs[sl] = [incident_vector_tm(spec.wave, cav, m) for m in layout.modes]
+            lhs[sl, sl] = np.diag(0.5 * cav.w * imped) - _tm_diag_block(spec, cache, k)
+            # F_k(m) = -2 i beta I_0^w e^{i alpha (x + a)} sin(m pi x/w) dx
+            rhs[sl] = -2j * wave.beta * aperture_phases(wave.alpha, cav, layout.modes, "sin")[0]
         for k, j in pairs:
             cross = _tm_cross_block(spec, k, j)
             lhs[layout.block_slice(k), layout.block_slice(j)] = -cross
             lhs[layout.block_slice(j), layout.block_slice(k)] = -cross.T
     else:
-        modes = np.arange(0, spec.N + 1)
+        modes = np.array(layout.modes)
         t_hats = []
         for k, cav in enumerate(spec.cavities):
             sl = layout.block_slice(k)
@@ -166,7 +148,8 @@ def build_system(spec: ProblemSpec, tables: ModalTables | None = None,
             dvec = np.full(layout.block, 0.5 * cav.w)
             dvec[0] = cav.w
             lhs[sl, sl] = np.diag(dvec) - mhat
-            rhs[sl] = [incident_vector_te(spec.wave, cav, m) for m in layout.modes]
+            # G_k(m) = 2 I_0^w e^{i alpha (x + a)} cos(m pi x/w) dx
+            rhs[sl] = 2.0 * aperture_phases(wave.alpha, cav, layout.modes, "cos")[0]
         for k, j in pairs:
             cc = cross_block_matrix(spec.cavities[k], spec.cavities[j], modes, modes, k0,
                                     "cos", spec.quad)

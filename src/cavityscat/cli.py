@@ -247,11 +247,11 @@ def _validate_reports(profile: dict):
     for (k, n, m, kind) in [(1, 1, 1, "sin"), (3, 2, 4, "sin"), (5, 3, 3, "sin"),
                             (1, 0, 2, "cos"), (3, 1, 1, "cos"), (5, 2, 4, "cos")]:
         if kind == "sin":
-            lhs = quadrature.log_double_moment_sin(k, n, m)
-            rhs = quadrature.s_recursion_rhs(k, n, m)
+            lhs = oracle.log_double_moment_sin(k, n, m)
+            rhs = oracle.s_recursion_rhs(k, n, m)
         else:
-            lhs = quadrature.log_double_moment_cos(k, n, m)
-            rhs = quadrature.p_recursion_rhs(k, n, m)
+            lhs = oracle.log_double_moment_cos(k, n, m)
+            rhs = oracle.p_recursion_rhs(k, n, m)
         rep = oracle.OracleReport.from_values(
             f"recursion/{kind}/k{k}/n{n}/m{m}", rhs, lhs)
         rep.converged = rep.rel_err <= profile["recursion_rtol"]

@@ -30,6 +30,11 @@ _BETA_ZERO_RTOL = 1e-14
 _RESONANCE_RTOL = 1e-14
 
 
+def mode_numbers(polarization: str, N: int) -> range:
+    """Mode numbers of an N-mode expansion: 1..N (TM, sines), 0..N (TE, cosines)."""
+    return range(1, N + 1) if polarization == "TM" else range(0, N + 1)
+
+
 @dataclass(frozen=True)
 class ModeCoefficients:
     n: int
@@ -61,8 +66,8 @@ class ModalTables:
     def connection(self, k: int, n: int) -> ConnectionSolution:
         return self.entries[(k, n)][1]
 
-    def modes(self):
-        return range(1, self.N + 1) if self.polarization == "TM" else range(0, self.N + 1)
+    def modes(self) -> range:
+        return mode_numbers(self.polarization, self.N)
 
 
 def _cexpm1(z: complex) -> complex:
@@ -259,9 +264,8 @@ def build_modal_tables(spec) -> ModalTables:
     """Connection data for every (cavity, mode) pair required by the polarization."""
     pol = spec.polarization
     entries = {}
-    modes = range(1, spec.N + 1) if pol == "TM" else range(0, spec.N + 1)
     for k, cav in enumerate(spec.cavities):
-        for n in modes:
+        for n in mode_numbers(pol, spec.N):
             mc = mode_coefficients(cav, n, cavity_index=k)
             if pol == "TM":
                 conn = connection_tm(cav, n, cavity_index=k, coeffs=mc)

@@ -2,18 +2,17 @@
 
 from __future__ import annotations
 
-import cmath
 import csv
 from dataclasses import dataclass
 from math import pi, sqrt
 
 import numpy as np
 
-from .assembly import (ApertureSolution, SystemFactorization, build_system,
-                       exp_trig_integral)
+from .assembly import (ApertureSolution, SystemFactorization, aperture_phases,
+                       build_system)
 from .errors import UnsupportedPolarizationError, ValidationError
 from .modal import (ModalTables, build_modal_tables, interior_coefficients,
-                    layer_profiles)
+                    layer_profiles, mode_numbers)
 from .model import ProblemSpec, validate
 from .quadrature import SingularBlockCache, composite_nodes, gauss_rule
 
@@ -151,43 +150,28 @@ def diagonal_trace(spec: ProblemSpec, tables: ModalTables, solution: ApertureSol
 # Radar cross-section (TM only: the aperture formula has no TE analogue here)
 
 
+def _tm_phases(spec: ProblemSpec, alphas) -> np.ndarray:
+    """`aperture_phases` (sin) of every cavity side by side: one row per
+    alpha, one column per aperture coefficient in system order."""
+    modes = mode_numbers("TM", spec.N)
+    return np.concatenate([aperture_phases(alphas, cav, modes, "sin")
+                           for cav in spec.cavities], axis=1)
+
+
 def rcs_tm(spec: ProblemSpec, solution: ApertureSolution, phi: float) -> float:
     """sigma(phi) = kappa0 |sin(phi) I_Gamma u^s e^{i kappa0 cos(phi) x} dx|^2.
 
     On the aperture the TM incident and reflected traces cancel, so the
-    scattered trace equals the total trace and the integral is a closed-form
-    sum over modes.
+    scattered trace equals the total trace and the integral is the row of
+    aperture phases at alpha = kappa0 cos(phi) times the coefficients.
     """
     if spec.polarization != "TM":
         raise UnsupportedPolarizationError("RCS aperture formula is defined for TM only")
     if not (0.0 < phi < pi):
         raise ValidationError("phi", f"observation angle must lie in (0, pi), got {phi}")
     k0 = spec.wave.kappa0
-    ax = k0 * np.cos(phi)
-    total = 0.0 + 0.0j
-    for k, cav in enumerate(spec.cavities):
-        phase = cmath.exp(1j * ax * cav.a)
-        for n in range(1, spec.N + 1):
-            total += (solution.coefficient(k, n) * phase
-                      * exp_trig_integral(ax, n * pi / cav.w, cav.w, "sin"))
+    total = _tm_phases(spec, k0 * np.cos(phi))[0] @ np.concatenate(solution.coefficients)
     return float(k0 * abs(np.sin(phi) * total) ** 2)
-
-
-def _phase_integrals(p: np.ndarray, w: float) -> np.ndarray:
-    """(e^{i p w} - 1)/(i p) elementwise, w at p = 0 (array form of the
-    incident-vector phase integral)."""
-    zero = p == 0.0
-    ps = np.where(zero, 1.0, p)
-    return np.where(zero, w, np.expm1(1j * ps * w) / (1j * ps))
-
-
-def _aperture_phases(alphas: np.ndarray, cav, modes) -> np.ndarray:
-    """e^{i alpha a} I_0^w e^{i alpha x} sin(m pi x/w) dx for every alpha (rows)
-    and mode m (columns): `exp_trig_integral` in closed form over arrays."""
-    mu = np.asarray(modes, dtype=float) * pi / cav.w
-    a = alphas[:, None]
-    sin_part = (_phase_integrals(a + mu, cav.w) - _phase_integrals(a - mu, cav.w)) / 2j
-    return np.exp(1j * alphas * cav.a)[:, None] * sin_part
 
 
 def backscatter_sweep(spec: ProblemSpec, angles) -> RcsSweep:
@@ -211,8 +195,7 @@ def backscatter_sweep(spec: ProblemSpec, angles) -> RcsSweep:
     k0 = spec.wave.kappa0
     alpha = k0 * np.cos(angles)
     beta = k0 * np.sin(angles)
-    phases = np.concatenate([_aperture_phases(alpha, cav, base.layout.modes)
-                             for cav in spec.cavities], axis=1)
+    phases = _tm_phases(spec, alpha)
     sol = fact.solve((-2j * beta[:, None] * phases).T)
     coeffs = np.concatenate(sol.coefficients)  # (rows, angles)
     amp = np.sin(angles) * np.einsum("ar,ra->a", phases, coeffs)

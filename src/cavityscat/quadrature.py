@@ -12,8 +12,8 @@ Gauss pass over the C^{2K+2} Bessel-tail remainder times ln|s-t|.  K is
 raised until that remainder is below roundoff, so the series carries the
 whole singular weight; the moments come from `_moments` which evaluates them
 exactly (the float-seeded downward recursions printed in the recurrence
-family lose too much accuracy once c exceeds ~1 -- see the recursion
-evaluators below, which are kept as consistency checks).  The series is
+family lose too much accuracy once c exceeds ~1; `oracle` keeps them as
+consistency identities on the exact moments).  The series is
 folded into three sums per frequency (`_moments.log_series_matrix`), and
 the smooth integrand, a function of |s-t| alone, is evaluated once per
 (panel offset, node, node) of the uniform grid and gathered by index.
@@ -86,120 +86,6 @@ def composite_integral_2d(f, panels: int, rule: GaussRule, a: float = 0.0, b: fl
     S, T = np.meshgrid(pts, pts, indexing="ij")
     vals = f(S, T)
     return wts @ vals @ wts
-
-
-# ---------------------------------------------------------------------------
-# Exact moment surface
-
-
-def poly_trig_integral(p: int, n: int, kind: str) -> float:
-    """Exact I s^p trig(n s/2) ds over [0, 2*pi] (kind 'sin' or 'cos')."""
-    if p < 0 or n < 0:
-        raise ValidationError("poly_trig_integral", "p and n must be >= 0")
-    if kind not in ("sin", "cos"):
-        raise ValidationError("kind", f"expected 'sin' or 'cos', got {kind!r}")
-    return _moments.trig_moment(p, n, kind)
-
-
-def double_poly_trig(k: int, n: int, m: int, kind_s: str, kind_t: str) -> float:
-    """Exact II trig(n s/2) (t-s)^k trig(m t/2) ds dt by binomial expansion."""
-    if k < 0:
-        raise ValidationError("double_poly_trig", "k must be >= 0")
-    if k > 40:
-        raise ValidationError("double_poly_trig", f"order too high: k = {k} > 40")
-    import mpmath as mp
-    with mp.workdps(40 + k):
-        total = mp.mpf(0)
-        for j in range(k + 1):
-            cj = mp.binomial(k, j) * (-1) ** (k - j)
-            total += (cj * _moments.trig_moment_mp(k - j, n, kind_s)
-                      * _moments.trig_moment_mp(j, m, kind_t))
-        return float(total)
-
-
-def log_power_moment(k: int, n: int, kind: str) -> float:
-    """W_k(n) = I sin(n s/2) s^{k+1} ln s ds  (kind 'sin'), or
-    X_k(n) = I cos(n s/2) s^k ln s ds  (kind 'cos'); exact values."""
-    if kind == "sin":
-        return _moments.log_trig_moment(k + 1, n, "sin")
-    if kind == "cos":
-        return _moments.log_trig_moment(k, n, "cos")
-    raise ValidationError("kind", f"expected 'sin' or 'cos', got {kind!r}")
-
-
-def log_double_moment_sin(k: int, n: int, m: int) -> float:
-    """S_k(n, m) = II (t-s)^{k-1} ln|t-s| sin(m t/2) sin(n s/2); 0 for odd m+n."""
-    if k < 1 or k % 2 == 0:
-        raise ValidationError("log_double_moment_sin", f"k must be odd and >= 1, got {k}")
-    return float(_moments.s_moment_mp(k, n, m))
-
-
-def log_double_moment_cos(k: int, n: int, m: int) -> float:
-    """P_k(n, m) = II (t-s)^{k-1} ln|t-s| cos(m t/2) cos(n s/2); 0 for odd m+n."""
-    if k < 1 or k % 2 == 0:
-        raise ValidationError("log_double_moment_cos", f"k must be odd and >= 1, got {k}")
-    return float(_moments.p_moment_mp(k, n, m))
-
-
-# -- the downward recursion family, kept as independently checkable identities
-
-
-def w_recurrence_rhs(k: int, n: int) -> float:
-    """A_k(n) - (n/2)^2/((k+2)(k+3)) W_{k+2}(n); equals W_k(n)."""
-    a_k = (0.5 * n / (k + 2) * (1.0 / (k + 2) + 1.0 / (k + 3)) * poly_trig_integral(k + 2, n, "cos")
-           - (-1.0) ** n * n / (2.0 * (k + 2) * (k + 3)) * TWO_PI ** (k + 3) * np.log(TWO_PI))
-    return a_k - (0.5 * n) ** 2 / ((k + 2) * (k + 3)) * log_power_moment(k + 2, n, "sin")
-
-
-def x_recurrence_rhs(k: int, n: int) -> float:
-    """Y_k(n) - (n/2)^2/((k+1)(k+2)) X_{k+2}(n); equals X_k(n)."""
-    y_k = (-0.5 * n / (k + 1) * (1.0 / (k + 1) + 1.0 / (k + 2)) * poly_trig_integral(k + 1, n, "sin")
-           + (-1.0) ** n * TWO_PI ** (k + 1) / (k + 1) ** 2 * ((k + 1) * np.log(TWO_PI) - 1.0))
-    return y_k - (0.5 * n) ** 2 / ((k + 1) * (k + 2)) * log_power_moment(k + 2, n, "cos")
-
-
-def s_recursion_rhs(k: int, n: int, m: int) -> float:
-    """One step of the sine-family downward recursion from S_{k+2}; equals S_k."""
-    par = (-1.0) ** (m + n) - (-1.0) ** k
-    return (-(0.5 * m) ** 2 / (k * (k + 1)) * log_double_moment_sin(k + 2, n, m)
-            + (0.5 * m) ** 2 / (k * (k + 1) ** 2) * double_poly_trig(k + 1, n, m, "sin", "sin")
-            + 0.5 * m / (k * k) * double_poly_trig(k, n, m, "sin", "cos")
-            - 0.5 * m / (k * (k + 1) ** 2) * par * poly_trig_integral(k + 1, n, "sin")
-            + 0.5 * m / (k * (k + 1)) * par * log_power_moment(k, n, "sin"))
-
-
-def p_recursion_rhs(k: int, n: int, m: int) -> float:
-    """One step of the cosine-family downward recursion from P_{k+2}; equals P_k."""
-    par = (-1.0) ** (m + n) - (-1.0) ** k
-    return (-(0.5 * m) ** 2 / (k * (k + 1)) * log_double_moment_cos(k + 2, n, m)
-            + (0.5 * m) ** 2 / (k * (k + 1) ** 2) * double_poly_trig(k + 1, n, m, "cos", "cos")
-            - 0.5 * m / (k * k) * double_poly_trig(k, n, m, "cos", "sin")
-            - par / (k * k) * poly_trig_integral(k, n, "cos")
-            + par / k * log_power_moment(k, n, "cos"))
-
-
-def log_double_moment_direct(kind: str, k: int, n: int, m: int,
-                             panels: int = 48, q: int = 8) -> float:
-    """Tensor-Gauss evaluation of S_k/P_k; only sound for large k (about
-    k >= 11), where the integrand is C^{k-2} (validation path)."""
-    f = np.sin if kind == "sin" else np.cos
-    pts, wts = composite_nodes(0.0, TWO_PI, panels, gauss_rule(q))
-    S, T = np.meshgrid(pts, pts, indexing="ij")
-    D = T - S
-    A = np.abs(D)
-    with np.errstate(divide="ignore"):
-        lnA = np.where(A > 0, np.log(np.where(A > 0, A, 1.0)), 0.0)
-    vals = D ** (k - 1) * lnA
-    return (wts * f(0.5 * n * pts)) @ vals @ (wts * f(0.5 * m * pts))
-
-
-def log_power_moment_direct(k: int, n: int, kind: str, levels: int = 40, q: int = 10) -> float:
-    """Endpoint-graded composite Gauss for W_k/X_k (validation path)."""
-    power = k + 1 if kind == "sin" else k
-    f = np.sin if kind == "sin" else np.cos
-    edges = np.concatenate(([0.0], TWO_PI * 0.5 ** np.arange(levels, -1.0, -1.0)))
-    pts, wts = composite_nodes_edges(edges, gauss_rule(q))
-    return float(np.sum(wts * pts ** power * np.log(pts) * f(0.5 * n * pts)))
 
 
 # ---------------------------------------------------------------------------
@@ -283,23 +169,18 @@ class SingularBlockCache:
     modes, c to 15 significant digits).
 
     matrix() returns the stored square matrix (read-only), filling it by
-    populate() in one tensor-grid pass on a miss; get() reads an entry from
-    any stored matrix that holds it and otherwise stores a one-off 1x1 block.
+    populate() in one tensor-grid pass on a miss.
     """
 
     def __init__(self, cfg: QuadratureConfig):
         self.cfg = cfg
         self._mats: dict[tuple, np.ndarray] = {}
 
-    def _store(self, kind: str, rows: tuple, cols: tuple, c: float) -> np.ndarray:
-        mat = singular_block_matrix(rows, cols, c, kind, self.cfg)
-        mat.setflags(write=False)
-        self._mats[(kind, rows, cols, _c_key(c))] = mat
-        return mat
-
     def populate(self, kind: str, modes, c: float) -> None:
         modes = _modes_key(modes)
-        self._store(kind, modes, modes, c)
+        mat = singular_block_matrix(modes, modes, c, kind, self.cfg)
+        mat.setflags(write=False)
+        self._mats[(kind, modes, modes, _c_key(c))] = mat
 
     def matrix(self, kind: str, modes, c: float) -> np.ndarray:
         modes = _modes_key(modes)
@@ -307,15 +188,6 @@ class SingularBlockCache:
         if key not in self._mats:
             self.populate(kind, modes, c)
         return self._mats[key]
-
-    def get(self, kind: str, m: int, n: int, c: float) -> complex:
-        if (m + n) % 2:
-            return 0.0 + 0.0j
-        ck = _c_key(c)
-        for (k, rows, cols, kc), mat in self._mats.items():
-            if k == kind and kc == ck and m in rows and n in cols:
-                return complex(mat[rows.index(m), cols.index(n)])
-        return complex(self._store(kind, (int(m),), (int(n),), c)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +235,3 @@ def cross_block_matrix(cav_k: Cavity, cav_j: Cavity, modes_m, modes_n, kappa0: f
     Tm = f(pi * xk[:, None] * modes_m[None, :] / cav_k.w) * wk[:, None]
     Tn = f(pi * yj[:, None] * modes_n[None, :] / cav_j.w) * wj[:, None]
     return Tm.T @ kern @ Tn
-
-
-def cross_block(m: int, n: int, cav_k: Cavity, cav_j: Cavity, kappa0: float,
-                kind: str, cfg: QuadratureConfig) -> complex:
-    return complex(cross_block_matrix(cav_k, cav_j, [m], [n], kappa0, kind, cfg)[0, 0])

@@ -1,4 +1,4 @@
-"""Real-argument Bessel and Hankel functions of orders 0 and 1.
+"""Real-argument Bessel and Hankel functions of order 0.
 
 Evaluation strategy: ascending power series for x < 5, Hankel asymptotic
 expansion with Cephes-style rational amplitude/phase functions for x >= 5.
@@ -27,10 +27,9 @@ EULER_GAMMA = 0.57721566490153286061
 _SERIES_CUTOFF = 5.0
 _SQ2OPI = 0.79788456080286535588  # sqrt(2/pi)
 _PIO4 = pi / 4.0
-_THPIO4 = 3.0 * pi / 4.0
 
 # Cephes Math Library rational coefficients (Moshier, release 2.1) for the
-# asymptotic amplitude P and phase Q functions of J0/Y0 and J1/Y1.
+# asymptotic amplitude P and phase Q functions of J0/Y0.
 _PP0 = np.array([
     7.96936729297347051624e-4, 8.28352392107440799803e-2, 1.23953371646414299388e0,
     5.44725003058768775090e0, 8.74716500199817011941e0, 5.30324038235394892183e0,
@@ -47,24 +46,6 @@ _QQ0 = np.array([  # leading coefficient 1.0 implied
     6.43178256118178023184e1, 8.56430025976980587198e2, 3.88240183605401609683e3,
     7.24046774195652478189e3, 5.93072701187316984827e3, 2.06209331660327847417e3,
     2.42005740240291393179e2])
-
-_PP1 = np.array([
-    7.62125616208173112003e-4, 7.31397056940917570436e-2, 1.12719608129684925192e0,
-    5.11207951146807644818e0, 8.42404590141772420927e0, 5.21451598682361504063e0,
-    1.00000000000000000254e0])
-_PQ1 = np.array([
-    5.71323128072548699714e-4, 6.88455908754495404082e-2, 1.10514232634061696926e0,
-    5.07386386128601488557e0, 8.39985554327604159757e0, 5.20982848682361821619e0,
-    9.99999999999999997461e-1])
-_QP1 = np.array([
-    5.10862594750176621635e-2, 4.98213872951233449420e0, 7.58238284132545283818e1,
-    3.66779609360150777800e2, 7.10856304998926107277e2, 5.97489612400613639965e2,
-    2.11688757100572135698e2, 2.52070205858023719784e1])
-_QQ1 = np.array([  # leading coefficient 1.0 implied
-    7.42373277035675149943e1, 1.05644886038262816351e3, 4.98641058337653607651e3,
-    9.56231892404756170795e3, 7.99704160447350683650e3, 2.82619278517639096600e3,
-    3.36093607810698293419e2])
-
 
 @dataclass(frozen=True)
 class KernelScale:
@@ -91,9 +72,9 @@ def _p1evl(x, coef):
     return ans
 
 
-def _series_j0_y0(x):
-    """Ascending series for J0 and Y0, x in [0, 5]."""
-    x = np.asarray(x, dtype=float)
+def _j0_ysum(x):
+    """Ascending series of J0(x) and of ysum = sum_k (-1)^{k+1} H_k q^k/(k!)^2,
+    q = (x/2)^2, the log-free part of Y0."""
     q = (x / 2.0) ** 2
     term = np.ones_like(x)
     j0 = np.ones_like(x)
@@ -106,36 +87,17 @@ def _series_j0_y0(x):
         ysum = ysum - term * hk  # (-1)^{k+1} H_k q^k/(k!)^2
         if np.all(np.abs(term) * (hk + 1.0) <= 1e-18):
             break
+    return j0, ysum
+
+
+def _series_j0_y0(x):
+    """Ascending series for J0 and Y0, x in [0, 5]."""
+    x = np.asarray(x, dtype=float)
+    j0, ysum = _j0_ysum(x)
     with np.errstate(divide="ignore"):
         lx = np.log(np.where(x > 0, x, 1.0) / 2.0)
     y0 = (2.0 / pi) * ((lx + EULER_GAMMA) * j0 + ysum)
     return j0, y0
-
-
-def _series_j1_y1(x):
-    """Ascending series for J1 and Y1, x in (0, 5]."""
-    x = np.asarray(x, dtype=float)
-    q = (x / 2.0) ** 2
-    term = np.ones_like(x)  # q^k / (k!(k+1)!)
-    j1sum = np.ones_like(x)
-    hsum = np.ones_like(x)  # (H_k + H_{k+1}) q^k/(k!(k+1)!), k=0 term: H_0+H_1 = 1
-    hk, hk1 = 0.0, 1.0
-    sgn = 1.0
-    for k in range(1, 40):
-        term = term * q / (k * (k + 1))
-        sgn = -sgn
-        hk += 1.0 / k
-        hk1 += 1.0 / (k + 1)
-        j1sum = j1sum + sgn * term
-        hsum = hsum + sgn * term * (hk + hk1)
-        if np.all(np.abs(term) * (hk + hk1) <= 1e-18):
-            break
-    j1 = (x / 2.0) * j1sum
-    with np.errstate(divide="ignore"):
-        lx = np.log(np.where(x > 0, x, 1.0) / 2.0)
-        inv = np.where(x > 0, 2.0 / (pi * np.where(x > 0, x, 1.0)), 0.0)
-    y1 = (2.0 / pi) * (lx + EULER_GAMMA) * j1 - inv - (x / (2.0 * pi)) * hsum
-    return j1, y1
 
 
 def _asym_j0_y0(x):
@@ -149,28 +111,17 @@ def _asym_j0_y0(x):
     return amp * (p * cn - w * q * sn), amp * (p * sn + w * q * cn)
 
 
-def _asym_j1_y1(x):
-    w = 5.0 / x
-    z = 25.0 / (x * x)
-    p = _polevl(z, _PP1) / _polevl(z, _PQ1)
-    q = _polevl(z, _QP1) / _p1evl(z, _QQ1)
-    xn = x - _THPIO4
-    cn, sn = np.cos(xn), np.sin(xn)
-    amp = _SQ2OPI / np.sqrt(x)
-    return amp * (p * cn - w * q * sn), amp * (p * sn + w * q * cn)
-
-
-def _eval_pair(x, series, asym):
+def _j0_y0(x):
     x = np.asarray(x, dtype=float)
-    a = np.empty_like(x)
-    b = np.empty_like(x)
+    j = np.empty_like(x)
+    y = np.empty_like(x)
     lo = x < _SERIES_CUTOFF
     if np.any(lo):
-        a[lo], b[lo] = series(x[lo])
+        j[lo], y[lo] = _series_j0_y0(x[lo])
     hi = ~lo
     if np.any(hi):
-        a[hi], b[hi] = asym(x[hi])
-    return a, b
+        j[hi], y[hi] = _asym_j0_y0(x[hi])
+    return j, y
 
 
 def _check_domain(x, name, strict_positive):
@@ -190,38 +141,19 @@ def _scalar_like(value, x):
 def bessel_j0(x):
     """J0(x) for x >= 0."""
     xa = _check_domain(x, "bessel_j0", strict_positive=False)
-    return _scalar_like(_eval_pair(xa, _series_j0_y0, _asym_j0_y0)[0], x)
+    return _scalar_like(_j0_y0(xa)[0], x)
 
 
 def bessel_y0(x):
     """Y0(x) for x > 0; diverges like (2/pi) ln(x/2) as x -> 0+."""
     xa = _check_domain(x, "bessel_y0", strict_positive=True)
-    return _scalar_like(_eval_pair(xa, _series_j0_y0, _asym_j0_y0)[1], x)
-
-
-def bessel_j1(x):
-    """J1(x) for x >= 0."""
-    xa = _check_domain(x, "bessel_j1", strict_positive=False)
-    return _scalar_like(_eval_pair(xa, _series_j1_y1, _asym_j1_y1)[0], x)
-
-
-def bessel_y1(x):
-    """Y1(x) for x > 0."""
-    xa = _check_domain(x, "bessel_y1", strict_positive=True)
-    return _scalar_like(_eval_pair(xa, _series_j1_y1, _asym_j1_y1)[1], x)
+    return _scalar_like(_j0_y0(xa)[1], x)
 
 
 def hankel1_0(x):
     """H0^(1)(x) = J0(x) + i Y0(x) for x > 0."""
     xa = _check_domain(x, "hankel1_0", strict_positive=True)
-    j, y = _eval_pair(xa, _series_j0_y0, _asym_j0_y0)
-    return _scalar_like(j + 1j * y, x)
-
-
-def hankel1_1(x):
-    """H1^(1)(x) = J1(x) + i Y1(x) for x > 0."""
-    xa = _check_domain(x, "hankel1_1", strict_positive=True)
-    j, y = _eval_pair(xa, _series_j1_y1, _asym_j1_y1)
+    j, y = _j0_y0(xa)
     return _scalar_like(j + 1j * y, x)
 
 
@@ -252,19 +184,7 @@ def regularized_kernel_abs(d, scale: KernelScale):
 
     small = z <= 8.0
     if np.any(small):
-        zs = z[small]
-        qs = (zs / 2.0) ** 2
-        term = np.ones_like(zs)
-        j0 = np.ones_like(zs)
-        hsum = np.zeros_like(zs)
-        hk = 0.0
-        for k in range(1, 40):
-            term = term * (-qs) / (k * k)
-            j0 = j0 + term
-            hk += 1.0 / k
-            hsum = hsum - term * hk
-            if np.all(np.abs(term) * (hk + 1.0) <= 1e-18):
-                break
+        j0, hsum = _j0_ysum(z[small])
         res[small] = j0 * (1.0 + (2j / pi) * (EULER_GAMMA + log(c / 2.0))) + (2j / pi) * hsum
     big = ~small
     if np.any(big):
@@ -274,16 +194,6 @@ def regularized_kernel_abs(d, scale: KernelScale):
 
     out[rest] = res
     return out
-
-
-def regularized_kernel(s: float, t: float, scale: KernelScale) -> complex:
-    """Log-regularized aperture kernel at parameters (s, t) in [0, 2*pi]^2.
-
-    Returns H0^(1)(c|s-t|) - (2i/pi) J0(c|s-t|) ln|s-t| for s != t and the
-    analytic diagonal limit 1 + (2i/pi)(gamma + ln(c/2)) on s = t.
-    """
-    val = regularized_kernel_abs(abs(s - t), scale)
-    return complex(val)
 
 
 def j0_series_remainder(z, K: int):

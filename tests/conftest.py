@@ -1,8 +1,11 @@
+import cmath
+
 import numpy as np
 import pytest
 from math import pi
 
 import cavityscat as cs
+from cavityscat.modal import _cexpm1
 from cavityscat.model import QuadratureConfig
 
 
@@ -65,3 +68,17 @@ def rel_err(a, b) -> float:
 
 def rng(seed: int = 0) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def scalar_aperture_phase(alpha: float, cav, m: int, kind: str) -> complex:
+    """e^{i alpha a} I_0^w e^{i alpha x} trig(m pi x/w) dx for one alpha and
+    one mode: the scalar closed form, half the difference (sin) or sum (cos)
+    of (e^{i p w} - 1)/(i p) at p = alpha +- m pi/w, w at p = 0, with the
+    hand-written expm1 series.  Reference for the array builder."""
+    def phase(p):
+        return complex(cav.w) if p == 0.0 else _cexpm1(1j * p * cav.w) / (1j * p)
+
+    mu = m * pi / cav.w
+    ip, im = phase(alpha + mu), phase(alpha - mu)
+    trig = (ip - im) / 2j if kind == "sin" else (ip + im) / 2.0
+    return cmath.exp(1j * alpha * cav.a) * trig

@@ -4,45 +4,71 @@ from math import pi
 
 import cavityscat as cs
 from cavityscat import assembly
-from cavityscat.assembly import (SystemFactorization, build_system, exp_trig_integral,
-                                 incident_vector_te, incident_vector_tm, solve_system)
+from cavityscat.assembly import (SystemFactorization, aperture_phases, build_system,
+                                 solve_system)
 from cavityscat.errors import SingularSystemError
 from cavityscat.modal import build_modal_tables, single_layer_impedance_tm
 from cavityscat.model import QuadratureConfig
 from cavityscat.quadrature import SingularBlockCache, composite_integral_1d, gauss_rule
 
-from conftest import example1_spec, example4_spec
+from conftest import example1_spec, example4_spec, scalar_aperture_phase
 
 
 def test_incident_te_normal_incidence_m0():
     wave = cs.IncidentWave(kappa0=2.0, theta=0.0)
     cav = cs.Cavity(-0.3, 0.9, (cs.Layer(0.0, -1.0, 2.0 + 0j),))
-    assert abs(incident_vector_te(wave, cav, 0) - 2.0 * cav.w) <= 1e-14
+    g0 = 2.0 * aperture_phases(wave.alpha, cav, [0], "cos")[0, 0]
+    assert abs(g0 - 2.0 * cav.w) <= 1e-14
 
 
 def test_incident_tm_normal_incidence_closed_form():
     # F(m) = -2 i kappa0 (w/(m pi)) (1 - (-1)^m) at alpha = 0
     wave = cs.IncidentWave(kappa0=1.7, theta=0.0)
     cav = cs.Cavity(0.0, 1.3, (cs.Layer(0.0, -1.0, 1.7 + 0j),))
-    for m in (1, 2, 3, 8):
+    modes = (1, 2, 3, 8)
+    got = -2j * wave.beta * aperture_phases(wave.alpha, cav, modes, "sin")[0]
+    for m, f in zip(modes, got):
         want = -2j * 1.7 * (cav.w / (m * pi)) * (1 - (-1.0) ** m)
-        assert abs(incident_vector_tm(wave, cav, m) - want) <= 1e-13 * max(1.0, abs(want))
+        assert abs(f - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def test_incident_degenerate_direction_matches_gauss():
-    # alpha = m pi / w hits the resonant branch
+    # alpha = m pi / w hits the resonant branch; a = 0 leaves the bare integral
     w, m = 1.2, 3
     mu = m * pi / w
-    for alpha in (mu, -mu, mu * (1 + 1e-12), 0.37):
-        got = exp_trig_integral(alpha, mu, w, "sin")
-        rule = gauss_rule(10)
+    cav = cs.Cavity(0.0, w, (cs.Layer(0.0, -1.0, 2.0 + 0j),))
+    alphas = (mu, -mu, mu * (1 + 1e-12), 0.37)
+    sins = aperture_phases(alphas, cav, [m], "sin")[:, 0]
+    coss = aperture_phases(alphas, cav, [m], "cos")[:, 0]
+    rule = gauss_rule(10)
+    for alpha, got, gotc in zip(alphas, sins, coss):
         want = composite_integral_1d(
             lambda x: np.exp(1j * alpha * x) * np.sin(mu * x), 0.0, w, 24, rule)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-        gotc = exp_trig_integral(alpha, mu, w, "cos")
         wantc = composite_integral_1d(
             lambda x: np.exp(1j * alpha * x) * np.cos(mu * x), 0.0, w, 24, rule)
         assert abs(gotc - wantc) <= 1e-12 * max(1.0, abs(wantc))
+
+
+@pytest.mark.parametrize("pol", ["TM", "TE"])
+def test_rhs_matches_scalar_closed_form(pol):
+    # three cavities; incidences with alpha = +m pi/w of one aperture and
+    # -m pi/w of another (the p = 0 branch), and a generic one
+    from dataclasses import replace
+
+    spec = example4_spec(pol, N=6, panels=8, kappa0=4 * pi)
+    k0 = spec.wave.kappa0
+    w0, w2 = spec.cavities[0].w, spec.cavities[2].w
+    tables = build_modal_tables(spec)
+    cache = SingularBlockCache(spec.quad)
+    kind = "sin" if pol == "TM" else "cos"
+    for theta in (np.arcsin(pi / (w0 * k0)), -np.arcsin(pi / (w2 * k0)), 0.3):
+        wave = cs.IncidentWave(k0, float(theta))
+        got = build_system(replace(spec, wave=wave), tables, cache).rhs
+        scale = -2j * wave.beta if pol == "TM" else 2.0
+        want = np.array([scale * scalar_aperture_phase(wave.alpha, cav, m, kind)
+                         for cav in spec.cavities for m in tables.modes()])
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), theta
 
 
 def test_system_dimensions():
@@ -179,7 +205,8 @@ def test_te_single_cavity_against_independent_assembly():
     t = np.array([single_layer_impedance_te(complex(k0), w, cav.depth, n)
                   for n in range(N + 1)])
     D = np.diag([w] + [w / 2] * N).astype(complex)
-    G = np.array([incident_vector_te(spec.wave, cav, m) for m in range(N + 1)])
+    G = np.array([2.0 * scalar_aperture_phase(spec.wave.alpha, cav, m, "cos")
+                  for m in range(N + 1)])
     ref = np.linalg.solve(D - M * t[None, :], G)
     assert np.max(np.abs(prod - ref)) <= 1e-8 * np.max(np.abs(ref))
 

@@ -1,4 +1,6 @@
-"""Exact moment families and their downward recursions."""
+"""Gauss rules, the exact moment families and their downward recursions.
+
+The moment identities live in `oracle` as consistency checks on `_moments`."""
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from math import factorial, log, pi
 
 import mpmath as mp
 
+from cavityscat import oracle as o
 from cavityscat import quadrature as q
 from cavityscat.errors import ValidationError
 
@@ -48,18 +51,18 @@ def test_composite_2d():
 
 
 def test_poly_trig_trivial_cases():
-    assert q.poly_trig_integral(0, 2, "sin") == 0.0
-    assert abs(q.poly_trig_integral(0, 0, "cos") - TWO_PI) <= 1e-15
+    assert o.poly_trig_integral(0, 2, "sin") == 0.0
+    assert abs(o.poly_trig_integral(0, 0, "cos") - TWO_PI) <= 1e-15
     # n = 0 cosine: (2 pi)^{p+1}/(p+1)
     for p in (1, 3, 6):
-        assert abs(q.poly_trig_integral(p, 0, "cos") - TWO_PI ** (p + 1) / (p + 1)) \
+        assert abs(o.poly_trig_integral(p, 0, "cos") - TWO_PI ** (p + 1) / (p + 1)) \
             <= 1e-14 * TWO_PI ** (p + 1)
-    assert q.poly_trig_integral(5, 0, "sin") == 0.0
+    assert o.poly_trig_integral(5, 0, "sin") == 0.0
 
 
 def test_poly_trig_by_parts_value():
     # I s sin(s/2) ds = 4 pi (by parts; cross-checked with composite Gauss)
-    got = q.poly_trig_integral(1, 1, "sin")
+    got = o.poly_trig_integral(1, 1, "sin")
     assert abs(got - INT_S_SIN_HALF) <= 1e-14 * INT_S_SIN_HALF
     rule = q.gauss_rule(8)
     gauss = q.composite_integral_1d(lambda s: s * np.sin(s / 2), 0, TWO_PI, 16, rule)
@@ -75,15 +78,15 @@ def test_poly_trig_against_gauss_sweep():
         kind = "sin" if rng.integers(2) else "cos"
         f = np.sin if kind == "sin" else np.cos
         want = q.composite_integral_1d(lambda s: s ** p * f(0.5 * n * s), 0, TWO_PI, 32, rule)
-        got = q.poly_trig_integral(p, n, kind)
+        got = o.poly_trig_integral(p, n, kind)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (p, n, kind)
 
 
 def test_double_poly_trig_factorizes_at_k0():
     # (t-s)^0 = 1: the double integral is the product of single moments
     for (n, m, ks, kt) in [(2, 2, "sin", "sin"), (1, 2, "sin", "sin"), (0, 4, "cos", "cos")]:
-        got = q.double_poly_trig(0, n, m, ks, kt)
-        want = q.poly_trig_integral(0, n, ks) * q.poly_trig_integral(0, m, kt)
+        got = o.double_poly_trig(0, n, m, ks, kt)
+        want = o.poly_trig_integral(0, n, ks) * o.poly_trig_integral(0, m, kt)
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
 
 
@@ -95,27 +98,27 @@ def test_double_poly_trig_against_2d_gauss():
         ft = np.sin if kt == "sin" else np.cos
         want = q.composite_integral_2d(
             lambda s, t: fs(0.5 * n * s) * (t - s) ** k * ft(0.5 * m * t), 24, rule)
-        got = q.double_poly_trig(k, n, m, ks, kt)
+        got = o.double_poly_trig(k, n, m, ks, kt)
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (k, n, m)
 
 
 def test_double_poly_trig_order_guard():
     with pytest.raises(ValidationError):
-        q.double_poly_trig(41, 1, 1, "sin", "sin")
+        o.double_poly_trig(41, 1, 1, "sin", "sin")
 
 
 def test_log_power_moment_closed_forms():
     # X_0(0) = I ln s ds = 2 pi (ln 2pi - 1)
-    assert abs(q.log_power_moment(0, 0, "cos") - INT_LN) <= 1e-14 * INT_LN
+    assert abs(o.log_power_moment(0, 0, "cos") - INT_LN) <= 1e-14 * INT_LN
     # W_k(0) = 0
     for k in (0, 1, 5):
-        assert q.log_power_moment(k, 0, "sin") == 0.0
+        assert o.log_power_moment(k, 0, "sin") == 0.0
 
 
 def test_log_power_moment_vs_graded_direct():
     for (k, n, kind) in [(1, 1, "sin"), (0, 2, "cos"), (3, 5, "sin"), (2, 4, "cos")]:
-        exact = q.log_power_moment(k, n, kind)
-        direct = q.log_power_moment_direct(k, n, kind)
+        exact = o.log_power_moment(k, n, kind)
+        direct = o.log_power_moment_direct(k, n, kind)
         assert abs(direct - exact) <= 1e-9 * max(1.0, abs(exact)), (k, n, kind)
 
 
@@ -126,41 +129,41 @@ def test_log_power_moment_vs_mpmath():
             f = mp.sin if kind == "sin" else mp.cos
             want = float(mp.quad(lambda s: s ** p * mp.log(s) * f(n * s / 2),
                                  mp.linspace(0, 2 * mp.pi, n + 3)))
-            got = q.log_power_moment(k, n, kind)
+            got = o.log_power_moment(k, n, kind)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_w_and_x_recurrences_hold():
     for (k, n) in [(0, 1), (1, 1), (2, 3), (5, 2), (8, 6), (3, 11)]:
-        w_lhs = q.log_power_moment(k, n, "sin")
-        assert abs(q.w_recurrence_rhs(k, n) - w_lhs) <= 1e-11 * max(1.0, abs(w_lhs))
-        x_lhs = q.log_power_moment(k, n, "cos")
-        assert abs(q.x_recurrence_rhs(k, n) - x_lhs) <= 1e-11 * max(1.0, abs(x_lhs))
+        w_lhs = o.log_power_moment(k, n, "sin")
+        assert abs(o.w_recurrence_rhs(k, n) - w_lhs) <= 1e-11 * max(1.0, abs(w_lhs))
+        x_lhs = o.log_power_moment(k, n, "cos")
+        assert abs(o.x_recurrence_rhs(k, n) - x_lhs) <= 1e-11 * max(1.0, abs(x_lhs))
 
 
 def test_log_double_moment_parity_zero():
-    assert q.log_double_moment_sin(1, 1, 2) == 0.0
-    assert q.log_double_moment_cos(3, 0, 5) == 0.0
+    assert o.log_double_moment_sin(1, 1, 2) == 0.0
+    assert o.log_double_moment_cos(3, 0, 5) == 0.0
 
 
 def test_log_double_moment_rejects_even_k():
     with pytest.raises(ValidationError):
-        q.log_double_moment_sin(2, 1, 1)
+        o.log_double_moment_sin(2, 1, 1)
 
 
 def test_p1_00_closed_form():
-    got = q.log_double_moment_cos(1, 0, 0)
+    got = o.log_double_moment_cos(1, 0, 0)
     assert abs(got - P1_00) <= 1e-14 * P1_00
 
 
 def test_s_and_p_recursions_hold():
     # the downward recursions reproduce the exact 2-D log moments
     for (k, n, m) in [(1, 1, 1), (1, 2, 4), (3, 3, 1), (5, 2, 2), (7, 4, 6), (9, 1, 3)]:
-        lhs = q.log_double_moment_sin(k, n, m)
-        assert abs(q.s_recursion_rhs(k, n, m) - lhs) <= 1e-9 * max(1.0, abs(lhs))
+        lhs = o.log_double_moment_sin(k, n, m)
+        assert abs(o.s_recursion_rhs(k, n, m) - lhs) <= 1e-9 * max(1.0, abs(lhs))
     for (k, n, m) in [(1, 0, 0), (1, 2, 0), (3, 1, 1), (5, 4, 2), (7, 0, 4), (9, 3, 5)]:
-        lhs = q.log_double_moment_cos(k, n, m)
-        assert abs(q.p_recursion_rhs(k, n, m) - lhs) <= 1e-9 * max(1.0, abs(lhs))
+        lhs = o.log_double_moment_cos(k, n, m)
+        assert abs(o.p_recursion_rhs(k, n, m) - lhs) <= 1e-9 * max(1.0, abs(lhs))
 
 
 def test_direct_tensor_gauss_at_lift_threshold():
@@ -168,9 +171,9 @@ def test_direct_tensor_gauss_at_lift_threshold():
     lift = 11
     for k in (lift, lift + 2):
         for (kind, n, m) in [("sin", 1, 1), ("cos", 2, 4)]:
-            exact = (q.log_double_moment_sin if kind == "sin"
-                     else q.log_double_moment_cos)(k, n, m)
-            direct = q.log_double_moment_direct(kind, k, n, m, panels=64, q=8)
+            exact = (o.log_double_moment_sin if kind == "sin"
+                     else o.log_double_moment_cos)(k, n, m)
+            direct = o.log_double_moment_direct(kind, k, n, m, panels=64, q=8)
             assert abs(direct - exact) <= 1e-9 * max(1.0, abs(exact)), (kind, k, n, m)
 
 
@@ -183,7 +186,7 @@ def test_s_moment_vs_graded_oracle():
         return np.log(np.where(d > 0, d, 1.0)) * np.sin(0.5 * t) * np.sin(0.5 * s)
 
     want, _ = graded_singular_integral(f, tol=1e-11)
-    got = q.log_double_moment_sin(1, 1, 1)
+    got = o.log_double_moment_sin(1, 1, 1)
     assert abs(got - want.real) <= 1e-8 * abs(want.real)
 
 

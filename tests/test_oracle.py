@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from math import pi
@@ -71,8 +73,12 @@ def test_fd_check_zero_field_is_exact(tm_example1):
     from cavityscat.assembly import ApertureSolution
     zero = ApertureSolution(coefficients=tuple(0 * u for u in sol.coefficients),
                             layout=sol.layout, rcond=sol.rcond)
-    rep = fd_interior_check(spec, tables, zero, steps=(1e-2, 5e-3), points_per_layer=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = fd_interior_check(spec, tables, zero, steps=(1e-2, 5e-3), points_per_layer=4)
     assert all(v == 0.0 for v in rep.extra["norms"])
+    assert rep.extra["exact"] is True
+    assert rep.abs_err == 0.0 and rep.rel_err == 0.0 and rep.converged
 
 
 def test_oracle_convergence_error_has_history():

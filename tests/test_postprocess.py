@@ -14,7 +14,7 @@ from cavityscat.postprocess import (FieldMap, backscatter_sweep, diagonal_trace,
                                     field_grid, interface_value_jump, rcs_tm,
                                     te_flux_jump)
 
-from conftest import example1_spec
+from conftest import example1_spec, scalar_aperture_phase
 
 
 def test_tm_field_vanishes_on_walls_and_bottom(tm_example1):
@@ -298,22 +298,30 @@ def test_export_sweep_schema(tmp_path):
 
 
 def _per_angle_sweep(spec, angles):
-    """Per-angle reference: a spec per incidence theta = pi/2 - phi, a scalar
-    incident vector per mode, one solve per angle and the scalar RCS formula."""
+    """Per-angle reference: a spec per incidence theta = pi/2 - phi, the
+    scalar closed-form incident vector per mode, one solve per angle, and the
+    RCS summed mode by mode from the same scalar form.  Also returns `rcs_tm`
+    of each per-angle solution."""
     from dataclasses import replace
 
-    from cavityscat.assembly import SystemFactorization, build_system, incident_vector_tm
+    from cavityscat.assembly import SystemFactorization, build_system
     from cavityscat.modal import build_modal_tables
     from cavityscat.quadrature import SingularBlockCache
     base = build_system(spec, build_modal_tables(spec), SingularBlockCache(spec.quad))
     fact = SystemFactorization(base)
-    sigma = []
+    modes = base.layout.modes
+    k0 = spec.wave.kappa0
+    sigma, via_rcs_tm = [], []
     for phi in angles:
-        sp = replace(spec, wave=cs.IncidentWave(spec.wave.kappa0, pi / 2.0 - phi))
-        rhs = np.concatenate([[incident_vector_tm(sp.wave, cav, m) for m in base.layout.modes]
-                              for cav in sp.cavities])
-        sigma.append(rcs_tm(sp, fact.solve(rhs), phi))
-    return np.array(sigma), fact.rcond
+        sp = replace(spec, wave=cs.IncidentWave(k0, pi / 2.0 - phi))
+        rhs = np.array([-2j * sp.wave.beta * scalar_aperture_phase(sp.wave.alpha, cav, m, "sin")
+                        for cav in sp.cavities for m in modes])
+        sol = fact.solve(rhs)
+        amp = sum(sol.coefficient(k, m) * scalar_aperture_phase(k0 * np.cos(phi), cav, m, "sin")
+                  for k, cav in enumerate(sp.cavities) for m in modes)
+        sigma.append(k0 * abs(np.sin(phi) * amp) ** 2)
+        via_rcs_tm.append(rcs_tm(sp, sol, phi))
+    return np.array(sigma), fact.rcond, np.array(via_rcs_tm)
 
 
 def test_backscatter_matches_per_angle_path():
@@ -329,18 +337,23 @@ def test_backscatter_matches_per_angle_path():
                   for m in range(1, 4) for sgn in (1, -1) if m * pi / (w * k0) < 1]
     angles = np.sort(np.concatenate([np.linspace(0.05, pi - 0.05, 23), degenerate, [pi / 2]]))
     sweep = backscatter_sweep(spec, angles)
-    want, rcond = _per_angle_sweep(spec, angles)
+    want, rcond, via_rcs_tm = _per_angle_sweep(spec, angles)
     assert np.all(np.abs(sweep.sigma - want) <= 1e-13 * np.abs(want))
+    assert np.all(np.abs(via_rcs_tm - want) <= 1e-13 * np.abs(want))
     assert sweep.rcond == rcond
 
 
 def test_phase_integrals_match_scalar_form_through_zero():
-    from cavityscat.assembly import _phase_integral
+    # the cos phase of mode 0 on an aperture at a = 0 is the bare
+    # (e^{i p w} - 1)/(i p) at p = alpha
+    from cavityscat.assembly import aperture_phases
+    from cavityscat.modal import _cexpm1
+    cav = cs.Cavity(0.0, 0.7, (cs.Layer(0.0, -1.0, 2.0 + 0j),))
     ps = np.array([0.0, 1e-300, -1e-300, 1e-12, -1e-9, 0.3, -2.0, 50.0])
-    got = postprocess._phase_integrals(ps, 0.7)
+    got = aperture_phases(ps, cav, [0], "cos")[:, 0]
     assert got[0] == 0.7
     for p, g in zip(ps, got):
-        want = _phase_integral(float(p), 0.7)
+        want = 0.7 if p == 0.0 else _cexpm1(1j * p * 0.7) / (1j * p)
         assert abs(g - want) <= 1e-15 * abs(want), p
 
 

@@ -7,10 +7,15 @@ from math import pi
 import cavityscat as cs
 from cavityscat import oracle
 from cavityscat.model import QuadratureConfig
-from cavityscat.quadrature import (SingularBlockCache, cross_block, cross_block_matrix,
-                                   singular_block, singular_block_matrix)
+from cavityscat.quadrature import (SingularBlockCache, cross_block_matrix, singular_block,
+                                   singular_block_matrix)
 
 CFG = QuadratureConfig(panels=64, points_per_panel=6)
+
+
+def cross_block(m, n, cav_k, cav_j, kappa0, kind, cfg):
+    """One entry of `cross_block_matrix`, for the mode pair (m, n)."""
+    return complex(cross_block_matrix(cav_k, cav_j, [m], [n], kappa0, kind, cfg)[0, 0])
 
 
 def test_singular_block_odd_parity_exact_zero():
@@ -60,9 +65,10 @@ def test_refinement_convergence_order():
 
 def test_cache_parity_and_consistency():
     cache = SingularBlockCache(CFG)
-    assert cache.get("sin", 1, 2, 1.0) == 0.0
+    sin = cache.matrix("sin", range(1, 5), 1.0)
+    assert sin[0, 1] == 0.0  # modes (1, 2)
     direct = singular_block(2, 4, 1.0, "sin", CFG)
-    assert abs(cache.get("sin", 2, 4, 1.0) - direct) <= 1e-14 * abs(direct)
+    assert abs(sin[1, 3] - direct) <= 1e-14 * abs(direct)
     mat = cache.matrix("cos", range(0, 5), 1.0)
     assert mat[0, 1] == 0.0
     assert abs(mat[2, 4] - singular_block(2, 4, 1.0, "cos", CFG)) \
@@ -153,11 +159,10 @@ def test_cache_stores_whole_matrices():
     assert cache.matrix("sin", list(modes), 0.8) is mat  # a hit, same stored matrix
     assert not mat.flags.writeable
     assert np.array_equal(mat, singular_block_matrix(modes, modes, 0.8, "sin", CFG))
-    # entries of a stored matrix are served without a new evaluation
-    assert cache.get("sin", 2, 4, 0.8) == mat[1, 3]
-    assert cache.get("sin", 2, 3, 0.8) == 0.0
-    # an entry outside every stored matrix is evaluated once and kept
-    far = cache.get("sin", 3, 9, 0.8)
+    assert mat[1, 2] == 0.0  # modes (2, 3)
+    # another mode list is its own stored matrix, evaluated once and kept
+    wide = cache.matrix("sin", range(1, 10), 0.8)
+    assert wide is not mat and cache.matrix("sin", range(1, 10), 0.8) is wide
+    far = wide[2, 8]  # modes (3, 9)
     assert abs(far - singular_block(3, 9, 0.8, "sin", CFG)) <= 1e-14 * abs(far)
-    assert cache.get("sin", 3, 9, 0.8) == far
     assert cache.matrix("cos", modes, 0.8) is not mat

@@ -13,13 +13,11 @@ import mpmath as mp
 
 from cavityscat import special
 from cavityscat.errors import ValidationError
-from cavityscat.special import (KernelScale, bessel_j0, bessel_j1, bessel_y0,
-                                bessel_y1, hankel1_0, hankel1_1,
-                                j0_series_remainder, regularized_kernel)
+from cavityscat.special import (KernelScale, bessel_j0, bessel_y0, hankel1_0,
+                                j0_series_remainder, regularized_kernel_abs)
 
 # mpmath dps=30
 H10_AT_1 = 0.765197686557966551449717526103 + 0.0882569642156769579829267660235j
-H11_AT_1 = 0.440050585744933515959682203719 - 0.781212821300288716547150000048j
 J0_ZERO1 = 2.40482555769577276862163187933
 REG_AT_PI_C1 = -0.304242177644093864202034912818 + 0.55008513185716440434628853558j
 REMAINDER_1_3 = 6.71433574432922749530388048482e-6
@@ -27,7 +25,6 @@ REMAINDER_1_3 = 6.71433574432922749530388048482e-6
 
 def test_j0_at_zero_argument():
     assert bessel_j0(0.0) == 1.0
-    assert bessel_j1(0.0) == 0.0
 
 
 def test_j0_first_zero():
@@ -35,7 +32,7 @@ def test_j0_first_zero():
 
 
 def test_y_domain_errors():
-    for f in (bessel_y0, bessel_y1, hankel1_0, hankel1_1):
+    for f in (bessel_y0, hankel1_0):
         with pytest.raises(ValidationError):
             f(0.0)
         with pytest.raises(ValidationError):
@@ -46,7 +43,6 @@ def test_y_domain_errors():
 
 def test_hankel_frozen_values():
     assert abs(hankel1_0(1.0) - H10_AT_1) <= 1e-14
-    assert abs(hankel1_1(1.0) - H11_AT_1) <= 1e-14
 
 
 def test_hankel_is_j_plus_iy():
@@ -54,9 +50,6 @@ def test_hankel_is_j_plus_iy():
     h0 = hankel1_0(xs)
     assert np.array_equal(h0.real, bessel_j0(xs))
     assert np.array_equal(h0.imag, bessel_y0(xs))
-    h1 = hankel1_1(xs)
-    assert np.array_equal(h1.real, bessel_j1(xs))
-    assert np.array_equal(h1.imag, bessel_y1(xs))
 
 
 def test_hankel_magnitude_decays():
@@ -71,9 +64,7 @@ def test_accuracy_against_mpmath_sweep():
                          [4.999999, 5.0, 5.000001]])
     with mp.workdps(30):
         for name, ours, ref in [("j0", bessel_j0, lambda x: mp.besselj(0, x)),
-                                ("j1", bessel_j1, lambda x: mp.besselj(1, x)),
-                                ("y0", bessel_y0, lambda x: mp.bessely(0, x)),
-                                ("y1", bessel_y1, lambda x: mp.bessely(1, x))]:
+                                ("y0", bessel_y0, lambda x: mp.bessely(0, x))]:
             for x in xs:
                 want = float(ref(mp.mpf(x)))
                 got = ours(float(x))
@@ -83,13 +74,6 @@ def test_accuracy_against_mpmath_sweep():
                 else:
                     # near a zero: absolute accuracy at the envelope scale
                     assert abs(got - want) <= 1e-13 * amp, (name, x, got, want)
-
-
-def test_wronskian():
-    # J1 Y0 - J0 Y1 = 2/(pi x)
-    for x in (0.1, 1.0, 10.0, 100.0):
-        lhs = bessel_j1(x) * bessel_y0(x) - bessel_j0(x) * bessel_y1(x)
-        assert abs(lhs - 2.0 / (pi * x)) <= 1e-11 * abs(2.0 / (pi * x))
 
 
 def test_kernel_scale_validation():
@@ -103,18 +87,18 @@ def test_regularized_kernel_diagonal_limit():
     # limit 1 + (2i/pi) gamma + (2i/pi) ln(c/2) with c = kappa0 w/(2 pi)
     for c in (0.25, 1.0, 4.0):
         want = 1.0 + (2j / pi) * (special.EULER_GAMMA + log(c / 2.0))
-        got = regularized_kernel(1.3, 1.3, KernelScale(c))
+        got = complex(regularized_kernel_abs(0.0, KernelScale(c)))
         assert abs(got - want) <= 1e-15
 
 
 def test_regularized_kernel_continuity_at_diagonal():
-    val = regularized_kernel(1.0, 1.0 + 1e-8, KernelScale(0.25))
-    lim = regularized_kernel(1.0, 1.0, KernelScale(0.25))
+    val = complex(regularized_kernel_abs(1e-8, KernelScale(0.25)))
+    lim = complex(regularized_kernel_abs(0.0, KernelScale(0.25)))
     assert abs(val - lim) <= 1e-6
 
 
 def test_regularized_kernel_off_diagonal_frozen():
-    got = regularized_kernel(pi, 0.0, KernelScale(1.0))
+    got = complex(regularized_kernel_abs(pi, KernelScale(1.0)))
     assert abs(got - REG_AT_PI_C1) <= 1e-13
 
 
@@ -122,7 +106,7 @@ def test_regularized_kernel_off_diagonal_frozen():
        st.sampled_from([0.25, 1.0, 4.0]))
 def test_regularized_kernel_symmetric(s, t, c):
     scale = KernelScale(c)
-    assert regularized_kernel(s, t, scale) == regularized_kernel(t, s, scale)
+    assert regularized_kernel_abs(abs(s - t), scale) == regularized_kernel_abs(abs(t - s), scale)
 
 
 def test_remainder_trivial():
