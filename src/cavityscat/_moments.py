@@ -9,9 +9,13 @@ in four 1-D moment tables at half-integer frequency q/2:
 Each family satisfies a two-term integration-by-parts recurrence in p with
 seeds at p = 0 (the log seeds are Si(q pi) and Cin(q pi)).  Run upward in p
 the recurrences are exact but cancel heavily once p >> q, so the chains are
-evaluated in mpmath at a working precision sized to the predictable digit
-loss and cached; callers get mpf values and round once, after any sum that
-itself cancels.
+run on Python integers in fixed point, value * 2^bits, with bits sized to the
+predictable digit loss plus guard bits, and cached.  mpmath only rounds the
+seeds Si(q pi), Cin(q pi), 2 pi and ln 2 pi once per table; the powers
+(2 pi)^p and (2 pi)^p ln 2 pi and every recurrence step are integer products
+and one rounded division.  Callers get the entries as exact mpf values (or,
+in the fold below, as integers) and round once, after any sum that itself
+cancels.
 
 The 2-D log moments
 
@@ -23,7 +27,7 @@ reduce, for m+n even (they vanish for odd m+n), to single integrals of the
 
     g(tau) = I trig(m (s+tau)/2) trig(n s/2) ds   over s in [0, 2*pi - tau],
 
-which is what `s_moment` / `p_moment` evaluate.
+which is what `s_moment_mp` / `p_moment_mp` evaluate.
 
 The singular blocks need the log series sum_k coeff_k {S|P}_{2k+1}(n, m)
 with coeff_k = (-1)^k (c/2)^{2k}/(k!)^2 for every mode pair.  Those closed
@@ -36,36 +40,62 @@ forms are linear in the tables of one frequency at a time, so
 and combines them per pair: 4/(m^2-n^2) (m A_n - n A_m) (sin) or
 4/(m^2-n^2) (n A_n - m A_m) (cos, zero modes included) off the diagonal, and
 2 pi B_m - C_m +- 2 A_m/m (2 (2 pi B_0 - C_0) for the cos zero mode) on it.
-`log_series_sum` is the per-pair reference.
+The coefficients are rounded once from the exact binary value of c into
+fixed point, and A_q, B_q, C_q and the diagonal combination are exact integer
+sums, each rounded to float once by an int/int true division.
+`log_series_sum` is the per-pair reference in mpmath.
 """
 
 from __future__ import annotations
 
-from math import lgamma, log, log10, pi
+from math import ceil, lgamma, log, log10, log2, pi
+from operator import mul
 
 import mpmath as mp
 import numpy as np
 
 _TABLE_DPS_MARGIN = 25
+_GUARD_BITS = 32
 
 
 def _dps_for(pmax: int, q: int) -> int:
-    """Working precision for an upward chain to power pmax at frequency q/2."""
+    """Working precision for an upward chain to power pmax at frequency q/2.
+
+    The q = 0 closed forms lose no digits, but their entries reach
+    (2 pi)^{pmax+1} and the log series sums them against coefficients whose
+    absolute sum is I0(c) < e^c, so they are kept to an absolute
+    10^-margin: the digits of the largest entry come on top."""
     if q == 0:
-        return 30
-    lost = (lgamma(pmax + 1) - pmax * log(max(q, 1) * pi / 2.0)) / log(10.0)
+        return _TABLE_DPS_MARGIN + int((pmax + 1) * log10(2 * pi)) + pmax // 8 + 5
+    lost = (lgamma(pmax + 1) - pmax * log(q * pi / 2.0)) / log(10.0)
     return _TABLE_DPS_MARGIN + max(0, int(lost)) + pmax // 8 + 5
 
 
-class _MomentTable:
-    """The four moment families for one frequency q, grown on demand."""
+def _bits(dps: int) -> int:
+    """Fixed-point fraction bits carrying dps decimal digits, plus guard bits."""
+    return ceil(dps * log2(10.0)) + _GUARD_BITS
 
-    __slots__ = ("q", "pmax", "dps", "ms", "mc", "ls", "lc")
+
+def _rdiv(a: int, b: int) -> int:
+    """a / b rounded to the nearest integer (halves up), for b > 0."""
+    return (2 * a + b) // (2 * b)
+
+
+def _fixed(x, bits: int) -> int:
+    """The mpf x as a fixed-point integer, round(x 2^bits)."""
+    return int(mp.nint(mp.ldexp(x, bits)))
+
+
+class _MomentTable:
+    """The four moment families for one frequency q, grown on demand.
+
+    Entries are fixed-point integers, value * 2^bits; `two_pi` is 2 pi on the
+    same scale."""
+
+    __slots__ = ("q", "pmax", "bits", "two_pi", "ms", "mc", "ls", "lc")
 
     def __init__(self, q: int):
-        self.q = q
-        self.pmax = -1
-        self.dps = 0
+        self.q, self.pmax, self.bits, self.two_pi = q, -1, 0, 0
         self.ms = self.mc = self.ls = self.lc = None
 
     def ensure(self, pmax: int) -> None:
@@ -73,32 +103,35 @@ class _MomentTable:
             return
         pmax = max(pmax, 16, 2 * max(self.pmax, 0))
         q = self.q
-        dps = _dps_for(pmax, q)
-        with mp.workdps(dps):
-            two_pi = 2 * mp.pi
-            lt = mp.log(two_pi)
-            ms = [mp.mpf(0)] * (pmax + 1)
-            mc = [mp.mpf(0)] * (pmax + 1)
-            ls = [mp.mpf(0)] * (pmax + 1)
-            lc = [mp.mpf(0)] * (pmax + 1)
-            if q == 0:
-                for p in range(pmax + 1):
-                    mc[p] = two_pi ** (p + 1) / (p + 1)
-                    lc[p] = two_pi ** (p + 1) * (lt / (p + 1) - mp.mpf(1) / (p + 1) ** 2)
-            else:
-                sgn = -1 if q % 2 else 1
-                ms[0] = mp.mpf(2) / q * (1 - sgn)
-                si = mp.si(q * mp.pi)
-                cin = mp.euler + mp.log(q * mp.pi) - mp.ci(q * mp.pi)
-                lc[0] = -2 * si / q
-                ls[0] = (mp.mpf(2) / q) * (lt * (1 - sgn) - cin)
-                for p in range(1, pmax + 1):
-                    mc[p] = -(mp.mpf(2) * p / q) * ms[p - 1]
-                    ms[p] = -(mp.mpf(2) / q) * sgn * two_pi ** p + (mp.mpf(2) * p / q) * mc[p - 1]
-                    lc[p] = -(mp.mpf(2) * p / q) * ls[p - 1] - (mp.mpf(2) / q) * ms[p - 1]
-                    ls[p] = (-(mp.mpf(2) / q) * sgn * two_pi ** p * lt
-                             + (mp.mpf(2) * p / q) * lc[p - 1] + (mp.mpf(2) / q) * mc[p - 1])
-        self.pmax, self.dps = pmax, dps
+        bits = _bits(_dps_for(pmax, q))
+        one = 1 << bits
+        with mp.workprec(bits + 16):
+            two_pi = _fixed(2 * mp.pi, bits)
+            lt = _fixed(mp.log(2 * mp.pi), bits)
+            if q:
+                si = _fixed(mp.si(q * mp.pi), bits)
+                cin = _fixed(mp.euler + mp.log(q * mp.pi) - mp.ci(q * mp.pi), bits)
+        # (2 pi)^p and (2 pi)^p ln(2 pi), p = 0 .. pmax + 1
+        pw = [one]
+        for _ in range(pmax + 1):
+            pw.append(_rdiv(pw[-1] * two_pi, one))
+        lpw = [_rdiv(x * lt, one) for x in pw]
+        ms, mc, ls, lc = ([0] * (pmax + 1) for _ in range(4))
+        if q == 0:
+            for p in range(pmax + 1):
+                mc[p] = _rdiv(pw[p + 1], p + 1)
+                lc[p] = _rdiv((p + 1) * lpw[p + 1] - pw[p + 1], (p + 1) ** 2)
+        else:
+            sgn = -1 if q % 2 else 1
+            ms[0] = _rdiv(2 * (1 - sgn) * one, q)
+            lc[0] = _rdiv(-2 * si, q)
+            ls[0] = _rdiv(2 * (lt * (1 - sgn) - cin), q)
+            for p in range(1, pmax + 1):
+                mc[p] = _rdiv(-2 * p * ms[p - 1], q)
+                ms[p] = _rdiv(-2 * sgn * pw[p] + 2 * p * mc[p - 1], q)
+                lc[p] = _rdiv(-2 * p * ls[p - 1] - 2 * ms[p - 1], q)
+                ls[p] = _rdiv(-2 * sgn * lpw[p] + 2 * p * lc[p - 1] + 2 * mc[p - 1], q)
+        self.pmax, self.bits, self.two_pi = pmax, bits, two_pi
         self.ms, self.mc, self.ls, self.lc = ms, mc, ls, lc
 
 
@@ -113,16 +146,21 @@ def _table(q: int, pmax: int) -> _MomentTable:
     return tab
 
 
+def _mpf(v: int, bits: int):
+    """The exact mpf value of the fixed-point integer v (scale 2^bits)."""
+    return mp.make_mpf(mp.libmp.from_man_exp(v, -bits))
+
+
 def trig_moment_mp(p: int, q: int, kind: str):
     """mpf value of I s^p trig(q s/2) ds."""
     tab = _table(q, p)
-    return tab.ms[p] if kind == "sin" else tab.mc[p]
+    return _mpf(tab.ms[p] if kind == "sin" else tab.mc[p], tab.bits)
 
 
 def log_trig_moment_mp(p: int, q: int, kind: str):
     """mpf value of I s^p ln(s) trig(q s/2) ds."""
     tab = _table(q, p)
-    return tab.ls[p] if kind == "sin" else tab.lc[p]
+    return _mpf(tab.ls[p] if kind == "sin" else tab.lc[p], tab.bits)
 
 
 def s_moment_mp(k: int, n: int, m: int):
@@ -196,38 +234,56 @@ def log_series_sum(kind: str, n: int, m: int, c: float, K: int) -> complex:
         return complex(0.0, 2.0 / pi) * float(total)
 
 
+def _fold_coefficients(c: float, K: int, bits: int) -> list[int]:
+    """round(2^bits (-1)^k (c/2)^{2k}/(k!)^2) for k = 0..K, each rounded once
+    from the exact binary value of c."""
+    num, den = c.as_integer_ratio()
+    step_num, step_den = -num * num, 4 * den * den
+    a, b = 1 << bits, 1
+    out = [a]
+    for k in range(1, K + 1):
+        a *= step_num
+        b *= step_den * k * k
+        out.append(_rdiv(a, b))
+    return out
+
+
 def log_series_matrix(kind: str, modes_m, modes_n, c: float, K: int) -> np.ndarray:
     """`log_series_sum` for every pair (m, n) in modes_m x modes_n.
 
     The series is folded into the per-frequency sums A_q, B_q, C_q (module
-    docstring), each accumulated in mpmath at the reference's working
-    precision and rounded once.  Off-diagonal pairs combine the rounded A_q
-    in one float expression; diagonal pairs combine in mpf and round once;
-    odd m+n pairs are exact zeros.
+    docstring), each an exact integer dot product of fixed-point coefficients
+    (`_series_dps` digits plus guard bits) with the fixed-point tables, and
+    rounded once.  Off-diagonal pairs combine the rounded A_q in one float
+    expression; diagonal pairs combine as integers and round once; odd m+n
+    pairs are exact zeros.
     """
     m = np.asarray(modes_m, dtype=int)
     n = np.asarray(modes_n, dtype=int)
     diag_q = set(m.tolist()) & set(n.tolist())
     A: dict[int, float] = {}
     diag: dict[int, float] = {}
-    with mp.workdps(_series_dps(c, K)):
-        ch2 = (mp.mpf(c) / 2) ** 2
-        coeffs = [mp.mpf(1)]
-        for k in range(1, K + 1):
-            coeffs.append(-coeffs[-1] * ch2 / (k * k))
-        for q in sorted(set(m.tolist()) | set(n.tolist())):
-            tab = _table(q, 2 * K + 1)
-            a = mp.fdot(coeffs, tab.ls[0:2 * K + 1:2])
-            A[q] = float(a)
-            if q not in diag_q:
-                continue
-            b = mp.fdot(coeffs, tab.lc[0:2 * K + 1:2])
-            cc = mp.fdot(coeffs, tab.lc[1:2 * K + 2:2])
-            if q == 0:  # sin(0 s/2) vanishes; the cos zero mode is P's own case
-                diag[q] = 0.0 if kind == "sin" else float(2 * (2 * mp.pi * b - cc))
-            else:
-                sgn = 1 if kind == "sin" else -1
-                diag[q] = float(2 * mp.pi * b - cc + sgn * 2 * a / q)
+    cbits = _bits(_series_dps(c, K))
+    coeffs = _fold_coefficients(c, K, cbits)
+    sgn = 1 if kind == "sin" else -1
+    for q in sorted(set(m.tolist()) | set(n.tolist())):
+        tab = _table(q, 2 * K + 1)
+        scale = cbits + tab.bits
+        a = sum(map(mul, coeffs, tab.ls[0:2 * K + 1:2]))
+        A[q] = a / (1 << scale)
+        if q not in diag_q:
+            continue
+        if q == 0 and kind == "sin":  # sin(0 s/2) vanishes
+            diag[q] = 0.0
+            continue
+        b = sum(map(mul, coeffs, tab.lc[0:2 * K + 1:2]))
+        cc = sum(map(mul, coeffs, tab.lc[1:2 * K + 2:2]))
+        # 2 pi B - C on the scale 2^(scale + bits)
+        core = tab.two_pi * b - (cc << tab.bits)
+        if q == 0:  # the cos zero mode is P's own case
+            diag[q] = 2 * core / (1 << (scale + tab.bits))
+        else:
+            diag[q] = (q * core + sgn * 2 * (a << tab.bits)) / (q << (scale + tab.bits))
     am = np.array([A[q] for q in m.tolist()])[:, None]
     an = np.array([A[q] for q in n.tolist()])[None, :]
     M, N = m[:, None], n[None, :]

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import assembly, oracle, postprocess, quadrature
+from . import _moments, assembly, oracle, postprocess, quadrature
 from .errors import CavityScatError
 from .model import IncidentWave, load_spec, spec_to_dict
 
@@ -65,6 +65,18 @@ def _fmt(v: float) -> str:
 def _solution_diag(sol) -> dict:
     return {"rcond": sol.rcond, "size": sol.layout.size,
             "warnings": list(sol.diagnostics)}
+
+
+def _series_diag(specs) -> dict:
+    """The log-series truncation K per cavity and the working digits of the
+    fold, each the maximum over the given specs."""
+    Ks, dps = [], 0
+    for s in specs:
+        scales = [s.wave.kappa0 * cav.w / (2.0 * pi) for cav in s.cavities]
+        row = [quadrature.bessel_truncation(c, s.quad) for c in scales]
+        dps = max(dps, *(_moments._series_dps(c, K) for c, K in zip(scales, row)))
+        Ks.append(row)
+    return {"bessel_K": [max(col) for col in zip(*Ks)], "series_dps": dps}
 
 
 def cmd_solve(args) -> int:
@@ -122,7 +134,7 @@ def cmd_rcs(args) -> int:
     _write_manifest(out, "rcs", args.spec,
                     {"angles": args.angles, "phi_min": args.phi_min, "phi_max": args.phi_max},
                     [path.name], time.perf_counter() - t0,
-                    {"rcond": sweep.rcond, "size": spec.K * spec.N})
+                    {"rcond": sweep.rcond, "size": spec.K * spec.N, **_series_diag([spec])})
     print(f"backscatter sweep over {args.angles} angles -> {path}")
     return EXIT_OK
 
@@ -149,8 +161,8 @@ def cmd_enhance(args) -> int:
     cavs = [args.cavity] if args.cavity is not None else list(range(spec.K))
     cols = {k: np.empty(len(kappas)) for k in cavs}
     rconds = np.empty(len(kappas))
-    for i, kap in enumerate(kappas):
-        sp = _rescaled_spec(spec, float(kap))
+    specs = [_rescaled_spec(spec, float(kap)) for kap in kappas]
+    for i, sp in enumerate(specs):
         tables, sol = assembly.solve(sp)
         rconds[i] = sol.rcond
         for k in cavs:
@@ -158,7 +170,8 @@ def cmd_enhance(args) -> int:
     path = out / "enhancement.csv"
     postprocess.export_enhancement(kappas, cols, path)
     diagnostics = {"size": assembly.ModeLayout(spec.polarization, spec.N, spec.K).size,
-                   "rcond_below_warn": int(np.count_nonzero(rconds < assembly.RCOND_WARN))}
+                   "rcond_below_warn": int(np.count_nonzero(rconds < assembly.RCOND_WARN)),
+                   **_series_diag(specs)}
     if len(kappas):
         worst = int(np.argmin(rconds))
         diagnostics.update(rcond_min=float(rconds[worst]), rcond_min_kappa=float(kappas[worst]))

@@ -25,6 +25,7 @@ Gauss with panels graded toward the facing edges when the gap is small.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import pi
 
 import numpy as np
@@ -47,11 +48,16 @@ class GaussRule:
         return len(self.nodes)
 
 
+@lru_cache(maxsize=None)
 def gauss_rule(q: int) -> GaussRule:
-    """Gauss-Legendre rule with q points; exact for polynomials of degree 2q-1."""
+    """Gauss-Legendre rule with q points; exact for polynomials of degree 2q-1.
+
+    Memoised: the nodes and weights are shared and read-only."""
     if q < 2:
         raise ValidationError("points_per_panel", f"Gauss order must be >= 2, got {q}")
     x, w = np.polynomial.legendre.leggauss(q)
+    x.setflags(write=False)
+    w.setflags(write=False)
     return GaussRule(nodes=x, weights=w)
 
 
@@ -73,19 +79,6 @@ def composite_nodes_edges(edges: np.ndarray, rule: GaussRule):
     pts = (lo[:, None] + 0.5 * h[:, None] * (rule.nodes[None, :] + 1.0)).ravel()
     wts = (0.5 * h[:, None] * rule.weights[None, :]).ravel()
     return pts, wts
-
-
-def composite_integral_1d(f, a: float, b: float, panels: int, rule: GaussRule):
-    pts, wts = composite_nodes(a, b, panels, rule)
-    return np.sum(wts * f(pts))
-
-
-def composite_integral_2d(f, panels: int, rule: GaussRule, a: float = 0.0, b: float = TWO_PI):
-    """Tensor-product composite Gauss of f(s, t) over [a, b]^2 (default [0, 2*pi]^2)."""
-    pts, wts = composite_nodes(a, b, panels, rule)
-    S, T = np.meshgrid(pts, pts, indexing="ij")
-    vals = f(S, T)
-    return wts @ vals @ wts
 
 
 # ---------------------------------------------------------------------------

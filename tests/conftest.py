@@ -7,6 +7,7 @@ from math import pi
 import cavityscat as cs
 from cavityscat.modal import _cexpm1
 from cavityscat.model import QuadratureConfig
+from cavityscat.quadrature import composite_nodes
 
 
 def example1_spec(polarization: str, N: int = 30, panels: int = 32) -> cs.ProblemSpec:
@@ -82,3 +83,16 @@ def scalar_aperture_phase(alpha: float, cav, m: int, kind: str) -> complex:
     ip, im = phase(alpha + mu), phase(alpha - mu)
     trig = (ip - im) / 2j if kind == "sin" else (ip + im) / 2.0
     return cmath.exp(1j * alpha * cav.a) * trig
+
+
+def composite_integral_1d(f, a: float, b: float, panels: int, rule) -> complex:
+    """Composite Gauss of f over [a, b] with uniform panels."""
+    pts, wts = composite_nodes(a, b, panels, rule)
+    return np.sum(wts * f(pts))
+
+
+def composite_integral_2d(f, panels: int, rule, a: float = 0.0, b: float = 2 * pi):
+    """Tensor-product composite Gauss of f(s, t) over [a, b]^2 (default [0, 2*pi]^2)."""
+    pts, wts = composite_nodes(a, b, panels, rule)
+    S, T = np.meshgrid(pts, pts, indexing="ij")
+    return wts @ f(S, T) @ wts

@@ -9,9 +9,10 @@ from cavityscat.assembly import (SystemFactorization, aperture_phases, build_sys
 from cavityscat.errors import SingularSystemError
 from cavityscat.modal import build_modal_tables, single_layer_impedance_tm
 from cavityscat.model import QuadratureConfig
-from cavityscat.quadrature import SingularBlockCache, composite_integral_1d, gauss_rule
+from cavityscat.quadrature import SingularBlockCache, gauss_rule
 
-from conftest import example1_spec, example4_spec, scalar_aperture_phase
+from conftest import (composite_integral_1d, example1_spec, example4_spec,
+                      scalar_aperture_phase)
 
 
 def test_incident_te_normal_incidence_m0():

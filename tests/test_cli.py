@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 import cavityscat as cs
-from cavityscat import cli
+from cavityscat import _moments, cli, quadrature
 from cavityscat.model import QuadratureConfig
 
-from conftest import example1_spec
+from conftest import example1_spec, example4_spec
 
 
 def _write_spec(tmp_path, spec, name="spec.json"):
@@ -76,6 +76,8 @@ def test_rcs_subcommand_and_te_rejection(tmp_path):
     # the rcond of the one factorization that serves every angle
     _, sol = cs.solve(cs.load_spec(spec_path))
     assert diag["rcond"] == sol.rcond and 0.0 < diag["rcond"] <= 1.0
+    # the log-series truncation and the fold's working digits at c = 1.5/(2 pi)
+    assert diag["bessel_K"] == [10] and diag["series_dps"] == 40
 
     te_path = _write_spec(tmp_path, _tiny_te(), "te.json")
     code = cli.main(["rcs", "--spec", str(te_path), "--out", str(tmp_path / "out2")])
@@ -110,6 +112,19 @@ def test_enhance_subcommand(tmp_path, monkeypatch):
     assert diag["rcond_min"] == min(factorizations)
     assert diag["rcond_min_kappa"] == kappas[int(np.argmin(factorizations))]
     assert diag["rcond_below_warn"] == 0
+    assert diag["bessel_K"] == [8] and diag["series_dps"] == 40
+
+
+def test_series_diag_takes_maxima_per_cavity():
+    # three apertures (w = 0.5, 0.2, 0.3) at two wavenumbers: K per cavity and
+    # the fold's digits are the maxima over the specs
+    specs = [example4_spec("TM", kappa0=k, N=4, panels=8) for k in (4 * pi, 40 * pi)]
+    diag = cli._series_diag(specs)
+    scales = [40 * pi * cav.w / (2 * pi) for cav in specs[1].cavities]
+    Ks = [quadrature.bessel_truncation(c, specs[1].quad) for c in scales]
+    assert diag["bessel_K"] == Ks and Ks[0] > Ks[2] > Ks[1] > 8
+    assert diag["series_dps"] == _moments._series_dps(scales[0], Ks[0])
+    assert cli._series_diag(specs[:1]) == {"bessel_K": [19, 12, 15], "series_dps": 59}
 
 
 def test_convergence_subcommand(tmp_path):

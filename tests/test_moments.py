@@ -1,6 +1,10 @@
 """Gauss rules, the exact moment families and their downward recursions.
 
-The moment identities live in `oracle` as consistency checks on `_moments`."""
+The moment identities live in `oracle` as consistency checks on `_moments`.
+The fixed-point tables and the integer fold are checked against the mpf
+upward recurrence and the mpf fold kept here as references."""
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -8,9 +12,12 @@ from math import factorial, log, pi
 
 import mpmath as mp
 
+from cavityscat import _moments
 from cavityscat import oracle as o
 from cavityscat import quadrature as q
 from cavityscat.errors import ValidationError
+
+from conftest import composite_integral_1d, composite_integral_2d
 
 TWO_PI = 2 * pi
 # mpmath dps=30 references
@@ -35,17 +42,25 @@ def test_gauss_rule_degree_exactness():
         q.gauss_rule(1)
 
 
+def test_gauss_rule_is_cached_and_read_only():
+    rule = q.gauss_rule(6)
+    assert q.gauss_rule(6) is rule
+    for arr in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
 def test_composite_1d_periodic_and_exponential():
     rule = q.gauss_rule(4)
-    assert abs(q.composite_integral_1d(np.sin, 0, TWO_PI, 4, rule)) <= 1e-12
+    assert abs(composite_integral_1d(np.sin, 0, TWO_PI, 4, rule)) <= 1e-12
     want = 534.491655524764736503049329589  # e^{2 pi} - 1
-    got = q.composite_integral_1d(np.exp, 0, TWO_PI, 8, rule)
+    got = composite_integral_1d(np.exp, 0, TWO_PI, 8, rule)
     assert abs(got - want) <= 1e-10 * want
 
 
 def test_composite_2d():
     rule = q.gauss_rule(4)
-    got = q.composite_integral_2d(lambda s, t: np.sin(s) * np.cos(t / 2), 6, rule)
+    got = composite_integral_2d(lambda s, t: np.sin(s) * np.cos(t / 2), 6, rule)
     # I sin(s) ds * I cos(t/2) dt = 0 * 0 = 0
     assert abs(got) <= 1e-12
 
@@ -65,7 +80,7 @@ def test_poly_trig_by_parts_value():
     got = o.poly_trig_integral(1, 1, "sin")
     assert abs(got - INT_S_SIN_HALF) <= 1e-14 * INT_S_SIN_HALF
     rule = q.gauss_rule(8)
-    gauss = q.composite_integral_1d(lambda s: s * np.sin(s / 2), 0, TWO_PI, 16, rule)
+    gauss = composite_integral_1d(lambda s: s * np.sin(s / 2), 0, TWO_PI, 16, rule)
     assert abs(got - gauss) <= 1e-11 * abs(got)
 
 
@@ -77,7 +92,7 @@ def test_poly_trig_against_gauss_sweep():
         n = int(rng.integers(0, 12))
         kind = "sin" if rng.integers(2) else "cos"
         f = np.sin if kind == "sin" else np.cos
-        want = q.composite_integral_1d(lambda s: s ** p * f(0.5 * n * s), 0, TWO_PI, 32, rule)
+        want = composite_integral_1d(lambda s: s ** p * f(0.5 * n * s), 0, TWO_PI, 32, rule)
         got = o.poly_trig_integral(p, n, kind)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want)), (p, n, kind)
 
@@ -96,7 +111,7 @@ def test_double_poly_trig_against_2d_gauss():
                               (3, 2, 2, "cos", "cos"), (4, 0, 3, "cos", "sin")]:
         fs = np.sin if ks == "sin" else np.cos
         ft = np.sin if kt == "sin" else np.cos
-        want = q.composite_integral_2d(
+        want = composite_integral_2d(
             lambda s, t: fs(0.5 * n * s) * (t - s) ** k * ft(0.5 * m * t), 24, rule)
         got = o.double_poly_trig(k, n, m, ks, kt)
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (k, n, m)
@@ -206,7 +221,6 @@ def test_bessel_truncation_rule():
 def test_folded_log_series_matches_per_pair(N, c):
     # the per-frequency fold against the per-pair mpmath series, on the
     # diagonal, the zero-mode row/column and a sample of off-diagonal pairs
-    from cavityscat import _moments
     K = _moments.bessel_K_for(c, 8)
     rng = np.random.default_rng(N)
     sample = rng.integers(0, N + 1, size=(80, 2)).tolist()
@@ -218,14 +232,13 @@ def test_folded_log_series_matches_per_pair(N, c):
         got = np.array([folded[m - lo, n - lo] for m, n in pairs])
         want = np.array([_moments.log_series_sum(kind, n, m, c, K) for m, n in pairs])
         assert np.array_equal(got == 0, want == 0), (kind, N, c)
-        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), (kind, N, c)
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want), (kind, N, c)
         diag = np.array([folded[i, i] for i in range(len(modes))])
         ref = want[:len(modes)]
-        assert np.all(np.abs(diag - ref) <= 1e-14 * np.abs(ref)), (kind, N, c)
+        assert np.all(np.abs(diag - ref) <= 1e-15 * np.abs(ref)), (kind, N, c)
 
 
 def test_folded_log_series_zero_modes_and_parity():
-    from cavityscat import _moments
     K = _moments.bessel_K_for(1.0, 8)
     sin = _moments.log_series_matrix("sin", [0, 1, 2, 3], [0, 1, 2, 3, 4], 1.0, K)
     assert np.all(sin[0] == 0) and np.all(sin[:, 0] == 0)  # sin(0 s/2) vanishes
@@ -237,3 +250,132 @@ def test_folded_log_series_zero_modes_and_parity():
                 assert cos[i, j] == 0
             else:
                 assert abs(cos[i, j] - want) <= 1e-15 * abs(want), (m, n)
+
+
+# ---------------------------------------------------------------------------
+# Fixed-point tables and the integer fold against mpf references
+
+
+@lru_cache(maxsize=None)
+def _mpf_tables(q_: int, pmax: int, dps: int):
+    """(m_s, m_c, l_s, l_c) for p = 0..pmax by the upward recurrence (the
+    q = 0 closed forms) in mpf arithmetic at dps digits."""
+    with mp.workdps(dps):
+        two_pi = 2 * mp.pi
+        lt = mp.log(two_pi)
+        ms = [mp.mpf(0)] * (pmax + 1)
+        mc, ls, lc = list(ms), list(ms), list(ms)
+        if q_ == 0:
+            for p in range(pmax + 1):
+                mc[p] = two_pi ** (p + 1) / (p + 1)
+                lc[p] = two_pi ** (p + 1) * (lt / (p + 1) - mp.mpf(1) / (p + 1) ** 2)
+        else:
+            sgn = -1 if q_ % 2 else 1
+            ms[0] = mp.mpf(2) / q_ * (1 - sgn)
+            si = mp.si(q_ * mp.pi)
+            cin = mp.euler + mp.log(q_ * mp.pi) - mp.ci(q_ * mp.pi)
+            lc[0] = -2 * si / q_
+            ls[0] = (mp.mpf(2) / q_) * (lt * (1 - sgn) - cin)
+            for p in range(1, pmax + 1):
+                mc[p] = -(mp.mpf(2) * p / q_) * ms[p - 1]
+                ms[p] = -(mp.mpf(2) / q_) * sgn * two_pi ** p + (mp.mpf(2) * p / q_) * mc[p - 1]
+                lc[p] = -(mp.mpf(2) * p / q_) * ls[p - 1] - (mp.mpf(2) / q_) * ms[p - 1]
+                ls[p] = (-(mp.mpf(2) / q_) * sgn * two_pi ** p * lt
+                         + (mp.mpf(2) * p / q_) * lc[p - 1] + (mp.mpf(2) / q_) * mc[p - 1])
+    return ms, mc, ls, lc
+
+
+def _mpf_log_series_matrix(kind, modes, c, K, extra):
+    """The fold with mpf tables and mpf sums (`mp.fdot`), every working
+    precision `extra` digits above the production one; the same float
+    combination off the diagonal."""
+    pmax = max(2 * K + 1, 16)
+    A, diag = {}, {}
+    with mp.workdps(_moments._series_dps(c, K) + extra):
+        ch2 = (mp.mpf(c) / 2) ** 2
+        coeffs = [mp.mpf(1)]
+        for k in range(1, K + 1):
+            coeffs.append(-coeffs[-1] * ch2 / (k * k))
+        for q_ in modes:
+            _, _, ls, lc = _mpf_tables(q_, pmax, _moments._dps_for(pmax, q_) + extra)
+            a = mp.fdot(coeffs, ls[0:2 * K + 1:2])
+            b = mp.fdot(coeffs, lc[0:2 * K + 1:2])
+            cc = mp.fdot(coeffs, lc[1:2 * K + 2:2])
+            A[q_] = float(a)
+            if q_ == 0:
+                diag[q_] = 0.0 if kind == "sin" else float(2 * (2 * mp.pi * b - cc))
+            else:
+                sgn = 1 if kind == "sin" else -1
+                diag[q_] = float(2 * mp.pi * b - cc + sgn * 2 * a / q_)
+    m = np.asarray(modes)
+    M, N = m[:, None], m[None, :]
+    am, an = np.array([A[x] for x in modes])[:, None], np.array([A[x] for x in modes])[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if kind == "sin":
+            out = 4.0 / (M * M - N * N) * (M * an - N * am)
+        else:
+            out = 4.0 / (M * M - N * N) * (N * an - M * am)
+    out[np.diag_indices(len(modes))] = [diag[x] for x in modes]
+    out[(M + N) % 2 == 1] = 0.0
+    return (2j / pi) * out
+
+
+def test_rdiv_rounds_to_nearest():
+    rdiv = _moments._rdiv
+    assert [rdiv(a, 4) for a in (5, 6, 7, -5, -6, -7)] == [1, 2, 2, -1, -1, -2]
+    assert [rdiv(a, 3) for a in (4, 5, -4, -5, 0)] == [1, 2, -1, -2, 0]
+    big = 3 ** 200
+    assert rdiv(big * 7 + 3, 7) == big and rdiv(big * 7 + 4, 7) == big + 1
+
+
+@pytest.mark.parametrize("q_", [0, 1, 2, 7, 150])
+def test_fixed_point_tables_match_mpf_recurrence(q_):
+    # the fixed-point tables against the mpf chain at +40 digits; their guard
+    # bits make them more accurate than the mpf chain at the same digits
+    pmax = 2 * 82 + 1
+    tab = _moments._table(q_, pmax)
+    dps = _moments._dps_for(tab.pmax, q_)
+    ref = _mpf_tables(q_, tab.pmax, dps + 40)
+    same = _mpf_tables(q_, tab.pmax, dps)
+    worst = worst_same = 0.0
+    with mp.workdps(dps + 60):
+        for i, (family, kind) in enumerate([(_moments.trig_moment_mp, "sin"),
+                                            (_moments.trig_moment_mp, "cos"),
+                                            (_moments.log_trig_moment_mp, "sin"),
+                                            (_moments.log_trig_moment_mp, "cos")]):
+            ints = (tab.ms, tab.mc, tab.ls, tab.lc)[i]
+            for p in range(pmax + 1):
+                got = family(p, q_, kind)
+                assert mp.ldexp(got, tab.bits) == ints[p]  # exact, no rounding
+                scale = max(abs(ref[i][p]), 1)
+                worst = max(worst, float(abs(got - ref[i][p]) / scale))
+                worst_same = max(worst_same, float(abs(same[i][p] - ref[i][p]) / scale))
+    assert worst <= 1e-3 * worst_same, (q_, worst, worst_same)
+    assert worst <= 10.0 ** -(_moments._TABLE_DPS_MARGIN + 1)
+
+
+PR3_SET = [(30, 0.24), (150, 1.0), (40, 4.0), (60, 8.0)]
+
+
+@pytest.mark.parametrize("N, c", PR3_SET)
+def test_integer_fold_matches_mpf_fold(N, c):
+    K = _moments.bessel_K_for(c, 8)
+    for kind, lo in (("sin", 1), ("cos", 0)):
+        modes = list(range(lo, N + 1))
+        got = _moments.log_series_matrix(kind, modes, modes, c, K)
+        want = _mpf_log_series_matrix(kind, modes, c, K, 0)
+        assert np.array_equal(got == 0, want == 0), (kind, N, c)
+        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want), (kind, N, c)
+
+
+def test_zero_mode_fold_against_80_digit_reference():
+    # the q = 0 entries reach (2 pi)^{2K+2} and the fold cancels against them:
+    # at c = 8 (K = 82) 30 fixed digits left the cos zero mode 2.4e-11 off
+    c, N = 8.0, 60
+    K = _moments.bessel_K_for(c, 8)
+    assert K == 82
+    modes = list(range(N + 1))
+    got = _moments.log_series_matrix("cos", modes, modes, c, K)
+    want = _mpf_log_series_matrix("cos", modes, c, K, 80)
+    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+    assert abs(got[0, 0] - want[0, 0]) <= 1e-15 * abs(want[0, 0])

@@ -8,7 +8,9 @@ import cavityscat as cs
 from cavityscat.errors import ModalResonanceError
 from cavityscat.oracle import (dense_tridiag_check, fd_interior_check,
                                graded_singular_integral, kernel_block)
-from cavityscat.quadrature import composite_integral_2d, gauss_rule
+from cavityscat.quadrature import gauss_rule
+
+from conftest import composite_integral_2d
 
 P1_00 = 13.338851926643350720279786356  # 4 pi^2 (ln 2pi - 3/2), mpmath dps=30
 
