@@ -127,8 +127,8 @@ def build_system(spec: ProblemSpec, tables: ModalTables | None = None,
     if spec.polarization == "TM":
         for k, cav in enumerate(spec.cavities):
             sl = layout.block_slice(k)
-            imped = np.array([tables.connection(k, n).impedance for n in layout.modes])
-            lhs[sl, sl] = np.diag(0.5 * cav.w * imped) - _tm_diag_block(spec, cache, k)
+            lhs[sl, sl] = (np.diag(0.5 * cav.w * tables.cavities[k].impedance)
+                           - _tm_diag_block(spec, cache, k))
             # F_k(m) = -2 i beta I_0^w e^{i alpha (x + a)} sin(m pi x/w) dx
             rhs[sl] = -2j * wave.beta * aperture_phases(wave.alpha, cav, layout.modes, "sin")[0]
         for k, j in pairs:
@@ -137,14 +137,12 @@ def build_system(spec: ProblemSpec, tables: ModalTables | None = None,
             lhs[layout.block_slice(j), layout.block_slice(k)] = -cross.T
     else:
         modes = np.array(layout.modes)
-        t_hats = []
+        t_hats = [conn.impedance for conn in tables.cavities]
         for k, cav in enumerate(spec.cavities):
             sl = layout.block_slice(k)
             c = k0 * cav.w / (2.0 * pi)
             cos_b = cache.matrix("cos", modes, c)
-            t_hat = np.array([tables.connection(k, n).impedance for n in layout.modes])
-            t_hats.append(t_hat)
-            mhat = (-0.5j) * (cav.w / (2.0 * pi)) ** 2 * cos_b * t_hat[None, :]
+            mhat = (-0.5j) * (cav.w / (2.0 * pi)) ** 2 * cos_b * t_hats[k][None, :]
             dvec = np.full(layout.block, 0.5 * cav.w)
             dvec[0] = cav.w
             lhs[sl, sl] = np.diag(dvec) - mhat

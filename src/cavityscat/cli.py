@@ -21,8 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import _moments, assembly, oracle, postprocess, quadrature
-from .errors import CavityScatError
+from .errors import (CavityScatError, ConnectionResonanceError, ModalResonanceError,
+                     SingularSystemError)
 from .model import IncidentWave, load_spec, spec_to_dict
+from .postprocess import _fmt
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -44,11 +46,21 @@ class RunManifest:
     schema: int = 1
 
     def write(self, out_dir: Path) -> None:
+        """Strict JSON: non-finite floats (a NaN fitted order, say) become null."""
         tmp = out_dir / "manifest.json.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
+            json.dump(_finite_or_null(asdict(self)), fh, indent=2, sort_keys=True,
+                      allow_nan=False)
             fh.write("\n")
         os.replace(tmp, out_dir / "manifest.json")
+
+
+def _finite_or_null(obj):
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return None if isinstance(obj, float) and not np.isfinite(obj) else obj
 
 
 def _write_manifest(out_dir: Path, subcommand: str, spec_path, resolved: dict,
@@ -56,10 +68,6 @@ def _write_manifest(out_dir: Path, subcommand: str, spec_path, resolved: dict,
     RunManifest(subcommand=subcommand, spec=str(spec_path) if spec_path else None,
                 resolved=resolved, outputs=outputs, wall_time_s=wall_time,
                 diagnostics=diagnostics).write(out_dir)
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 def _solution_diag(sol) -> dict:
@@ -159,21 +167,23 @@ def cmd_enhance(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     kappas = np.linspace(args.kappa_min, args.kappa_max, args.kappa_steps)
     cavs = [args.cavity] if args.cavity is not None else list(range(spec.K))
-    cols = {k: np.empty(len(kappas)) for k in cavs}
-    rconds = np.empty(len(kappas))
+    rows = np.full((len(kappas), 1 + len(cavs)), np.nan)  # rcond, then Q_E per cavity
+    failed = []
     specs = [_rescaled_spec(spec, float(kap)) for kap in kappas]
     for i, sp in enumerate(specs):
-        tables, sol = assembly.solve(sp)
-        rconds[i] = sol.rcond
-        for k in cavs:
-            cols[k][i] = postprocess.enhancement(sp, tables, sol, k)
+        try:  # a failed wavenumber leaves NaN in its row and a record in the manifest
+            tables, sol = assembly.solve(sp)
+            rows[i] = [sol.rcond] + [postprocess.enhancement(sp, tables, sol, k) for k in cavs]
+        except (ModalResonanceError, ConnectionResonanceError, SingularSystemError) as exc:
+            failed.append({"kappa": float(kappas[i]), "error": str(exc)})
+    rconds = rows[:, 0]
     path = out / "enhancement.csv"
-    postprocess.export_enhancement(kappas, cols, path)
+    postprocess.export_enhancement(kappas, dict(zip(cavs, rows[:, 1:].T)), path)
     diagnostics = {"size": assembly.ModeLayout(spec.polarization, spec.N, spec.K).size,
                    "rcond_below_warn": int(np.count_nonzero(rconds < assembly.RCOND_WARN)),
-                   **_series_diag(specs)}
-    if len(kappas):
-        worst = int(np.argmin(rconds))
+                   "failed": failed, **_series_diag(specs)}
+    if len(failed) < len(kappas):
+        worst = int(np.nanargmin(rconds))
         diagnostics.update(rcond_min=float(rconds[worst]), rcond_min_kappa=float(kappas[worst]))
     _write_manifest(out, "enhance", args.spec,
                     {"kappa_min": args.kappa_min, "kappa_max": args.kappa_max,

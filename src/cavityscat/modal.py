@@ -1,5 +1,5 @@
-"""Per-mode vertical wavenumbers, layer coefficients, connection solves, and
-the mode profiles inside a layer.
+"""Vertical wavenumbers, layer coefficients, connection solves, and the mode
+profiles inside a layer, for arrays of modes.
 
 Index conventions match the layered geometry: inside a cavity of width w the
 n-th mode has vertical wavenumber beta_l = (kappa_l^2 - (n pi/w)^2)^{1/2}
@@ -11,13 +11,18 @@ with Im beta >= 0 in layer l, and the layer coefficient pair
 degenerating to a = -1/h, b = 1/h at beta = 0.  All exponential ratios are
 evaluated with the dominant factor e^{i beta h} divided out so deep lossy or
 evanescent layers cannot overflow.
+
+Every mode reduces to the same tri-diagonal unit-load problem, so the
+functions take an array of mode numbers (one number gives 0-d results): a
+cavity's betas, a and b are (modes x layers) arrays, and one elimination over
+the layers solves all modes.  TM is TE's elimination with unit weights in
+place of 1/kappa_l^2 and a zero at the PEC bottom.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,165 +42,159 @@ def mode_numbers(polarization: str, N: int) -> range:
 
 @dataclass(frozen=True)
 class ModeCoefficients:
-    n: int
-    betas: tuple[complex, ...]
-    a: tuple[complex, ...]
-    b: tuple[complex, ...]
+    """One cavity's modes n: betas, a and b (one row per mode, one column per
+    layer) and, once the connection systems are solved, u_hat on the interior
+    interfaces (L-1 of them for TM; L for TE, bottom included) and the
+    aperture impedances (s_hat for TM, t_hat for TE)."""
 
-
-@dataclass(frozen=True)
-class ConnectionSolution:
-    """Unit-load connection solve: u_hat on interior interfaces, plus the
-    aperture impedance coefficient (s_hat for TM, t_hat for TE)."""
-
-    u_hat: tuple[complex, ...]
-    impedance: complex
+    n: np.ndarray
+    betas: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    u_hat: np.ndarray | None = None
+    impedance: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class ModalTables:
-    """(cavity index, mode) -> (ModeCoefficients, ConnectionSolution)."""
+    """The solved ModeCoefficients of every cavity, over every mode."""
 
     polarization: str
     N: int
-    entries: dict
-
-    def coeffs(self, k: int, n: int) -> ModeCoefficients:
-        return self.entries[(k, n)][0]
-
-    def connection(self, k: int, n: int) -> ConnectionSolution:
-        return self.entries[(k, n)][1]
+    cavities: tuple[ModeCoefficients, ...]
 
     def modes(self) -> range:
         return mode_numbers(self.polarization, self.N)
 
 
-def _cexpm1(z: complex) -> complex:
-    """exp(z) - 1 without cancellation for small |z|."""
-    if abs(z) < 0.5:
-        term = z
-        acc = z
-        for k in range(2, 24):
-            term = term * z / k
-            acc += term
-            if abs(term) <= 1e-18 * abs(acc):
-                break
-        return acc
-    return cmath.exp(z) - 1.0
+def beta(kappa, w: float, n):
+    """Principal vertical wavenumbers (kappa^2 - (n pi/w)^2)^{1/2} with Im >= 0,
+    for kappa and n broadcast against each other.
 
-
-def beta(kappa: complex, w: float, n: int) -> complex:
-    """Principal vertical wavenumber (kappa^2 - (n pi/w)^2)^{1/2} with Im >= 0.
-
-    Returns exactly 0 when kappa is real with kappa*w = n*pi, and routes
-    near-zero values (|beta| below 1e-14 of the mode scale) to zero so the
-    callers' beta = 0 branch takes over.
+    Exactly 0 where kappa is real with kappa*w = n*pi; near-zero values (|beta|
+    below 1e-14 of the mode scale) are routed to zero so the callers' beta = 0
+    branch takes over.
     """
-    mu = n * math.pi / w
-    if kappa.imag == 0.0 and kappa.real * w == n * math.pi:
-        return 0.0 + 0.0j
-    z = kappa * kappa - mu * mu
-    root = cmath.sqrt(z)
-    if root.imag < 0.0:
-        root = -root
-    scale = max(abs(kappa), mu)
-    if abs(root) <= _BETA_ZERO_RTOL * scale:
-        return 0.0 + 0.0j
-    return root
+    kappa = np.asarray(kappa, dtype=complex)
+    npi = np.asarray(n) * math.pi
+    mu = npi / w
+    root = np.sqrt(kappa * kappa - mu * mu)
+    root = np.where(root.imag < 0.0, -root, root)
+    zero = (((kappa.imag == 0.0) & (kappa.real * w == npi))
+            | (np.abs(root) <= _BETA_ZERO_RTOL * np.maximum(np.abs(kappa), mu)))
+    return np.where(zero, 0j, root)
 
 
-def layer_coeffs(beta_l: complex, h: float, *, mode: int = -1, layer: int = -1,
-                 cavity: int | None = None) -> tuple[complex, complex]:
-    """Diagonal/off-diagonal layer coefficients (a_l, b_l) for thickness h < 0."""
-    if beta_l == 0:
-        return (-1.0 / h, 1.0 / h)
-    r = cmath.exp(-2j * beta_l * h)  # |r| <= 1 for Im beta >= 0, h < 0
-    one_minus_r = -_cexpm1(-2j * beta_l * h)
-    if abs(one_minus_r) <= _RESONANCE_RTOL * (1.0 + abs(r)):
-        raise ModalResonanceError(mode, layer, cavity)
-    e_small = cmath.exp(-1j * beta_l * h)  # the subdominant exponential, |.| <= 1
-    a = -2j * beta_l * e_small / one_minus_r
-    b = 1j * beta_l * (1.0 + r) / one_minus_r
-    return (a, b)
+def _layer_factors(betas, h, modes, layers, cavity):
+    """The beta = 0 mask, i beta (beta = 1j, never resonant, on masked
+    entries) and 1 - r = 1 - e^{-2 i beta h} from complex expm1: what every
+    layer formula shares.  betas (modes on the first axis, layers on the
+    last) broadcast against the thicknesses h.  A resonant entry raises
+    ModalResonanceError naming the smallest such mode, then its layer
+    (`layers[column]`, or the column itself), and the cavity."""
+    flat = betas == 0
+    ib = 1j * np.where(flat, 1j, betas)
+    one_minus_r = -np.expm1(-2.0 * ib * h)
+    resonant = ~flat & (np.abs(one_minus_r) <= _RESONANCE_RTOL * (1.0 + np.abs(1.0 - one_minus_r)))
+    if np.any(resonant):
+        i, col = np.argwhere(np.atleast_2d(resonant))[0]
+        raise ModalResonanceError(int(np.ravel(modes)[i]),
+                                  int(col if layers is None else layers[col]), cavity)
+    return flat, ib, one_minus_r
 
 
-def mode_coefficients(cavity: Cavity, n: int, *, cavity_index: int | None = None) -> ModeCoefficients:
-    betas, avals, bvals = [], [], []
-    for li, lay in enumerate(cavity.layers):
-        bl = beta(lay.kappa, cavity.w, n)
-        al, bbl = layer_coeffs(bl, lay.h, mode=n, layer=li, cavity=cavity_index)
-        betas.append(bl)
-        avals.append(al)
-        bvals.append(bbl)
-    return ModeCoefficients(n=n, betas=tuple(betas), a=tuple(avals), b=tuple(bvals))
+def layer_coeffs(betas, h, *, modes=-1, cavity: int | None = None):
+    """Diagonal/off-diagonal layer coefficients (a_l, b_l) for thicknesses h < 0.
+
+    betas hold one row per mode and one column per layer, h one entry per
+    layer; scalars give 0-d results.  `modes` names the rows in a
+    ModalResonanceError.
+    """
+    flat, ib, one_minus_r = _layer_factors(np.asarray(betas, complex), h, modes, None, cavity)
+    r = np.exp(-2.0 * ib * h)  # |r| <= 1 for Im beta >= 0, h < 0
+    e_small = np.exp(-ib * h)  # the subdominant exponential, |.| <= 1
+    a = np.where(flat, -1.0 / h, -2.0 * ib * e_small / one_minus_r)
+    b = np.where(flat, 1.0 / h, ib * (1.0 + r) / one_minus_r)
+    return a, b
 
 
-def _thomas(diag, lower, upper, rhs, *, mode: int, cavity: int | None):
-    """Solve a tri-diagonal system in place; structured error on a tiny pivot."""
-    L = len(diag)
-    d = list(diag)
-    r = list(rhs)
-    scale = max(max(abs(v) for v in diag), max((abs(v) for v in upper), default=0.0), 1e-300)
-    for i in range(1, L):
-        if abs(d[i - 1]) <= 1e-300 + 1e-15 * scale:
-            raise ConnectionResonanceError(mode, cavity)
-        m = lower[i - 1] / d[i - 1]
-        d[i] = d[i] - m * upper[i - 1]
-        r[i] = r[i] - m * r[i - 1]
-    if abs(d[L - 1]) <= 1e-300 + 1e-15 * scale:
-        raise ConnectionResonanceError(mode, cavity)
-    x = [0j] * L
-    x[L - 1] = r[L - 1] / d[L - 1]
-    for i in range(L - 2, -1, -1):
-        x[i] = (r[i] - upper[i] * x[i + 1]) / d[i]
-    return x
+def mode_coefficients(cavity: Cavity, n, *, cavity_index: int | None = None) -> ModeCoefficients:
+    """Vertical wavenumbers and layer coefficients of the modes n in every layer."""
+    n = np.asarray(n)
+    betas = beta(np.array([lay.kappa for lay in cavity.layers]), cavity.w, n[..., None])
+    a, b = layer_coeffs(betas, np.array([lay.h for lay in cavity.layers]), modes=n,
+                        cavity=cavity_index)
+    return ModeCoefficients(n=n, betas=betas, a=a, b=b)
 
 
-def connection_tm(cavity: Cavity, n: int, *, cavity_index: int | None = None,
-                  coeffs: ModeCoefficients | None = None) -> ConnectionSolution:
-    """TM connection solve with unit load; impedance s_hat = -b_1 + a_1^2 u_hat_1."""
-    mc = coeffs or mode_coefficients(cavity, n, cavity_index=cavity_index)
-    L = cavity.L
-    if L == 1:
-        return ConnectionSolution(u_hat=(), impedance=-mc.b[0])
-    diag = [mc.b[l] + mc.b[l + 1] for l in range(L - 1)]
-    off = [mc.a[l + 1] for l in range(L - 2)]
-    rhs = [1.0 + 0j] + [0j] * (L - 2)
-    u_hat = _thomas(diag, off, off, rhs, mode=n, cavity=cavity_index)
-    s_hat = -mc.b[0] + mc.a[0] * mc.a[0] * u_hat[0]
-    return ConnectionSolution(u_hat=tuple(u_hat), impedance=s_hat)
+def _connection(cavity: Cavity, n, weights, factor, dim: int, cavity_index, coeffs):
+    """coeffs (built for the modes n when None) with u_hat, the solution of
+    T u_hat = e_1 for every mode at once, and the impedances
+    factor [a_1^2 u_hat_1 / g_1 - b_1].  T is the leading dim x dim block of
+    the symmetric tri-diagonal matrix with diagonal b_l/g_l + b_{l+1}/g_{l+1}
+    (b_L/g_L = 0) and off-diagonal a_{l+1}/g_{l+1}, g the layer weights.
+
+    The elimination loops over layers only.  A pivot at most 1e-15 of its
+    mode's largest entry raises ConnectionResonanceError naming the smallest
+    such mode.
+    """
+    mc = coeffs if coeffs is not None else mode_coefficients(cavity, n, cavity_index=cavity_index)
+    d = mc.b / weights
+    d[..., :-1] += d[..., 1:]
+    d, off = d[..., :dim], (mc.a / weights)[..., 1:dim]
+    tiny = 1e-300 + 1e-15 * np.maximum(np.abs(d).max(-1, initial=1e-300),
+                                       np.abs(off).max(-1, initial=0.0))
+    u = np.zeros_like(d)
+    u[..., :1] = 1.0
+    bad = np.zeros(d.shape[:-1], dtype=bool)
+    for i in range(1, dim):
+        bad |= np.abs(d[..., i - 1]) <= tiny
+        m = off[..., i - 1] / np.where(bad, 1.0, d[..., i - 1])
+        d[..., i] -= m * off[..., i - 1]
+        u[..., i] -= m * u[..., i - 1]
+    if dim:
+        bad |= np.abs(d[..., -1]) <= tiny
+    if np.any(bad):
+        raise ConnectionResonanceError(int(np.ravel(mc.n)[np.argmax(np.ravel(bad))]),
+                                       cavity_index)
+    for i in reversed(range(dim)):  # back substitution, in place
+        if i + 1 < dim:
+            u[..., i] -= off[..., i] * u[..., i + 1]
+        u[..., i] /= d[..., i]
+    a1, u1 = mc.a[..., 0], u[..., 0] if dim else 0.0
+    return replace(mc, u_hat=u, impedance=factor * (a1 * a1 * u1 / weights[0] - mc.b[..., 0]))
 
 
-def connection_te(cavity: Cavity, n: int, kappa0: float, *, cavity_index: int | None = None,
-                  coeffs: ModeCoefficients | None = None) -> ConnectionSolution:
-    """TE connection solve (1/kappa^2-weighted fluxes); impedance
+def connection_tm(cavity: Cavity, n, *, cavity_index: int | None = None,
+                  coeffs: ModeCoefficients | None = None) -> ModeCoefficients:
+    """TM connection solves with unit load; impedance s_hat = -b_1 + a_1^2 u_hat_1."""
+    return _connection(cavity, n, np.ones(cavity.L), 1.0, cavity.L - 1, cavity_index, coeffs)
+
+
+def connection_te(cavity: Cavity, n, kappa0: float, *, cavity_index: int | None = None,
+                  coeffs: ModeCoefficients | None = None) -> ModeCoefficients:
+    """TE connection solves (1/kappa^2-weighted fluxes); impedance
     t_hat = (kappa0/kappa_1)^2 [a_1^2 u_hat_1 / kappa_1^2 - b_1]."""
-    mc = coeffs or mode_coefficients(cavity, n, cavity_index=cavity_index)
-    L = cavity.L
-    k2 = [lay.kappa * lay.kappa for lay in cavity.layers]
-    diag = [mc.b[l] / k2[l] + (mc.b[l + 1] / k2[l + 1] if l + 1 < L else 0.0)
-            for l in range(L)]
-    off = [mc.a[l + 1] / k2[l + 1] for l in range(L - 1)]
-    rhs = [1.0 + 0j] + [0j] * (L - 1)
-    u_hat = _thomas(diag, off, off, rhs, mode=n, cavity=cavity_index)
-    t_hat = (kappa0 / cavity.layers[0].kappa) ** 2 * (mc.a[0] * mc.a[0] * u_hat[0] / k2[0] - mc.b[0])
-    return ConnectionSolution(u_hat=tuple(u_hat), impedance=t_hat)
+    k2 = np.array([lay.kappa * lay.kappa for lay in cavity.layers])
+    return _connection(cavity, n, k2, (kappa0 / cavity.layers[0].kappa) ** 2, cavity.L,
+                       cavity_index, coeffs)
 
 
-def interior_coefficients(cavity: Cavity, polarization: str, coeffs: ModeCoefficients,
-                          conn: ConnectionSolution, u0: complex) -> tuple[complex, ...]:
-    """Fourier coefficients of the mode on all interfaces y_0 .. y_L.
+def interior_coefficients(cavity: Cavity, polarization: str, mc: ModeCoefficients,
+                          u0) -> np.ndarray:
+    """Fourier coefficients of every mode on all interfaces y_0 .. y_L
+    (modes x L+1), from the solved mc and the aperture coefficients u0.
 
     TM: u_l = -a_1 u0 u_hat_l for interior interfaces, u_L = 0 (PEC bottom).
     TE: u_l = -(a_1/kappa_1^2) u0 u_hat_l down to and including the bottom.
     """
-    a1 = coeffs.a[0]
-    if polarization == "TM":
-        interior = tuple(-a1 * u0 * uh for uh in conn.u_hat)
-        return (u0,) + interior + (0.0 + 0.0j,)
-    k1sq = cavity.layers[0].kappa ** 2
-    interior = tuple(-(a1 / k1sq) * u0 * uh for uh in conn.u_hat)
-    return (u0,) + interior
+    u0 = np.asarray(u0, dtype=complex)
+    k1sq = cavity.layers[0].kappa ** 2 if polarization == "TE" else 1.0
+    dim = mc.u_hat.shape[-1]
+    ifc = np.zeros(u0.shape + (cavity.L + 1,), dtype=complex)
+    ifc[..., 0] = u0
+    ifc[..., 1:dim + 1] = (-(mc.a[..., 0] / k1sq) * u0)[..., None] * mc.u_hat
+    return ifc
 
 
 def layer_profiles(layer: Layer, betas, u_top, u_bottom, y, *, modes, layer_index: int,
@@ -215,14 +214,7 @@ def layer_profiles(layer: Layer, betas, u_top, u_bottom, y, *, modes, layer_inde
     u_bottom = np.asarray(u_bottom, dtype=complex)[:, None]
     y = np.asarray(y, dtype=float)[None, :]
     h = layer.h
-    flat = betas == 0
-    # beta = 1j stands in on flat rows: never resonant, and np.where drops it
-    ib = 1j * np.where(flat, 1j, betas)
-    one_minus_r = -np.expm1(-2.0 * ib * h)
-    resonant = ~flat & (np.abs(one_minus_r) <= _RESONANCE_RTOL * (1.0 + np.abs(1.0 - one_minus_r)))
-    if np.any(resonant):
-        raise ModalResonanceError(int(np.asarray(modes)[np.argmax(resonant)]),
-                                  layer_index, cavity)
+    flat, ib, one_minus_r = _layer_factors(betas, h, modes, (layer_index,), cavity)
     e1 = np.exp(ib * (y - layer.y_bottom))
     e2 = np.exp(-ib * (y - layer.y_top + h))
     e3 = np.exp(ib * (y - layer.y_bottom - h))
@@ -241,8 +233,8 @@ def single_layer_impedance_tm(kappa: complex, w: float, depth: float, n: int) ->
     bl = beta(kappa, w, n)
     if bl == 0:
         return 1.0 / depth
-    e = cmath.exp(2j * bl * depth)  # |e| <= 1 for Im beta >= 0, depth > 0
-    denom = -_cexpm1(2j * bl * depth)
+    e = np.exp(2j * bl * depth)  # |e| <= 1 for Im beta >= 0, depth > 0
+    denom = -np.expm1(2j * bl * depth)
     if abs(denom) <= _RESONANCE_RTOL * (1.0 + abs(e)):
         raise ModalResonanceError(n, 0)
     return -1j * bl * (1.0 + e) / denom
@@ -253,23 +245,18 @@ def single_layer_impedance_te(kappa: complex, w: float, depth: float, n: int) ->
     bl = beta(kappa, w, n)
     if bl == 0:
         return 0.0 + 0.0j
-    e = cmath.exp(2j * bl * depth)
+    e = np.exp(2j * bl * depth)
     denom = 1.0 + e
     if abs(denom) <= _RESONANCE_RTOL * (1.0 + abs(e)):
         raise ModalResonanceError(n, 0)
-    return 1j * bl * _cexpm1(2j * bl * depth) / denom
+    return 1j * bl * np.expm1(2j * bl * depth) / denom
 
 
 def build_modal_tables(spec) -> ModalTables:
-    """Connection data for every (cavity, mode) pair required by the polarization."""
-    pol = spec.polarization
-    entries = {}
-    for k, cav in enumerate(spec.cavities):
-        for n in mode_numbers(pol, spec.N):
-            mc = mode_coefficients(cav, n, cavity_index=k)
-            if pol == "TM":
-                conn = connection_tm(cav, n, cavity_index=k, coeffs=mc)
-            else:
-                conn = connection_te(cav, n, spec.wave.kappa0, cavity_index=k, coeffs=mc)
-            entries[(k, n)] = (mc, conn)
-    return ModalTables(polarization=pol, N=spec.N, entries=entries)
+    """Layer coefficients and connection solves of every mode, one array call
+    per cavity."""
+    modes = np.array(mode_numbers(spec.polarization, spec.N))
+    return ModalTables(spec.polarization, spec.N, tuple(
+        connection_tm(cav, modes, cavity_index=k) if spec.polarization == "TM"
+        else connection_te(cav, modes, spec.wave.kappa0, cavity_index=k)
+        for k, cav in enumerate(spec.cavities)))

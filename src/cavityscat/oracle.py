@@ -23,7 +23,7 @@ import scipy.special as sp
 
 from . import _moments
 from .errors import OracleConvergenceError, ValidationError
-from .modal import mode_coefficients
+from .modal import connection_te, connection_tm
 from .model import ProblemSpec
 
 TWO_PI = 2.0 * pi
@@ -163,40 +163,32 @@ def kernel_block_report(kind: str, m: int, n: int, c: float, production: complex
         grid=f"rounds={len(hist)}", converged=True)
 
 
-def dense_tridiag_check(cavity, polarization: str, n: int, kappa0: float | None = None,
+def dense_tridiag_check(cavity, polarization: str, n, kappa0: float | None = None,
                         cavity_index: int | None = None) -> OracleReport:
-    """Re-solve the unit-load connection system densely and report the max
-    elementwise deviation from the production tri-diagonal elimination."""
-    from .modal import connection_te, connection_tm
-    mc = mode_coefficients(cavity, n, cavity_index=cavity_index)
+    """Re-solve the unit-load connection systems of the modes n densely, one
+    LAPACK solve per mode from the production layer coefficients, and report
+    the largest elementwise deviation from the production tri-diagonal
+    elimination, relative to max(1, max |u_hat|) of each mode."""
+    modes = np.atleast_1d(n)
+    tag = f"n{n}" if np.ndim(n) == 0 else f"n{modes.min()}-{modes.max()}"
     L = cavity.L
     if polarization == "TM":
-        conn = connection_tm(cavity, n, coeffs=mc)
-        dim = L - 1
+        mc = connection_tm(cavity, modes, cavity_index=cavity_index)
+        weights, dim = np.ones(L), L - 1
         if dim == 0:
-            return OracleReport.from_values(f"tridiag/TM/n{n}", 0.0, 0.0, grid="L=1")
-        A = np.zeros((dim, dim), dtype=complex)
-        for l in range(dim):
-            A[l, l] = mc.b[l] + mc.b[l + 1]
-            if l + 1 < dim:
-                A[l, l + 1] = mc.a[l + 1]
-                A[l + 1, l] = mc.a[l + 1]
+            return OracleReport.from_values(f"tridiag/TM/{tag}", 0.0, 0.0, grid="L=1")
     else:
-        conn = connection_te(cavity, n, kappa0, coeffs=mc)
-        dim = L
-        k2 = [lay.kappa ** 2 for lay in cavity.layers]
-        A = np.zeros((dim, dim), dtype=complex)
-        for l in range(dim):
-            A[l, l] = mc.b[l] / k2[l] + (mc.b[l + 1] / k2[l + 1] if l + 1 < L else 0.0)
-            if l + 1 < dim:
-                A[l, l + 1] = mc.a[l + 1] / k2[l + 1]
-                A[l + 1, l] = mc.a[l + 1] / k2[l + 1]
-    rhs = np.zeros(dim, dtype=complex)
-    rhs[0] = 1.0
-    dense = np.linalg.solve(A, rhs)
-    prod = np.asarray(conn.u_hat)
-    dev = float(np.max(np.abs(dense - prod)) / max(1.0, float(np.max(np.abs(dense)))))
-    return OracleReport(f"tridiag/{polarization}/n{n}/L{L}", complex(dev), complex(0),
+        mc = connection_te(cavity, modes, kappa0, cavity_index=cavity_index)
+        weights, dim = np.array([lay.kappa ** 2 for lay in cavity.layers]), L
+    gb, ga = mc.b / weights, mc.a / weights
+    idx = np.arange(dim)
+    A = np.zeros((len(modes), dim, dim), dtype=complex)
+    A[:, idx, idx] = (gb + np.pad(gb[:, 1:], ((0, 0), (0, 1))))[:, :dim]
+    A[:, idx[1:], idx[:-1]] = A[:, idx[:-1], idx[1:]] = ga[:, 1:dim]
+    dense = np.linalg.solve(A, np.eye(dim)[:, :1])[..., 0]
+    dev = float(np.max(np.max(np.abs(dense - mc.u_hat), axis=1)
+                       / np.maximum(1.0, np.max(np.abs(dense), axis=1))))
+    return OracleReport(f"tridiag/{polarization}/{tag}/L{L}", complex(dev), complex(0),
                         dev, dev, grid=f"dim={dim}")
 
 

@@ -70,20 +70,17 @@ def _mode_profiles(spec: ProblemSpec, tables: ModalTables, solution: ApertureSol
     The interface coefficients of all modes (modes x L+1) are built once; each
     layer then evaluates all of its points in one array call."""
     cav = spec.cavities[k]
-    modes = np.array(tables.modes())
-    ifc = np.array([interior_coefficients(cav, spec.polarization, tables.coeffs(k, n),
-                                          tables.connection(k, n), solution.coefficient(k, n))
-                    for n in modes])
-    betas = np.array([tables.coeffs(k, n).betas for n in modes])
+    mc = tables.cavities[k]
+    ifc = interior_coefficients(cav, spec.polarization, mc, solution.coefficients[k])
     ys = np.asarray(ys, dtype=float)
-    values = np.empty((len(modes), len(ys)), dtype=complex)
+    values = np.empty((len(mc.n), len(ys)), dtype=complex)
     dy = np.empty_like(values)
     for li in np.unique(layers):
         sel = layers == li
         values[:, sel], dy[:, sel] = layer_profiles(
-            cav.layers[li], betas[:, li], ifc[:, li], ifc[:, li + 1], ys[sel],
-            modes=modes, layer_index=int(li), cavity=k)
-    return modes, values, dy
+            cav.layers[li], mc.betas[:, li], ifc[:, li], ifc[:, li + 1], ys[sel],
+            modes=mc.n, layer_index=int(li), cavity=k)
+    return mc.n, values, dy
 
 
 def _transverse(spec: ProblemSpec, cav, modes, xs) -> np.ndarray:

@@ -118,7 +118,7 @@ def test_single_cavity_path_matches_dedicated_impedance():
     w = spec.cavities[0].w
     s_closed = np.array([single_layer_impedance_tm(1.5 + 0j, w, 1.5, n)
                          for n in range(1, 13)])
-    s_conn = np.array([tables.connection(0, n).impedance for n in range(1, 13)])
+    s_conn = tables.cavities[0].impedance
     lhs2 = sys.lhs + np.diag(0.5 * w * (s_closed - s_conn))
     direct = np.linalg.solve(lhs2, sys.rhs)
     assert np.max(np.abs(direct - got)) <= 1e-10 * np.max(np.abs(got))
@@ -229,7 +229,7 @@ def _two_call_cross_blocks(spec, tables):
                 mn = modes[:, None] * modes[None, :]
                 blocks[k, j] = -(0.5j * k0 * k0 * ss - 0.5j * mn * pi * pi / (cav_j.w * cav_k.w) * cc)
             else:
-                t_j = np.array([tables.connection(j, n).impedance for n in modes])
+                t_j = tables.cavities[j].impedance
                 blocks[k, j] = 0.5j * cc * t_j[None, :]
     return blocks
 

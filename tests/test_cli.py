@@ -115,6 +115,66 @@ def test_enhance_subcommand(tmp_path, monkeypatch):
     assert diag["bessel_K"] == [8] and diag["series_dps"] == 40
 
 
+@pytest.mark.parametrize("error", [cs.ModalResonanceError(2, 0, 0),
+                                   cs.ConnectionResonanceError(1, 0),
+                                   cs.SingularSystemError("system singular (rcond = 0)")])
+def test_enhance_survives_a_failed_wavenumber(tmp_path, monkeypatch, error):
+    # the third of five wavenumbers raises: its row is NaN, the manifest
+    # records it, the worst rcond is taken over the solved wavenumbers only,
+    # and the sweep exits 0
+    spec = cs.validate(cs.ProblemSpec(
+        wave=cs.IncidentWave(1.5, 0.0), polarization="TE",
+        cavities=(cs.Cavity(-0.025, 0.025, (cs.Layer(0.0, -1.0, 1.5 + 0j),)),),
+        N=4, quad=QuadratureConfig(panels=12)))
+    spec_path = _write_spec(tmp_path, spec)
+    kappas = np.linspace(1.4, 1.6, 5)
+    solve, rconds = cs.assembly.solve, {}
+
+    def flaky(sp):
+        if sp.wave.kappa0 == kappas[2]:
+            raise error
+        tables, sol = solve(sp)
+        rconds[sp.wave.kappa0] = sol.rcond
+        return tables, sol
+
+    monkeypatch.setattr(cs.assembly, "solve", flaky)
+    out = tmp_path / "out"
+    assert cli.main(["enhance", "--spec", str(spec_path), "--out", str(out),
+                     "--kappa-min", "1.4", "--kappa-max", "1.6", "--kappa-steps", "5"]) == 0
+    rows = [line.split(",") for line in (out / "enhancement.csv").read_text().splitlines()[1:]]
+    assert [r[1] == "nan" for r in rows] == [False, False, True, False, False]
+    assert all(np.isfinite(float(r[1])) for i, r in enumerate(rows) if i != 2)
+    diag = json.loads((out / "manifest.json").read_text(), parse_constant=_reject)["diagnostics"]
+    assert diag["failed"] == [{"kappa": kappas[2], "error": str(error)}]
+    worst = min(rconds, key=rconds.get)
+    assert diag["rcond_min"] == rconds[worst] and diag["rcond_min_kappa"] == worst
+
+
+def test_enhance_with_no_solved_wavenumber_leaves_rcond_out(tmp_path, monkeypatch):
+    def singular(sp):
+        raise cs.SingularSystemError("system singular (rcond = 0)")
+
+    monkeypatch.setattr(cs.assembly, "solve", singular)
+    spec_path = _write_spec(tmp_path, _tiny_te())
+    out = tmp_path / "out"
+    assert cli.main(["enhance", "--spec", str(spec_path), "--out", str(out),
+                     "--kappa-min", "1.4", "--kappa-max", "1.6", "--kappa-steps", "3"]) == 0
+    diag = json.loads((out / "manifest.json").read_text(), parse_constant=_reject)["diagnostics"]
+    assert len(diag["failed"]) == 3 and diag["rcond_below_warn"] == 0
+    assert "rcond_min" not in diag and "rcond_min_kappa" not in diag
+
+
+def test_enhance_input_errors_still_exit_2(tmp_path, monkeypatch):
+    def invalid(sp):
+        raise cs.ValidationError("N", "rejected")
+
+    monkeypatch.setattr(cs.assembly, "solve", invalid)
+    spec_path = _write_spec(tmp_path, _tiny_te())
+    assert cli.main(["enhance", "--spec", str(spec_path), "--out", str(tmp_path / "out"),
+                     "--kappa-min", "1.4", "--kappa-max", "1.6",
+                     "--kappa-steps", "3"]) == cli.EXIT_INPUT
+
+
 def test_series_diag_takes_maxima_per_cavity():
     # three apertures (w = 0.5, 0.2, 0.3) at two wavenumbers: K per cavity and
     # the fold's digits are the maxima over the specs
@@ -136,6 +196,21 @@ def test_convergence_subcommand(tmp_path):
     assert lines[0] == "level,panels,h,l2_error_vs_finest" and len(lines) == 4
     man = _manifest(out)
     assert "fitted_order" in man["diagnostics"]
+
+
+def _reject(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_convergence_manifest_is_strict_json(tmp_path):
+    # one level leaves a single error, too few to fit an order: the NaN order
+    # is written as null, not as the non-standard NaN token
+    spec_path = _write_spec(tmp_path, _tiny_tm(N=4, panels=8))
+    out = tmp_path / "out"
+    assert cli.main(["convergence", "--spec", str(spec_path), "--out", str(out),
+                     "--levels", "1"]) == 0
+    man = json.loads((out / "manifest.json").read_text(), parse_constant=_reject)
+    assert man["diagnostics"]["fitted_order"] is None
 
 
 def test_input_errors_exit_2(tmp_path):

@@ -73,15 +73,16 @@ def test_layer_coeffs_even_in_beta():
 
 def test_layer_resonance_raises():
     # real beta with beta*h in pi*Z makes zeta vanish
-    with pytest.raises(ModalResonanceError):
-        layer_coeffs(complex(math.pi), -1.0, mode=3, layer=0)
+    with pytest.raises(ModalResonanceError) as exc:
+        layer_coeffs(complex(math.pi), -1.0, modes=3)
+    assert (exc.value.mode, exc.value.layer) == (3, 0)
 
 
 def test_connection_tm_single_layer():
     cav = cs.Cavity(0.0, 1.0, (cs.Layer(0.0, -1.5, 1.5 + 0j),))
     conn = connection_tm(cav, 2)
     mc = mode_coefficients(cav, 2)
-    assert conn.u_hat == ()
+    assert conn.u_hat.shape == (0,)
     assert conn.impedance == -mc.b[0]
 
 
@@ -165,7 +166,7 @@ def test_interior_coefficients_zero_input():
     cav = cs.Cavity(0.0, 1.0, (cs.Layer(0.0, -0.6, 2 + 0j), cs.Layer(-0.6, -1.2, 3 + 0j)))
     mc = mode_coefficients(cav, 1)
     conn = connection_tm(cav, 1, coeffs=mc)
-    vals = interior_coefficients(cav, "TM", mc, conn, 0.0)
+    vals = interior_coefficients(cav, "TM", conn, 0.0)
     assert all(v == 0 for v in vals)
 
 
@@ -173,7 +174,7 @@ def test_interior_coefficients_tm_bottom_zero_and_l2():
     cav = cs.Cavity(0.0, 1.0, (cs.Layer(0.0, -0.6, 2 + 0j), cs.Layer(-0.6, -1.2, 3 + 0j)))
     mc = mode_coefficients(cav, 1)
     conn = connection_tm(cav, 1, coeffs=mc)
-    vals = interior_coefficients(cav, "TM", mc, conn, 1.0)
+    vals = interior_coefficients(cav, "TM", conn, 1.0)
     assert vals[0] == 1.0
     assert vals[-1] == 0.0
     want_u1 = -mc.a[0] / (mc.b[0] + mc.b[1])
@@ -299,8 +300,8 @@ def test_connection_resonance_raises():
     kap = complex(math.pi * math.sqrt(2.0))
     cav = cs.Cavity(0.0, 1.0, (cs.Layer(0.0, -0.25, kap), cs.Layer(-0.25, -1.0, kap)))
     mc = mode_coefficients(cav, 1)
-    exact = ModeCoefficients(n=1, betas=mc.betas, a=mc.a,
-                             b=(complex(-math.pi), complex(math.pi)))
+    exact = ModeCoefficients(n=mc.n, betas=mc.betas, a=mc.a,
+                             b=np.array([-math.pi, math.pi], dtype=complex))
     with pytest.raises(ConnectionResonanceError):
         connection_tm(cav, 1, coeffs=exact)
 
@@ -327,7 +328,139 @@ def test_build_modal_tables_covers_modes():
     from conftest import example4_spec
     spec = example4_spec("TE", N=6)
     tables = modal.build_modal_tables(spec)
-    assert set(tables.entries) == {(k, n) for k in range(3) for n in range(0, 7)}
+    assert len(tables.cavities) == 3
+    for conn, cav in zip(tables.cavities, spec.cavities):
+        assert np.array_equal(conn.n, np.arange(0, 7))
+        assert conn.betas.shape == (7, cav.L) and conn.impedance.shape == (7,)
     spec = example4_spec("TM", N=6)
     tables = modal.build_modal_tables(spec)
-    assert set(tables.entries) == {(k, n) for k in range(3) for n in range(1, 7)}
+    assert len(tables.cavities) == 3
+    for conn, cav in zip(tables.cavities, spec.cavities):
+        assert np.array_equal(conn.n, np.arange(1, 7))
+        assert conn.u_hat.shape == (6, cav.L - 1)
+
+
+def _dense_unit_load(a, b, weights, dim):
+    """Reference: one mode's connection system assembled densely, u_hat from
+    np.linalg.solve."""
+    gb, ga = b / weights, a / weights
+    A = np.zeros((dim, dim), dtype=complex)
+    for l in range(dim):
+        A[l, l] = gb[l] + (gb[l + 1] if l + 1 < len(gb) else 0.0)
+        if l + 1 < dim:
+            A[l, l + 1] = A[l + 1, l] = ga[l + 1]
+    rhs = np.zeros(dim, dtype=complex)
+    rhs[0] = 1.0
+    return np.linalg.solve(A, rhs)
+
+
+def _stack(rng, L, w):
+    edges = np.sort(rng.uniform(0.1, 1.9, L - 1))
+    ys = [0.0] + list(-edges) + [-2.0]
+    return cs.Cavity(0.0, w, tuple(
+        cs.Layer(ys[i], ys[i + 1], complex(rng.uniform(0.4, 9), rng.uniform(0, 2.5) * (i % 2)))
+        for i in range(L)))
+
+
+def test_batched_tables_match_dense_resolve():
+    # one call per cavity solves every mode; each mode is re-solved densely.
+    # Random 2-8 layer stacks with lossy layers; a stack whose layer 1 has
+    # kappa w = 2 pi (TE/TM mode 2 has beta = 0 there); a deep evanescent
+    # stack (w = 0.05, |beta h| ~ 1900 at n = 30) where e^{-i beta h}
+    # underflows to zero.  The oracle's batched dense check agrees too.
+    from cavityscat.oracle import dense_tridiag_check
+    rng = np.random.default_rng(41)
+    cavities = [_stack(rng, L, rng.uniform(0.3, 1.5)) for L in range(2, 9)]
+    cavities.append(cs.Cavity(0.0, 1.0, (cs.Layer(0.0, -0.4, 3.0 + 0.5j),
+                                         cs.Layer(-0.4, -1.1, complex(2 * math.pi)),
+                                         cs.Layer(-1.1, -1.5, 1.2 + 0j))))
+    cavities.append(cs.Cavity(0.0, 0.05, (cs.Layer(0.0, -0.3, 2.0 + 0j),
+                                          cs.Layer(-0.3, -1.3, 1.0 + 0.2j),
+                                          cs.Layer(-1.3, -2.3, 1.0 + 0j))))
+    flat_seen = underflow_seen = False
+    k0 = 1.9
+    for cav in cavities:
+        for pol in ("TM", "TE"):
+            modes = np.array(modal.mode_numbers(pol, 30))
+            if pol == "TM":
+                conn = connection_tm(cav, modes, cavity_index=0)
+                weights, dim, factor = np.ones(cav.L), cav.L - 1, 1.0
+            else:
+                conn = connection_te(cav, modes, k0, cavity_index=0)
+                weights = np.array([lay.kappa ** 2 for lay in cav.layers])
+                dim, factor = cav.L, (k0 / cav.layers[0].kappa) ** 2
+            mc = conn
+            assert conn.u_hat.shape == (len(modes), dim) and conn.impedance.shape == modes.shape
+            hs = np.array([lay.h for lay in cav.layers])
+            flat_seen |= bool(np.any(mc.betas == 0))
+            underflow_seen |= bool(np.any((np.exp(-1j * mc.betas * hs) == 0) & (mc.a == 0)))
+            for i, n in enumerate(modes):
+                dense = _dense_unit_load(mc.a[i], mc.b[i], weights, dim)
+                scale = max(1.0, float(np.max(np.abs(dense))))
+                assert np.max(np.abs(conn.u_hat[i] - dense)) <= 1e-12 * scale, (pol, cav.L, n)
+                a1, b1 = mc.a[i, 0], mc.b[i, 0]
+                want = factor * (a1 * a1 * dense[0] / weights[0] - b1)
+                tol = 1e-12 * abs(factor) * (abs(a1 * a1 * dense[0] / weights[0]) + abs(b1))
+                assert abs(conn.impedance[i] - want) <= tol, (pol, cav.L, n)
+            rep = dense_tridiag_check(cav, pol, modes, kappa0=k0)
+            assert rep.abs_err <= 1e-12, (pol, cav.L, rep.abs_err)
+    assert flat_seen and underflow_seen
+
+
+def test_layer_resonance_names_smallest_mode_then_layer_then_cavity():
+    # rows are modes 1..4 and columns layers 0..2; beta h in pi*Z marks a
+    # resonance at (mode 3, layer 0), (mode 2, layer 2) and (mode 2, layer 1)
+    hs = np.array([-1.0, -0.5, -1.0])
+    betas = np.full((4, 3), 1.3 + 0.2j)
+    betas[2, 0], betas[1, 2], betas[1, 1] = math.pi, 2 * math.pi, 4 * math.pi
+    with pytest.raises(ModalResonanceError) as exc:
+        layer_coeffs(betas, hs, modes=np.arange(1, 5), cavity=4)
+    assert (exc.value.mode, exc.value.layer, exc.value.cavity) == (2, 1, 4)
+
+    # the same through the tables: in cavity 1, layer 0 (h = -1/2, kappa =
+    # pi sqrt(13)) resonates at mode 3 (beta = 2 pi), layers 1 and 2 (h = -1,
+    # kappa = pi sqrt(2)) at mode 1 (beta = pi)
+    k13, k2 = complex(math.pi * math.sqrt(13)), complex(math.pi * math.sqrt(2))
+    bad = cs.Cavity(0.0, 1.0, (cs.Layer(0.0, -0.5, k13), cs.Layer(-0.5, -1.5, k2),
+                               cs.Layer(-1.5, -2.5, k2)))
+    good = cs.Cavity(-2.0, -1.0, (cs.Layer(0.0, -0.7, 2.0 + 0.3j),))
+    for pol in ("TM", "TE"):
+        spec = cs.validate(cs.ProblemSpec(wave=cs.IncidentWave(1.0, 0.0), polarization=pol,
+                                          cavities=(good, bad), N=6))
+        with pytest.raises(ModalResonanceError) as exc:
+            modal.build_modal_tables(spec)
+        assert (exc.value.mode, exc.value.layer, exc.value.cavity) == (1, 1, 1)
+
+
+def test_connection_resonance_names_smallest_mode():
+    # modes 1..4 of the two-layer stack of test_connection_resonance_raises;
+    # modes 2 and 4 get the exact cancellation b_1 + b_2 = 0
+    from cavityscat.errors import ConnectionResonanceError
+    from cavityscat.modal import ModeCoefficients
+    kap = complex(math.pi * math.sqrt(2.0))
+    cav = cs.Cavity(0.0, 1.0, (cs.Layer(0.0, -0.25, kap), cs.Layer(-0.25, -1.0, kap)))
+    mc = mode_coefficients(cav, np.arange(1, 5))
+    b = mc.b.copy()
+    b[[1, 3]] = [-math.pi, math.pi]
+    exact = ModeCoefficients(n=mc.n, betas=mc.betas, a=mc.a, b=b)
+    with pytest.raises(ConnectionResonanceError) as exc:
+        connection_tm(cav, mc.n, cavity_index=2, coeffs=exact)
+    assert (exc.value.mode, exc.value.cavity) == (2, 2)
+
+
+def test_layer_resonances_are_checked_before_connection_pivots():
+    # mode 1 alone: b_1 + b_2 cancels to roundoff (beta = pi, h = -1/4 and
+    # -3/4), a connection resonance.  With modes 1..4 the layer check of all
+    # modes runs first, so mode 3's resonance in layer 3 (beta = 2 pi,
+    # h = -1/2) is reported although mode 1 is smaller.
+    from cavityscat.errors import ConnectionResonanceError
+    kap, k13 = complex(math.pi * math.sqrt(2.0)), complex(math.pi * math.sqrt(13.0))
+    ys = [0.0, -0.25, -1.0, -1.5, -2.0]
+    cav = cs.Cavity(0.0, 1.0, tuple(cs.Layer(ys[i], ys[i + 1], kp)
+                                    for i, kp in enumerate([kap, kap, kap, k13])))
+    with pytest.raises(ConnectionResonanceError) as exc:
+        connection_tm(cav, 1, cavity_index=1)
+    assert (exc.value.mode, exc.value.cavity) == (1, 1)
+    with pytest.raises(ModalResonanceError) as exc:
+        connection_tm(cav, np.arange(1, 5), cavity_index=1)
+    assert (exc.value.mode, exc.value.layer, exc.value.cavity) == (3, 3, 1)

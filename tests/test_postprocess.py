@@ -7,14 +7,14 @@ from math import pi, sqrt
 import cavityscat as cs
 from cavityscat import postprocess
 from cavityscat.errors import UnsupportedPolarizationError, ValidationError
-from cavityscat.modal import ConnectionSolution, ModalTables, ModeCoefficients
+from cavityscat.modal import ModalTables, ModeCoefficients
 from cavityscat.model import QuadratureConfig
 from cavityscat.postprocess import (FieldMap, backscatter_sweep, diagonal_trace,
                                     enhancement, export_grid, export_sweep, field_at,
                                     field_grid, interface_value_jump, rcs_tm,
                                     te_flux_jump)
 
-from conftest import example1_spec, scalar_aperture_phase
+from conftest import cexpm1, example1_spec, scalar_aperture_phase
 
 
 def test_tm_field_vanishes_on_walls_and_bottom(tm_example1):
@@ -91,7 +91,6 @@ def test_helmholtz_residual_order():
 def _scalar_profile(lay, bl, ut, ub, y, dy=False):
     """Reference: one mode's closed-form profile (or its y-derivative) at one
     ordinate, with the hand expm1 series."""
-    from cavityscat.modal import _cexpm1
     h = lay.h
     if bl == 0:
         return (ub - ut) / h if dy else ((ub - ut) * y + ut * lay.y_bottom - ub * lay.y_top) / h
@@ -100,16 +99,22 @@ def _scalar_profile(lay, bl, ut, ub, y, dy=False):
     num = (ub * (cmath.exp(ib * (y - lay.y_bottom)) + sgn * cmath.exp(-ib * (y - lay.y_top + h)))
            - ut * (cmath.exp(ib * (y - lay.y_bottom - h))
                    + sgn * cmath.exp(-ib * (y - lay.y_bottom + h))))
-    return (ib if dy else 1.0) * num / -_cexpm1(-2j * bl * h)
+    return (ib if dy else 1.0) * num / -cexpm1(-2j * bl * h)
 
 
 def _loop_mode(spec, tables, sol, k, n, li, y, dy=False):
-    """Reference: mode n's profile (or its y-derivative) in layer li of cavity k."""
-    from cavityscat.modal import interior_coefficients
+    """Reference: mode n's profile (or its y-derivative) in layer li of cavity k,
+    from its interface coefficients built one by one: u_0, then
+    -(a_1/g_1) u_0 u_hat_l (g_1 = kappa_1^2 for TE, 1 for TM), then 0 at a
+    TM bottom."""
     cav = spec.cavities[k]
-    ifc = interior_coefficients(cav, spec.polarization, tables.coeffs(k, n),
-                                tables.connection(k, n), sol.coefficient(k, n))
-    return _scalar_profile(cav.layers[li], tables.coeffs(k, n).betas[li],
+    mc = tables.cavities[k]
+    i = n - tables.modes().start
+    u0 = sol.coefficient(k, n)
+    g1 = cav.layers[0].kappa ** 2 if spec.polarization == "TE" else 1.0
+    ifc = ([u0] + [-(complex(mc.a[i, 0]) / g1) * u0 * complex(uh) for uh in mc.u_hat[i]]
+           + ([0j] if spec.polarization == "TM" else []))
+    return _scalar_profile(cav.layers[li], complex(mc.betas[i, li]),
                            ifc[li], ifc[li + 1], y, dy)
 
 
@@ -236,19 +241,23 @@ def test_backscatter_rejects_bad_angles(tm_example1):
 def test_enhancement_identity_field_is_one():
     # constant field u = 1 via a synthetic flat n = 0 mode: Q_E = 1 to
     # quadrature tolerance (checks the norm plumbing and the w*h denominator)
-    from cavityscat.modal import connection_te, mode_coefficients
+    from cavityscat.modal import connection_te
     w, h = 0.4, 1.3
     spec = cs.validate(cs.ProblemSpec(
         wave=cs.IncidentWave(1.0, 0.0), polarization="TE",
         cavities=(cs.Cavity(0.0, w, (cs.Layer(0.0, -h, 1.0 + 0j),)),), N=1))
     cav = spec.cavities[0]
-    # flat mode: beta = 0 branch with u_hat chosen so u_1 = u_0 = 1
-    mc0 = ModeCoefficients(n=0, betas=(0.0 + 0.0j,), a=(1.0 / h,), b=(-1.0 / h,))
-    conn0 = ConnectionSolution(u_hat=(complex(-1.0 / mc0.a[0]),), impedance=0.0 + 0.0j)
-    mc1 = mode_coefficients(cav, 1)
-    conn1 = connection_te(cav, 1, 1.0, coeffs=mc1)
-    tables = ModalTables(polarization="TE", N=1,
-                         entries={(0, 0): (mc0, conn0), (0, 1): (mc1, conn1)})
+    # flat mode 0: beta = 0 branch with u_hat chosen so u_1 = u_0 = 1; mode 1
+    # as production builds it
+    conn1 = connection_te(cav, 1, 1.0)
+    a0 = 1.0 / h
+    conn = ModeCoefficients(n=np.array([0, 1]),
+                            betas=np.array([[0.0 + 0.0j], conn1.betas]),
+                            a=np.array([[a0], conn1.a]),
+                            b=np.array([[-1.0 / h], conn1.b]),
+                            u_hat=np.array([[-1.0 / a0], conn1.u_hat]),
+                            impedance=np.array([0.0, conn1.impedance]))
+    tables = ModalTables(polarization="TE", N=1, cavities=(conn,))
     from cavityscat.assembly import ApertureSolution, ModeLayout
     sol = ApertureSolution(coefficients=(np.array([1.0 + 0.0j, 0.0 + 0.0j]),),
                            layout=ModeLayout("TE", 1, 1), rcond=1.0)
@@ -347,29 +356,27 @@ def test_phase_integrals_match_scalar_form_through_zero():
     # the cos phase of mode 0 on an aperture at a = 0 is the bare
     # (e^{i p w} - 1)/(i p) at p = alpha
     from cavityscat.assembly import aperture_phases
-    from cavityscat.modal import _cexpm1
     cav = cs.Cavity(0.0, 0.7, (cs.Layer(0.0, -1.0, 2.0 + 0j),))
     ps = np.array([0.0, 1e-300, -1e-300, 1e-12, -1e-9, 0.3, -2.0, 50.0])
     got = aperture_phases(ps, cav, [0], "cos")[:, 0]
     assert got[0] == 0.7
     for p, g in zip(ps, got):
-        want = 0.7 if p == 0.0 else _cexpm1(1j * p * 0.7) / (1j * p)
+        want = 0.7 if p == 0.0 else cexpm1(1j * p * 0.7) / (1j * p)
         assert abs(g - want) <= 1e-15 * abs(want), p
 
 
 def test_numpy_expm1_matches_hand_series_near_zero():
-    # the closed-form phase integrals use numpy's complex expm1; sweep it
-    # against the hand series of the scalar path (|z| < 0.5), on and off the
+    # the phase integrals and the layer formulas use numpy's complex expm1;
+    # sweep it against the hand series (|z| < 0.5), on and off the
     # imaginary axis, and against exp(z) - 1 beyond, where both are O(1)
-    from cavityscat.modal import _cexpm1
     ys = np.concatenate([np.logspace(-14, np.log10(0.49), 200),
                          -np.logspace(-14, np.log10(0.49), 200)])
     rng = np.random.default_rng(0)
     zs = np.concatenate([1j * ys, (rng.uniform(-0.35, 0.35, 400) + 1j * rng.uniform(-0.35, 0.35, 400))
                          * 10.0 ** rng.uniform(-12, 0, 400)])
     for z in zs:
-        hand = _cexpm1(complex(z))
+        hand = cexpm1(complex(z))
         assert abs(np.expm1(z) - hand) <= 1e-15 * abs(hand), z
     for y in np.linspace(-40.0, 40.0, 801):
         z = 1j * y
-        assert abs(np.expm1(z) - _cexpm1(z)) <= 1e-15 * max(1.0, abs(z)), z
+        assert abs(np.expm1(z) - cexpm1(z)) <= 1e-15 * max(1.0, abs(z)), z
