@@ -1,5 +1,5 @@
 """Aperture linear systems: diagonal impedance blocks, kernel blocks,
-incident-wave vectors, and the dense solve."""
+incident-wave vectors, and the dense solve (numpy only)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from math import pi
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import SingularSystemError
 from .modal import ModalTables, build_modal_tables, mode_numbers
@@ -55,6 +54,7 @@ class ApertureSolution:
     layout: ModeLayout
     rcond: float
     diagnostics: list = field(default_factory=list)
+    backward_error: float | None = None  # of the solve that produced the coefficients
 
     def coefficient(self, k: int, n: int) -> complex:
         return complex(self.coefficients[k][n - self.layout.modes.start])
@@ -161,38 +161,50 @@ def build_system(spec: ProblemSpec, tables: ModalTables | None = None,
 
 
 class SystemFactorization:
-    """LU factorization of an aperture matrix, reusable across right-hand sides."""
+    """An aperture matrix with its exact 1-norm reciprocal condition number,
+    reusable across right-hand sides."""
 
     def __init__(self, sys: ApertureSystem):
         self.layout = sys.layout
+        self._lhs = sys.lhs
         try:
-            self._lu, self._piv = sla.lu_factor(sys.lhs)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise SingularSystemError(f"LU factorization failed: {exc}") from exc
-        if not np.all(np.isfinite(self._lu)):
-            raise SingularSystemError("system singular: non-finite LU factors")
-        anorm = np.linalg.norm(sys.lhs, 1)
-        gecon = sla.get_lapack_funcs("gecon", (self._lu,))
-        self.rcond, info = gecon(self._lu, anorm, norm="1")
-        self.rcond = float(self.rcond)
-        if info != 0 or self.rcond == 0.0:
+            inv = np.linalg.inv(sys.lhs)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"system singular: {exc}") from exc
+        abs_lhs = np.abs(sys.lhs)
+        self._norm_inf = float(abs_lhs.sum(axis=1).max())
+        # 1/(||A||_1 ||A^-1||_1) in Python floats: an inverse that overflows,
+        # or a norm product that does, gives 0 (or nan) without a warning
+        self.rcond = 1.0 / (float(abs_lhs.sum(axis=0).max())
+                            * float(np.abs(inv).sum(axis=0).max()))
+        if not self.rcond > 0.0:
             raise SingularSystemError(f"system singular (rcond = {self.rcond:g})")
 
     def solve(self, rhs: np.ndarray) -> ApertureSolution:
         """Solve for one right-hand side, or for one per column of a matrix;
         then every coefficient array keeps that column axis."""
-        x = sla.lu_solve((self._lu, self._piv), rhs)
+        x = np.linalg.solve(self._lhs, rhs)
         lay = self.layout
         coeffs = tuple(x[lay.block_slice(k)].copy() for k in range(lay.K))
         diags = []
         if self.rcond < RCOND_WARN:
             diags.append(f"ill-conditioned system: rcond = {self.rcond:.3e}")
         return ApertureSolution(coefficients=coeffs, layout=lay, rcond=self.rcond,
-                                diagnostics=diags)
+                                diagnostics=diags, backward_error=self.backward_error(x, rhs))
+
+    def backward_error(self, x: np.ndarray, rhs: np.ndarray) -> float:
+        """Normwise backward error ||b - A x||_inf / (||A||_inf ||x||_inf + ||b||_inf)
+        of a solution x, the largest over the columns of a matrix right-hand
+        side; 0 where b and x are both zero."""
+        resid = np.abs(rhs - self._lhs @ x).max(axis=0)
+        scale = self._norm_inf * np.abs(x).max(axis=0) + np.abs(rhs).max(axis=0)
+        return float(np.max(np.divide(resid, scale, out=np.zeros_like(resid),
+                                      where=scale > 0)))
 
 
 def solve_system(sys: ApertureSystem) -> ApertureSolution:
-    """Dense LU with partial pivoting; attaches the 1-norm rcond estimate."""
+    """Dense LU with partial pivoting; attaches the exact 1-norm rcond and
+    the backward error."""
     return SystemFactorization(sys).solve(sys.rhs)
 
 

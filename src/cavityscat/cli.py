@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _moments, assembly, oracle, postprocess, quadrature
+from . import _moments, assembly, postprocess, quadrature
 from .errors import (CavityScatError, ConnectionResonanceError, ModalResonanceError,
                      SingularSystemError)
 from .model import IncidentWave, load_spec, spec_to_dict
@@ -29,6 +29,9 @@ from .postprocess import _fmt
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_INPUT = 2
+# the keys of oracle.TOLERANCE_PROFILES, named here so that parsing the
+# command line does not import the oracle
+TOLERANCE_PROFILE_NAMES = ("default", "strict")
 
 
 @dataclass
@@ -71,8 +74,8 @@ def _write_manifest(out_dir: Path, subcommand: str, spec_path, resolved: dict,
 
 
 def _solution_diag(sol) -> dict:
-    return {"rcond": sol.rcond, "size": sol.layout.size,
-            "warnings": list(sol.diagnostics)}
+    return {"rcond": sol.rcond, "backward_error": sol.backward_error,
+            "size": sol.layout.size, "warnings": list(sol.diagnostics)}
 
 
 def _series_diag(specs) -> dict:
@@ -142,7 +145,8 @@ def cmd_rcs(args) -> int:
     _write_manifest(out, "rcs", args.spec,
                     {"angles": args.angles, "phi_min": args.phi_min, "phi_max": args.phi_max},
                     [path.name], time.perf_counter() - t0,
-                    {"rcond": sweep.rcond, "size": spec.K * spec.N, **_series_diag([spec])})
+                    {"rcond": sweep.rcond, "backward_error": sweep.backward_error,
+                     "size": spec.K * spec.N, **_series_diag([spec])})
     print(f"backscatter sweep over {args.angles} angles -> {path}")
     return EXIT_OK
 
@@ -167,24 +171,27 @@ def cmd_enhance(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     kappas = np.linspace(args.kappa_min, args.kappa_max, args.kappa_steps)
     cavs = [args.cavity] if args.cavity is not None else list(range(spec.K))
-    rows = np.full((len(kappas), 1 + len(cavs)), np.nan)  # rcond, then Q_E per cavity
+    # rcond, backward error, then Q_E per cavity
+    rows = np.full((len(kappas), 2 + len(cavs)), np.nan)
     failed = []
     specs = [_rescaled_spec(spec, float(kap)) for kap in kappas]
     for i, sp in enumerate(specs):
         try:  # a failed wavenumber leaves NaN in its row and a record in the manifest
             tables, sol = assembly.solve(sp)
-            rows[i] = [sol.rcond] + [postprocess.enhancement(sp, tables, sol, k) for k in cavs]
+            rows[i] = [sol.rcond, sol.backward_error] + [
+                postprocess.enhancement(sp, tables, sol, k) for k in cavs]
         except (ModalResonanceError, ConnectionResonanceError, SingularSystemError) as exc:
             failed.append({"kappa": float(kappas[i]), "error": str(exc)})
     rconds = rows[:, 0]
     path = out / "enhancement.csv"
-    postprocess.export_enhancement(kappas, dict(zip(cavs, rows[:, 1:].T)), path)
+    postprocess.export_enhancement(kappas, dict(zip(cavs, rows[:, 2:].T)), path)
     diagnostics = {"size": assembly.ModeLayout(spec.polarization, spec.N, spec.K).size,
                    "rcond_below_warn": int(np.count_nonzero(rconds < assembly.RCOND_WARN)),
                    "failed": failed, **_series_diag(specs)}
     if len(failed) < len(kappas):
         worst = int(np.nanargmin(rconds))
-        diagnostics.update(rcond_min=float(rconds[worst]), rcond_min_kappa=float(kappas[worst]))
+        diagnostics.update(rcond_min=float(rconds[worst]), rcond_min_kappa=float(kappas[worst]),
+                           backward_error_max=float(np.nanmax(rows[:, 1])))
     _write_manifest(out, "enhance", args.spec,
                     {"kappa_min": args.kappa_min, "kappa_max": args.kappa_max,
                      "kappa_steps": args.kappa_steps, "cavities": cavs},
@@ -236,88 +243,12 @@ def cmd_convergence(args) -> int:
     return EXIT_OK
 
 
-# --- validation suites -------------------------------------------------------
-
-_PROFILES = {
-    "default": {"block_modes": [1, 2, 3, 5], "block_scales": [0.25, 1.0],
-                "block_rtol": 1e-8, "tridiag_rtol": 1e-12, "fd_order_min": 1.9,
-                "recursion_rtol": 1e-9},
-    "strict": {"block_modes": [1, 2, 3, 4, 5, 8, 10], "block_scales": [0.25, 1.0, 4.0],
-               "block_rtol": 1e-8, "tridiag_rtol": 1e-12, "fd_order_min": 1.9,
-               "recursion_rtol": 1e-10},
-}
-
-
-def _validate_reports(profile: dict):
-    from .model import Cavity, Layer, ProblemSpec, QuadratureConfig, validate
-    reports = []
-    cfg = QuadratureConfig(panels=96, points_per_panel=6)
-
-    # production singular blocks vs graded oracle
-    for c in profile["block_scales"]:
-        for kind in ("sin", "cos"):
-            for m in profile["block_modes"]:
-                for n in profile["block_modes"]:
-                    if (m + n) % 2 or m > n:
-                        continue
-                    prod = quadrature.singular_block(m, n, c, kind, cfg)
-                    rep = oracle.kernel_block_report(kind, m, n, c, prod,
-                                                     tol=0.1 * profile["block_rtol"])
-                    rep.converged = rep.rel_err <= profile["block_rtol"]
-                    reports.append(rep)
-
-    # recursion identities on the exact moments
-    for (k, n, m, kind) in [(1, 1, 1, "sin"), (3, 2, 4, "sin"), (5, 3, 3, "sin"),
-                            (1, 0, 2, "cos"), (3, 1, 1, "cos"), (5, 2, 4, "cos")]:
-        if kind == "sin":
-            lhs = oracle.log_double_moment_sin(k, n, m)
-            rhs = oracle.s_recursion_rhs(k, n, m)
-        else:
-            lhs = oracle.log_double_moment_cos(k, n, m)
-            rhs = oracle.p_recursion_rhs(k, n, m)
-        rep = oracle.OracleReport.from_values(
-            f"recursion/{kind}/k{k}/n{n}/m{m}", rhs, lhs)
-        rep.converged = rep.rel_err <= profile["recursion_rtol"]
-        reports.append(rep)
-
-    # dense re-solve of connection systems
-    rng = np.random.default_rng(11)
-    for trial in range(6):
-        L = int(rng.integers(2, 9))
-        edges = np.sort(rng.uniform(0.15, 1.6, L - 1))
-        ys = [0.0] + list(-edges) + [-2.0]
-        layers = []
-        for li in range(L):
-            kap = complex(rng.uniform(0.5, 9.0), rng.uniform(0.0, 2.0) * (li % 2))
-            layers.append(Layer(y_top=ys[li], y_bottom=ys[li + 1], kappa=kap))
-        cav = Cavity(a=-0.5, b=0.5, layers=tuple(layers))
-        for polarization in ("TM", "TE"):
-            n = int(rng.integers(1, 12))
-            rep = oracle.dense_tridiag_check(cav, polarization, n, kappa0=2.0)
-            rep.converged = rep.abs_err <= profile["tridiag_rtol"]
-            reports.append(rep)
-
-    # FD Helmholtz residual order on a small two-layer scenario (N small keeps
-    # every retained mode in the stencil's asymptotic range)
-    for polarization in ("TM", "TE"):
-        spec = validate(ProblemSpec(
-            wave=IncidentWave(kappa0=1.5, theta=pi / 9), polarization=polarization,
-            cavities=(Cavity(a=-0.5, b=0.5, layers=(
-                Layer(0.0, -0.7, 1.5 + 0j), Layer(-0.7, -1.5, 3.0 + 0.5j))),),
-            N=10, quad=QuadratureConfig(panels=32)))
-        tables, sol = assembly.solve(spec)
-        rep = oracle.fd_interior_check(spec, tables, sol, points_per_layer=8)
-        rep.converged = rep.oracle_value.real >= profile["fd_order_min"]
-        reports.append(rep)
-    return reports
-
-
 def cmd_validate(args) -> int:
     t0 = time.perf_counter()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    profile = _PROFILES[args.tolerance_profile]
-    reports = _validate_reports(profile)
+    from . import oracle  # scipy.special: only this subcommand pays its import
+    reports = oracle.validation_reports(oracle.TOLERANCE_PROFILES[args.tolerance_profile])
     path = out / "oracle_report.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh)
@@ -379,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the oracle suites")
     add_common(p, spec=False)
-    p.add_argument("--tolerance-profile", choices=sorted(_PROFILES), default="default")
+    p.add_argument("--tolerance-profile", choices=TOLERANCE_PROFILE_NAMES, default="default")
     p.set_defaults(func=cmd_validate)
     return ap
 

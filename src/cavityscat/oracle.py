@@ -7,9 +7,11 @@ splitting, no moment recursions), special functions come from scipy, and the
 tri-diagonal connection solves are re-done densely.  These evaluators mint
 the reference values that the production engine is tested against.
 
-The last section is not independent of production: it reads the exact
-moment tables of `_moments` that the singular blocks use and checks them
-against the downward recursion identities and against direct Gauss sums.
+The section on moment identities is not independent of production: it
+reads the exact moment tables of `_moments` that the singular blocks use and
+checks them against the downward recursion identities and against direct
+Gauss sums.  The last section, the named tolerance profiles and the report
+builder of `cavityscat validate`, runs production against all of the above.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ import mpmath as mp
 import numpy as np
 import scipy.special as sp
 
-from . import _moments
+from . import _moments, assembly, quadrature
 from .errors import OracleConvergenceError, ValidationError
 from .modal import connection_te, connection_tm
-from .model import ProblemSpec
+from .model import (Cavity, IncidentWave, Layer, ProblemSpec, QuadratureConfig,
+                    validate)
 
 TWO_PI = 2.0 * pi
 
@@ -356,3 +359,84 @@ def log_power_moment_direct(k: int, n: int, kind: str, levels: int = 40, q: int 
     edges = np.concatenate(([0.0], TWO_PI * 0.5 ** np.arange(levels, -1.0, -1.0)))
     pts, wts = _nodes_on_edges(edges, q)
     return float(np.sum(wts * pts ** power * np.log(pts) * f(0.5 * n * pts)))
+
+
+# ---------------------------------------------------------------------------
+# Validation suites: the report builder behind `cavityscat validate`
+#
+# Each case compares a production value with the evaluators above (or, for
+# the recursion cases, with the identities on `_moments`) and passes under
+# the named tolerance profile.
+
+TOLERANCE_PROFILES = {
+    "default": {"block_modes": [1, 2, 3, 5], "block_scales": [0.25, 1.0],
+                "block_rtol": 1e-8, "tridiag_rtol": 1e-12, "fd_order_min": 1.9,
+                "recursion_rtol": 1e-9},
+    "strict": {"block_modes": [1, 2, 3, 4, 5, 8, 10], "block_scales": [0.25, 1.0, 4.0],
+               "block_rtol": 1e-8, "tridiag_rtol": 1e-12, "fd_order_min": 1.9,
+               "recursion_rtol": 1e-10},
+}
+
+
+def validation_reports(profile: dict) -> list[OracleReport]:
+    """Every validation case, with `converged` set by the profile's tolerances."""
+    reports = []
+    cfg = QuadratureConfig(panels=96, points_per_panel=6)
+
+    # production singular blocks vs graded oracle
+    for c in profile["block_scales"]:
+        for kind in ("sin", "cos"):
+            for m in profile["block_modes"]:
+                for n in profile["block_modes"]:
+                    if (m + n) % 2 or m > n:
+                        continue
+                    prod = quadrature.singular_block(m, n, c, kind, cfg)
+                    rep = kernel_block_report(kind, m, n, c, prod,
+                                              tol=0.1 * profile["block_rtol"])
+                    rep.converged = rep.rel_err <= profile["block_rtol"]
+                    reports.append(rep)
+
+    # recursion identities on the exact moments
+    for (k, n, m, kind) in [(1, 1, 1, "sin"), (3, 2, 4, "sin"), (5, 3, 3, "sin"),
+                            (1, 0, 2, "cos"), (3, 1, 1, "cos"), (5, 2, 4, "cos")]:
+        if kind == "sin":
+            lhs = log_double_moment_sin(k, n, m)
+            rhs = s_recursion_rhs(k, n, m)
+        else:
+            lhs = log_double_moment_cos(k, n, m)
+            rhs = p_recursion_rhs(k, n, m)
+        rep = OracleReport.from_values(
+            f"recursion/{kind}/k{k}/n{n}/m{m}", rhs, lhs)
+        rep.converged = rep.rel_err <= profile["recursion_rtol"]
+        reports.append(rep)
+
+    # dense re-solve of connection systems
+    rng = np.random.default_rng(11)
+    for trial in range(6):
+        L = int(rng.integers(2, 9))
+        edges = np.sort(rng.uniform(0.15, 1.6, L - 1))
+        ys = [0.0] + list(-edges) + [-2.0]
+        layers = []
+        for li in range(L):
+            kap = complex(rng.uniform(0.5, 9.0), rng.uniform(0.0, 2.0) * (li % 2))
+            layers.append(Layer(y_top=ys[li], y_bottom=ys[li + 1], kappa=kap))
+        cav = Cavity(a=-0.5, b=0.5, layers=tuple(layers))
+        for polarization in ("TM", "TE"):
+            n = int(rng.integers(1, 12))
+            rep = dense_tridiag_check(cav, polarization, n, kappa0=2.0)
+            rep.converged = rep.abs_err <= profile["tridiag_rtol"]
+            reports.append(rep)
+
+    # FD Helmholtz residual order on a small two-layer scenario (N small keeps
+    # every retained mode in the stencil's asymptotic range)
+    for polarization in ("TM", "TE"):
+        spec = validate(ProblemSpec(
+            wave=IncidentWave(kappa0=1.5, theta=pi / 9), polarization=polarization,
+            cavities=(Cavity(a=-0.5, b=0.5, layers=(
+                Layer(0.0, -0.7, 1.5 + 0j), Layer(-0.7, -1.5, 3.0 + 0.5j))),),
+            N=10, quad=QuadratureConfig(panels=32)))
+        tables, sol = assembly.solve(spec)
+        rep = fd_interior_check(spec, tables, sol, points_per_layer=8)
+        rep.converged = rep.oracle_value.real >= profile["fd_order_min"]
+        reports.append(rep)
+    return reports

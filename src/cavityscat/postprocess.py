@@ -36,7 +36,8 @@ class RcsSweep:
     angles: np.ndarray    # observation angles phi in (0, pi)
     sigma: np.ndarray     # linear RCS
     sigma_db: np.ndarray  # 10 log10 sigma
-    rcond: float | None = None  # 1-norm rcond estimate of the shared system
+    rcond: float | None = None  # exact 1-norm rcond of the shared system
+    backward_error: float | None = None  # of the multi-angle solve, worst angle
 
 
 _SNAP = 1e-12  # relative slack for boundary samples hit by roundoff
@@ -199,7 +200,8 @@ def backscatter_sweep(spec: ProblemSpec, angles) -> RcsSweep:
     sigma = k0 * np.abs(amp) ** 2
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(np.where(sigma > 0, sigma, np.nan))
-    return RcsSweep(angles=angles, sigma=sigma, sigma_db=db, rcond=fact.rcond)
+    return RcsSweep(angles=angles, sigma=sigma, sigma_db=db, rcond=fact.rcond,
+                    backward_error=sol.backward_error)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from math import pi
@@ -146,12 +148,52 @@ def test_dense_solve_residual_random():
 
 
 def test_singular_matrix_raises():
+    # one structured error and no warning: an exactly singular matrix, one
+    # whose inverse overflows, and one whose norm product 1/rcond overflows
     from cavityscat.assembly import ApertureSystem, ModeLayout
-    A = np.zeros((4, 4), dtype=complex)
-    sys = ApertureSystem(lhs=A, rhs=np.ones(4, dtype=complex),
-                         layout=ModeLayout("TM", 4, 1))
-    with pytest.raises(SingularSystemError):
-        solve_system(sys)
+    for A in (np.zeros((4, 4), dtype=complex),
+              np.diag([1.0, 1.0, 1.0, 1e-310]).astype(complex),
+              np.diag([1e300, 1.0, 1.0, 1e-300]).astype(complex)):
+        sys = ApertureSystem(lhs=A, rhs=np.ones(4, dtype=complex),
+                             layout=ModeLayout("TM", 4, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError):
+                solve_system(sys)
+
+
+@pytest.mark.parametrize("pol", ["TM", "TE"])
+def test_rcond_is_exact_and_below_lapack_estimate(pol):
+    # the exact 1-norm rcond; LAPACK's gecon estimates ||A^-1||_1 from below,
+    # so its rcond can only be larger
+    import scipy.linalg as sla
+    sys = build_system(example4_spec(pol, N=20))
+    fact, A = SystemFactorization(sys), sys.lhs
+    exact = 1.0 / np.linalg.cond(A, 1)
+    assert abs(fact.rcond - exact) <= 1e-12 * exact
+    lu, _ = sla.lu_factor(A)
+    gecon = sla.get_lapack_funcs("gecon", (lu,))
+    estimate, info = gecon(lu, np.linalg.norm(A, 1), norm="1")
+    assert info == 0 and fact.rcond <= estimate * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("pol", ["TM", "TE"])
+def test_backward_error_of_every_solve(pol):
+    sys = build_system(example4_spec(pol, N=20))
+    fact = SystemFactorization(sys)
+    sol = fact.solve(sys.rhs)
+    x = np.concatenate(sol.coefficients)
+    assert 0.0 <= sol.backward_error < 1e-13
+    assert sol.backward_error == fact.backward_error(x, sys.rhs)
+    assert fact.backward_error(x * (1 + 1e-9), sys.rhs) > 1e-11
+    # a matrix right-hand side (a zero column included) reports its worst column
+    rhs = np.stack([sys.rhs, 1j * sys.rhs, np.zeros_like(sys.rhs)], axis=1)
+    multi = fact.solve(rhs)
+    assert 0.0 <= multi.backward_error < 1e-13
+    cols = np.concatenate(multi.coefficients)
+    cols[:, 1] *= 1 + 1e-9
+    assert fact.backward_error(cols, rhs) == pytest.approx(
+        fact.backward_error(cols[:, 1], rhs[:, 1]), rel=1e-6)
 
 
 def test_rcond_warning_attached():

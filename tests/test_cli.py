@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from math import pi
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +43,8 @@ def test_solve_roundtrip(tmp_path):
     man = _manifest(out)
     assert man["subcommand"] == "solve" and man["outputs"] == ["coefficients.csv"]
     assert man["diagnostics"]["size"] == 6
+    _, sol = cs.solve(cs.load_spec(spec_path))
+    assert man["diagnostics"]["backward_error"] == sol.backward_error < 1e-13
 
 
 def test_solve_deterministic_reruns(tmp_path):
@@ -76,6 +82,9 @@ def test_rcs_subcommand_and_te_rejection(tmp_path):
     # the rcond of the one factorization that serves every angle
     _, sol = cs.solve(cs.load_spec(spec_path))
     assert diag["rcond"] == sol.rcond and 0.0 < diag["rcond"] <= 1.0
+    # the backward error of that multi-angle solve, its worst angle
+    sweep = cs.backscatter_sweep(cs.load_spec(spec_path), np.linspace(pi / 180, pi - pi / 180, 9))
+    assert diag["backward_error"] == sweep.backward_error < 1e-13
     # the log-series truncation and the fold's working digits at c = 1.5/(2 pi)
     assert diag["bessel_K"] == [10] and diag["series_dps"] == 40
 
@@ -112,6 +121,7 @@ def test_enhance_subcommand(tmp_path, monkeypatch):
     assert diag["rcond_min"] == min(factorizations)
     assert diag["rcond_min_kappa"] == kappas[int(np.argmin(factorizations))]
     assert diag["rcond_below_warn"] == 0
+    assert 0.0 <= diag["backward_error_max"] < 1e-13
     assert diag["bessel_K"] == [8] and diag["series_dps"] == 40
 
 
@@ -128,13 +138,14 @@ def test_enhance_survives_a_failed_wavenumber(tmp_path, monkeypatch, error):
         N=4, quad=QuadratureConfig(panels=12)))
     spec_path = _write_spec(tmp_path, spec)
     kappas = np.linspace(1.4, 1.6, 5)
-    solve, rconds = cs.assembly.solve, {}
+    solve, rconds, backward_errors = cs.assembly.solve, {}, []
 
     def flaky(sp):
         if sp.wave.kappa0 == kappas[2]:
             raise error
         tables, sol = solve(sp)
         rconds[sp.wave.kappa0] = sol.rcond
+        backward_errors.append(sol.backward_error)
         return tables, sol
 
     monkeypatch.setattr(cs.assembly, "solve", flaky)
@@ -148,6 +159,7 @@ def test_enhance_survives_a_failed_wavenumber(tmp_path, monkeypatch, error):
     assert diag["failed"] == [{"kappa": kappas[2], "error": str(error)}]
     worst = min(rconds, key=rconds.get)
     assert diag["rcond_min"] == rconds[worst] and diag["rcond_min_kappa"] == worst
+    assert diag["backward_error_max"] == max(backward_errors)
 
 
 def test_enhance_with_no_solved_wavenumber_leaves_rcond_out(tmp_path, monkeypatch):
@@ -162,6 +174,7 @@ def test_enhance_with_no_solved_wavenumber_leaves_rcond_out(tmp_path, monkeypatc
     diag = json.loads((out / "manifest.json").read_text(), parse_constant=_reject)["diagnostics"]
     assert len(diag["failed"]) == 3 and diag["rcond_below_warn"] == 0
     assert "rcond_min" not in diag and "rcond_min_kappa" not in diag
+    assert "backward_error_max" not in diag
 
 
 def test_enhance_input_errors_still_exit_2(tmp_path, monkeypatch):
@@ -235,6 +248,23 @@ def test_validate_subcommand_passes(tmp_path):
     lines = (out / "oracle_report.csv").read_text().splitlines()
     assert lines[0].startswith("case,")
     assert all(line.rsplit(",", 1)[1] == "1" for line in lines[1:])
+
+
+def test_tolerance_profile_choices_are_the_oracle_profiles():
+    from cavityscat import oracle
+    assert set(cli.TOLERANCE_PROFILE_NAMES) == set(oracle.TOLERANCE_PROFILES)
+
+
+def test_import_loads_no_scipy_and_no_oracle():
+    # the solve path and the CLI import numpy and mpmath only; scipy serves
+    # the oracle, which `validate` imports when it runs
+    code = ("import sys, cavityscat, cavityscat.cli; "
+            "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')"
+            " or m == 'cavityscat.oracle'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cs.__file__).resolve().parent.parent)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.split() == []
 
 
 def test_parser_rejects_unknown_command():
