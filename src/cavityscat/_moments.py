@@ -10,12 +10,12 @@ Each family satisfies a two-term integration-by-parts recurrence in p with
 seeds at p = 0 (the log seeds are Si(q pi) and Cin(q pi)).  Run upward in p
 the recurrences are exact but cancel heavily once p >> q, so the chains are
 run on Python integers in fixed point, value * 2^bits, with bits sized to the
-predictable digit loss plus guard bits, and cached.  mpmath only rounds the
-seeds Si(q pi), Cin(q pi), 2 pi and ln 2 pi once per table; the powers
-(2 pi)^p and (2 pi)^p ln 2 pi and every recurrence step are integer products
-and one rounded division.  Callers get the entries as exact mpf values (or,
-in the fold below, as integers) and round once, after any sum that itself
-cancels.
+predictable digit loss plus guard bits.  A table is a pure function of
+(q, size), memoised per process.  mpmath only rounds the seeds Si(q pi),
+Cin(q pi), 2 pi and ln 2 pi once per table; the powers (2 pi)^p and
+(2 pi)^p ln 2 pi and every recurrence step are integer products and one
+rounded division.  Callers get exact mpf entries (or, in the fold below,
+integers) and round once, after any sum that itself cancels.
 
 The 2-D log moments
 
@@ -48,8 +48,10 @@ sums, each rounded to float once by an int/int true division.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import ceil, lgamma, log, log10, log2, pi
 from operator import mul
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -86,81 +88,82 @@ def _fixed(x, bits: int) -> int:
     return int(mp.nint(mp.ldexp(x, bits)))
 
 
-class _MomentTable:
-    """The four moment families for one frequency q, grown on demand.
+class _Table(NamedTuple):
+    """The four moment families for one frequency to power pmax, as
+    fixed-point integers, value * 2^bits; `two_pi` is 2 pi on the same scale."""
 
-    Entries are fixed-point integers, value * 2^bits; `two_pi` is 2 pi on the
-    same scale."""
-
-    __slots__ = ("q", "pmax", "bits", "two_pi", "ms", "mc", "ls", "lc")
-
-    def __init__(self, q: int):
-        self.q, self.pmax, self.bits, self.two_pi = q, -1, 0, 0
-        self.ms = self.mc = self.ls = self.lc = None
-
-    def ensure(self, pmax: int) -> None:
-        if pmax <= self.pmax:
-            return
-        pmax = max(pmax, 16, 2 * max(self.pmax, 0))
-        q = self.q
-        bits = _bits(_dps_for(pmax, q))
-        one = 1 << bits
-        with mp.workprec(bits + 16):
-            two_pi = _fixed(2 * mp.pi, bits)
-            lt = _fixed(mp.log(2 * mp.pi), bits)
-            if q:
-                si = _fixed(mp.si(q * mp.pi), bits)
-                cin = _fixed(mp.euler + mp.log(q * mp.pi) - mp.ci(q * mp.pi), bits)
-        # (2 pi)^p and (2 pi)^p ln(2 pi), p = 0 .. pmax + 1
-        pw = [one]
-        for _ in range(pmax + 1):
-            pw.append(_rdiv(pw[-1] * two_pi, one))
-        lpw = [_rdiv(x * lt, one) for x in pw]
-        ms, mc, ls, lc = ([0] * (pmax + 1) for _ in range(4))
-        if q == 0:
-            for p in range(pmax + 1):
-                mc[p] = _rdiv(pw[p + 1], p + 1)
-                lc[p] = _rdiv((p + 1) * lpw[p + 1] - pw[p + 1], (p + 1) ** 2)
-        else:
-            sgn = -1 if q % 2 else 1
-            ms[0] = _rdiv(2 * (1 - sgn) * one, q)
-            lc[0] = _rdiv(-2 * si, q)
-            ls[0] = _rdiv(2 * (lt * (1 - sgn) - cin), q)
-            for p in range(1, pmax + 1):
-                mc[p] = _rdiv(-2 * p * ms[p - 1], q)
-                ms[p] = _rdiv(-2 * sgn * pw[p] + 2 * p * mc[p - 1], q)
-                lc[p] = _rdiv(-2 * p * ls[p - 1] - 2 * ms[p - 1], q)
-                ls[p] = _rdiv(-2 * sgn * lpw[p] + 2 * p * lc[p - 1] + 2 * mc[p - 1], q)
-        self.pmax, self.bits, self.two_pi = pmax, bits, two_pi
-        self.ms, self.mc, self.ls, self.lc = ms, mc, ls, lc
+    pmax: int
+    bits: int
+    two_pi: int
+    ms: tuple[int, ...]
+    mc: tuple[int, ...]
+    ls: tuple[int, ...]
+    lc: tuple[int, ...]
 
 
-_tables: dict[int, _MomentTable] = {}
+@lru_cache(maxsize=None)
+def _si_cin(q: int, prec: int) -> tuple:
+    """Si(q pi) and Cin(q pi) at prec bits, shared by tables of nearby precision."""
+    with mp.workprec(prec):
+        return mp.si(q * mp.pi), mp.euler + mp.log(q * mp.pi) - mp.ci(q * mp.pi)
 
 
-def _table(q: int, pmax: int) -> _MomentTable:
-    tab = _tables.get(q)
-    if tab is None:
-        tab = _tables[q] = _MomentTable(q)
-    tab.ensure(pmax)
-    return tab
+@lru_cache(maxsize=None)
+def _table(q: int, pmax: int) -> _Table:
+    """The tables at frequency q/2 for p = 0 .. max(pmax, 16), a pure
+    function of (q, pmax): a larger pmax is another entry, never a regrowth."""
+    pmax = max(pmax, 16)
+    bits = _bits(_dps_for(pmax, q))
+    one = 1 << bits
+    prec = -(-(bits + 16) // 8) * 8  # a multiple of 8 bits, for `_si_cin` to share
+    with mp.workprec(prec):
+        two_pi = _fixed(2 * mp.pi, bits)
+        lt = _fixed(mp.log(2 * mp.pi), bits)
+        if q:
+            si, cin = (_fixed(x, bits) for x in _si_cin(q, prec))
+    # (2 pi)^p and (2 pi)^p ln(2 pi), p = 0 .. pmax + 1
+    pw = [one]
+    for _ in range(pmax + 1):
+        pw.append(_rdiv(pw[-1] * two_pi, one))
+    lpw = [_rdiv(x * lt, one) for x in pw]
+    ms, mc, ls, lc = ([0] * (pmax + 1) for _ in range(4))
+    if q == 0:
+        for p in range(pmax + 1):
+            mc[p] = _rdiv(pw[p + 1], p + 1)
+            lc[p] = _rdiv((p + 1) * lpw[p + 1] - pw[p + 1], (p + 1) ** 2)
+    else:
+        sgn = -1 if q % 2 else 1
+        ms[0] = _rdiv(2 * (1 - sgn) * one, q)
+        lc[0] = _rdiv(-2 * si, q)
+        ls[0] = _rdiv(2 * (lt * (1 - sgn) - cin), q)
+        for p in range(1, pmax + 1):
+            mc[p] = _rdiv(-2 * p * ms[p - 1], q)
+            ms[p] = _rdiv(-2 * sgn * pw[p] + 2 * p * mc[p - 1], q)
+            lc[p] = _rdiv(-2 * p * ls[p - 1] - 2 * ms[p - 1], q)
+            ls[p] = _rdiv(-2 * sgn * lpw[p] + 2 * p * lc[p - 1] + 2 * mc[p - 1], q)
+    return _Table(pmax, bits, two_pi, tuple(ms), tuple(mc), tuple(ls), tuple(lc))
 
 
-def _mpf(v: int, bits: int):
-    """The exact mpf value of the fixed-point integer v (scale 2^bits)."""
-    return mp.make_mpf(mp.libmp.from_man_exp(v, -bits))
+def _entry_table(q: int, p: int) -> _Table:
+    """The table the per-entry accessors read for power p: the next power of
+    two minus one (at least 16), so no entry depends on earlier reads."""
+    return _table(q, max(16, (1 << int(p).bit_length()) - 1))
+
+
+def _entry(family: str, p: int, q: int):
+    """Entry p of one family (ms, mc, ls or lc) of `_entry_table` as an exact mpf."""
+    tab = _entry_table(q, p)
+    return mp.make_mpf(mp.libmp.from_man_exp(getattr(tab, family)[p], -tab.bits))
 
 
 def trig_moment_mp(p: int, q: int, kind: str):
     """mpf value of I s^p trig(q s/2) ds."""
-    tab = _table(q, p)
-    return _mpf(tab.ms[p] if kind == "sin" else tab.mc[p], tab.bits)
+    return _entry("ms" if kind == "sin" else "mc", p, q)
 
 
 def log_trig_moment_mp(p: int, q: int, kind: str):
     """mpf value of I s^p ln(s) trig(q s/2) ds."""
-    tab = _table(q, p)
-    return _mpf(tab.ls[p] if kind == "sin" else tab.lc[p], tab.bits)
+    return _entry("ls" if kind == "sin" else "lc", p, q)
 
 
 def s_moment_mp(k: int, n: int, m: int):

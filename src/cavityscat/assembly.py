@@ -161,8 +161,9 @@ def build_system(spec: ProblemSpec, tables: ModalTables | None = None,
 
 
 class SystemFactorization:
-    """An aperture matrix with its exact 1-norm reciprocal condition number,
-    reusable across right-hand sides."""
+    """An aperture matrix with its exact 1-norm reciprocal condition number.
+    It keeps no LU: each solve() factors afresh, so pass all right-hand sides
+    as the columns of one matrix, as `backscatter_sweep` does."""
 
     def __init__(self, sys: ApertureSystem):
         self.layout = sys.layout

@@ -279,11 +279,12 @@ def double_poly_trig(k: int, n: int, m: int, kind_s: str, kind_t: str) -> float:
 def log_power_moment(k: int, n: int, kind: str) -> float:
     """W_k(n) = I sin(n s/2) s^{k+1} ln s ds  (kind 'sin'), or
     X_k(n) = I cos(n s/2) s^k ln s ds  (kind 'cos'); exact values."""
-    if kind == "sin":
-        return float(_moments.log_trig_moment_mp(k + 1, n, "sin"))
-    if kind == "cos":
-        return float(_moments.log_trig_moment_mp(k, n, "cos"))
-    raise ValidationError("kind", f"expected 'sin' or 'cos', got {kind!r}")
+    if kind not in ("sin", "cos"):
+        raise ValidationError("kind", f"expected 'sin' or 'cos', got {kind!r}")
+    p = k + 1 if kind == "sin" else k
+    if p < 0:
+        raise ValidationError("log_power_moment", f"power of s must be >= 0, got {p}")
+    return float(_moments.log_trig_moment_mp(p, n, kind))
 
 
 def log_double_moment_sin(k: int, n: int, m: int) -> float:

@@ -149,20 +149,16 @@ def singular_block(m: int, n: int, c: float, kind: str, cfg: QuadratureConfig) -
     return complex(singular_block_matrix([m], [n], c, kind, cfg)[0, 0])
 
 
-def _c_key(c: float) -> float:
-    return float(f"{c:.15g}")
-
-
-def _modes_key(modes) -> tuple:
-    return tuple(int(m) for m in modes)
+def _cache_key(kind: str, modes, c: float) -> tuple:
+    return kind, tuple(int(m) for m in modes), float(f"{c:.15g}")
 
 
 class SingularBlockCache:
-    """Memo of singular-block matrices keyed by (kind, row modes, column
-    modes, c to 15 significant digits).
+    """Memo of square singular-block matrices keyed by (kind, modes, c to 15
+    significant digits); the same modes index the rows and the columns.
 
-    matrix() returns the stored square matrix (read-only), filling it by
-    populate() in one tensor-grid pass on a miss.
+    matrix() returns the stored matrix (read-only), filling it by populate()
+    in one tensor-grid pass on a miss.
     """
 
     def __init__(self, cfg: QuadratureConfig):
@@ -170,14 +166,13 @@ class SingularBlockCache:
         self._mats: dict[tuple, np.ndarray] = {}
 
     def populate(self, kind: str, modes, c: float) -> None:
-        modes = _modes_key(modes)
-        mat = singular_block_matrix(modes, modes, c, kind, self.cfg)
+        key = _cache_key(kind, modes, c)
+        mat = singular_block_matrix(key[1], key[1], c, kind, self.cfg)
         mat.setflags(write=False)
-        self._mats[(kind, modes, modes, _c_key(c))] = mat
+        self._mats[key] = mat
 
     def matrix(self, kind: str, modes, c: float) -> np.ndarray:
-        modes = _modes_key(modes)
-        key = (kind, modes, modes, _c_key(c))
+        key = _cache_key(kind, modes, c)
         if key not in self._mats:
             self.populate(kind, modes, c)
         return self._mats[key]

@@ -130,6 +130,15 @@ def test_log_power_moment_closed_forms():
         assert o.log_power_moment(k, 0, "sin") == 0.0
 
 
+def test_log_power_moment_rejects_negative_power():
+    # W_{-1}(n) = I sin(n s/2) ln s ds is the p = 0 entry; below it there is
+    # no table entry, and a negative index must not read one from the end
+    assert o.log_power_moment(-1, 1, "sin") == float(_moments.log_trig_moment_mp(0, 1, "sin"))
+    for k, kind in ((-1, "cos"), (-2, "sin")):
+        with pytest.raises(ValidationError):
+            o.log_power_moment(k, 1, kind)
+
+
 def test_log_power_moment_vs_graded_direct():
     for (k, n, kind) in [(1, 1, "sin"), (0, 2, "cos"), (3, 5, "sin"), (2, 4, "cos")]:
         exact = o.log_power_moment(k, n, kind)
@@ -331,27 +340,35 @@ def test_rdiv_rounds_to_nearest():
 @pytest.mark.parametrize("q_", [0, 1, 2, 7, 150])
 def test_fixed_point_tables_match_mpf_recurrence(q_):
     # the fixed-point tables against the mpf chain at +40 digits; their guard
-    # bits make them more accurate than the mpf chain at the same digits
+    # bits make them more accurate than the mpf chain at the same digits.
+    # The accessors read one size class per power; each table they read for
+    # p = 0..165 is checked over the powers read from it.
     pmax = 2 * 82 + 1
-    tab = _moments._table(q_, pmax)
-    dps = _moments._dps_for(tab.pmax, q_)
-    ref = _mpf_tables(q_, tab.pmax, dps + 40)
-    same = _mpf_tables(q_, tab.pmax, dps)
-    worst = worst_same = 0.0
-    with mp.workdps(dps + 60):
-        for i, (family, kind) in enumerate([(_moments.trig_moment_mp, "sin"),
-                                            (_moments.trig_moment_mp, "cos"),
-                                            (_moments.log_trig_moment_mp, "sin"),
-                                            (_moments.log_trig_moment_mp, "cos")]):
-            ints = (tab.ms, tab.mc, tab.ls, tab.lc)[i]
-            for p in range(pmax + 1):
-                got = family(p, q_, kind)
-                assert mp.ldexp(got, tab.bits) == ints[p]  # exact, no rounding
-                scale = max(abs(ref[i][p]), 1)
-                worst = max(worst, float(abs(got - ref[i][p]) / scale))
-                worst_same = max(worst_same, float(abs(same[i][p] - ref[i][p]) / scale))
-    assert worst <= 1e-3 * worst_same, (q_, worst, worst_same)
-    assert worst <= 10.0 ** -(_moments._TABLE_DPS_MARGIN + 1)
+    read: dict[int, list[int]] = {}
+    for p in range(pmax + 1):
+        read.setdefault(_moments._entry_table(q_, p).pmax, []).append(p)
+    assert len(read) > 1
+    for size, powers in read.items():
+        tab = _moments._table(q_, size)
+        dps = _moments._dps_for(tab.pmax, q_)
+        ref = _mpf_tables(q_, tab.pmax, dps + 40)
+        same = _mpf_tables(q_, tab.pmax, dps)
+        worst = worst_same = 0.0
+        with mp.workdps(dps + 60):
+            for i, (family, kind) in enumerate([(_moments.trig_moment_mp, "sin"),
+                                                (_moments.trig_moment_mp, "cos"),
+                                                (_moments.log_trig_moment_mp, "sin"),
+                                                (_moments.log_trig_moment_mp, "cos")]):
+                ints = (tab.ms, tab.mc, tab.ls, tab.lc)[i]
+                for p in powers:
+                    got = family(p, q_, kind)
+                    assert mp.ldexp(got, tab.bits) == ints[p]  # exact, no rounding
+                    scale = max(abs(ref[i][p]), 1)
+                    worst = max(worst, float(abs(got - ref[i][p]) / scale))
+                    worst_same = max(worst_same,
+                                     float(abs(same[i][p] - ref[i][p]) / scale))
+        assert worst <= 1e-3 * worst_same, (q_, size, worst, worst_same)
+        assert worst <= 10.0 ** -(_moments._TABLE_DPS_MARGIN + 1), (q_, size)
 
 
 PR3_SET = [(30, 0.24), (150, 1.0), (40, 4.0), (60, 8.0)]
@@ -379,3 +396,26 @@ def test_zero_mode_fold_against_80_digit_reference():
     want = _mpf_log_series_matrix("cos", modes, c, K, 80)
     assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
     assert abs(got[0, 0] - want[0, 0]) <= 1e-15 * abs(want[0, 0])
+
+
+def test_tables_do_not_depend_on_call_order():
+    # a table is a pure function of (q, size): reading high powers after low
+    # ones neither regrows nor re-rounds the entries read before, and the
+    # fold reads the same table on a fresh memo as after any fill
+    _moments._table.cache_clear()
+    _moments._si_cin.cache_clear()
+    K = _moments.bessel_K_for(1.0, 8)
+    modes = list(range(1, 151))
+    fresh = {kind: _moments.log_series_matrix(kind, modes, modes, 1.0, K)
+             for kind in ("sin", "cos")}
+    before = [_moments.log_trig_moment_mp(p, 1, "sin") for p in range(40)]
+    for p in range(166):
+        _moments.log_trig_moment_mp(p, 1, "sin")
+    for q_ in modes:
+        _moments.log_trig_moment_mp(165, q_, "cos")
+    after = [_moments.log_trig_moment_mp(p, 1, "sin") for p in range(40)]
+    assert all(x == y for x, y in zip(before, after))
+    for kind, want in fresh.items():
+        got = _moments.log_series_matrix(kind, modes, modes, 1.0, K)
+        assert np.array_equal(got, want), kind
+    assert _moments._table(1, 2 * K + 1) is _moments._table(1, 2 * K + 1)
