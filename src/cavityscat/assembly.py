@@ -1,5 +1,6 @@
-"""Aperture linear systems: diagonal impedance blocks, kernel blocks,
-incident-wave vectors, and the dense solve (numpy only)."""
+"""Aperture linear systems: D - M from whole-system kernel matrices, the
+aperture phases behind the incident vectors, and the dense solve (numpy
+only)."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from math import pi
 import numpy as np
 
 from .errors import SingularSystemError
-from .modal import ModalTables, build_modal_tables, mode_numbers
+from .modal import ModalTables, build_modal_tables, mode_norms, mode_numbers
 from .model import Cavity, ProblemSpec
 from .quadrature import SingularBlockCache, cross_block_matrix
 
@@ -84,77 +85,57 @@ def aperture_phases(alphas, cav: Cavity, modes, kind: str) -> np.ndarray:
     return np.exp(1j * alphas * cav.a)[:, None] * trig
 
 
-def _tm_diag_block(spec: ProblemSpec, cache: SingularBlockCache, k: int) -> np.ndarray:
-    cav = spec.cavities[k]
+def system_phases(spec: ProblemSpec, alphas) -> np.ndarray:
+    """`aperture_phases` of every cavity side by side (sin for TM, cos for TE):
+    one row per alpha, one column per aperture coefficient in system order."""
+    kind = "sin" if spec.polarization == "TM" else "cos"
+    modes = mode_numbers(spec.polarization, spec.N)
+    return np.concatenate([aperture_phases(alphas, cav, modes, kind)
+                           for cav in spec.cavities], axis=1)
+
+
+def _kernel_matrix(spec: ProblemSpec, cache: SingularBlockCache, layout: ModeLayout,
+                   kind: str) -> np.ndarray:
+    """G[kind]: I I trig_i(x) H0^(1)(kappa0 |x - y|) trig_j(y) dy dx over the
+    apertures for every pair of aperture coefficients i, j in system order,
+    trig_i(x) = trig(n pi (x - a)/w) for the mode n and cavity of i.  Diagonal
+    blocks are the weakly singular blocks scaled by (w/2pi)^2; the kernel is
+    symmetric, so each cavity pair is integrated once: block (j, k) = (k, j)^T."""
     k0 = spec.wave.kappa0
-    w = cav.w
-    c = k0 * w / (2.0 * pi)
-    modes = np.array(mode_numbers("TM", spec.N))
-    sin_b = cache.matrix("sin", modes, c)
-    cos_b = cache.matrix("cos", modes, c)
-    scale = (w / (2.0 * pi)) ** 2
-    mn = modes[:, None] * modes[None, :]
-    return (0.5j * k0 * k0 * scale * sin_b
-            - 0.5j * mn * pi * pi / (w * w) * scale * cos_b)
+    modes = np.array(layout.modes)
+    G = np.empty((layout.size, layout.size), dtype=complex)
+    for k, cav in enumerate(spec.cavities):
+        sl = layout.block_slice(k)
+        G[sl, sl] = (cav.w / (2.0 * pi)) ** 2 * cache.matrix(kind, modes, k0 * cav.w / (2.0 * pi))
+    for k, j in itertools.combinations(range(spec.K), 2):
+        cross = cross_block_matrix(spec.cavities[k], spec.cavities[j], modes, modes, k0, kind,
+                                   spec.quad)
+        G[layout.block_slice(k), layout.block_slice(j)] = cross
+        G[layout.block_slice(j), layout.block_slice(k)] = cross.T
+    return G
 
 
-def _tm_cross_block(spec: ProblemSpec, k: int, j: int) -> np.ndarray:
-    cav_k, cav_j = spec.cavities[k], spec.cavities[j]
-    k0 = spec.wave.kappa0
-    modes = np.array(mode_numbers("TM", spec.N))
-    ss = cross_block_matrix(cav_k, cav_j, modes, modes, k0, "sin", spec.quad)
-    cc = cross_block_matrix(cav_k, cav_j, modes, modes, k0, "cos", spec.quad)
-    mn = modes[:, None] * modes[None, :]
-    return 0.5j * k0 * k0 * ss - 0.5j * mn * pi * pi / (cav_j.w * cav_k.w) * cc
-
-
-def build_system(spec: ProblemSpec, tables: ModalTables | None = None,
-                 cache: SingularBlockCache | None = None) -> ApertureSystem:
-    """Assemble (D - M) U = F (TM) or (D_hat - M_hat) U = G (TE)."""
+def build_system(spec: ProblemSpec, tables: ModalTables | None = None) -> ApertureSystem:
+    """Assemble (D - M) U = F (TM) or (D_hat - M_hat) U = G (TE) from the kernel
+    matrices, with per aperture coefficient the mode norm, the impedance (s_hat
+    or t_hat) and mu = n pi/w; F and G are -2 i beta and 2 times the phases."""
     tables = tables or build_modal_tables(spec)
-    cache = cache or SingularBlockCache(spec.quad)
+    cache = SingularBlockCache(spec.quad)
     layout = ModeLayout(spec.polarization, spec.N, spec.K)
-    size = layout.size
-    lhs = np.zeros((size, size), dtype=complex)
-    rhs = np.zeros(size, dtype=complex)
-    k0 = spec.wave.kappa0
+    n = np.tile(np.array(layout.modes), spec.K)
+    w = np.repeat([cav.w for cav in spec.cavities], layout.block)
+    norms = mode_norms(n, w)
+    impedance = np.concatenate([mc.impedance for mc in tables.cavities])
     wave = spec.wave
-
-    # Block (j, k) of a cavity pair is the transpose of block (k, j): both
-    # integrate the same graded grids against the symmetric kernel, so each
-    # pair is integrated once.
-    pairs = itertools.combinations(range(spec.K), 2)
     if spec.polarization == "TM":
-        for k, cav in enumerate(spec.cavities):
-            sl = layout.block_slice(k)
-            lhs[sl, sl] = (np.diag(0.5 * cav.w * tables.cavities[k].impedance)
-                           - _tm_diag_block(spec, cache, k))
-            # F_k(m) = -2 i beta I_0^w e^{i alpha (x + a)} sin(m pi x/w) dx
-            rhs[sl] = -2j * wave.beta * aperture_phases(wave.alpha, cav, layout.modes, "sin")[0]
-        for k, j in pairs:
-            cross = _tm_cross_block(spec, k, j)
-            lhs[layout.block_slice(k), layout.block_slice(j)] = -cross
-            lhs[layout.block_slice(j), layout.block_slice(k)] = -cross.T
+        mu = n * pi / w
+        lhs = np.diag(norms * impedance) - 0.5j * (
+            wave.kappa0 ** 2 * _kernel_matrix(spec, cache, layout, "sin")
+            - mu[:, None] * mu[None, :] * _kernel_matrix(spec, cache, layout, "cos"))
+        rhs = -2j * wave.beta * system_phases(spec, wave.alpha)[0]
     else:
-        modes = np.array(layout.modes)
-        t_hats = [conn.impedance for conn in tables.cavities]
-        for k, cav in enumerate(spec.cavities):
-            sl = layout.block_slice(k)
-            c = k0 * cav.w / (2.0 * pi)
-            cos_b = cache.matrix("cos", modes, c)
-            mhat = (-0.5j) * (cav.w / (2.0 * pi)) ** 2 * cos_b * t_hats[k][None, :]
-            dvec = np.full(layout.block, 0.5 * cav.w)
-            dvec[0] = cav.w
-            lhs[sl, sl] = np.diag(dvec) - mhat
-            # G_k(m) = 2 I_0^w e^{i alpha (x + a)} cos(m pi x/w) dx
-            rhs[sl] = 2.0 * aperture_phases(wave.alpha, cav, layout.modes, "cos")[0]
-        for k, j in pairs:
-            cc = cross_block_matrix(spec.cavities[k], spec.cavities[j], modes, modes, k0,
-                                    "cos", spec.quad)
-            # -M_hat_{k,j} and -M_hat_{j,k}
-            lhs[layout.block_slice(k), layout.block_slice(j)] = 0.5j * cc * t_hats[j][None, :]
-            lhs[layout.block_slice(j), layout.block_slice(k)] = 0.5j * cc.T * t_hats[k][None, :]
-
+        lhs = np.diag(norms) + 0.5j * _kernel_matrix(spec, cache, layout, "cos") * impedance
+        rhs = 2.0 * system_phases(spec, wave.alpha)[0]
     if not np.all(np.isfinite(lhs)):
         raise SingularSystemError("assembled matrix contains non-finite entries")
     return ApertureSystem(lhs=lhs, rhs=rhs, layout=layout)
@@ -212,6 +193,5 @@ def solve_system(sys: ApertureSystem) -> ApertureSolution:
 def solve(spec: ProblemSpec):
     """Convenience end-to-end solve; returns (tables, solution)."""
     tables = build_modal_tables(spec)
-    cache = SingularBlockCache(spec.quad)
-    solution = solve_system(build_system(spec, tables, cache))
+    solution = solve_system(build_system(spec, tables))
     return tables, solution

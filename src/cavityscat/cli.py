@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _moments, assembly, postprocess, quadrature
 from .errors import (CavityScatError, ConnectionResonanceError, ModalResonanceError,
-                     SingularSystemError)
+                     SingularSystemError, ValidationError)
 from .model import IncidentWave, load_spec, spec_to_dict
 from .postprocess import _fmt
 
@@ -167,6 +167,9 @@ def _rescaled_spec(spec, kappa0: float):
 def cmd_enhance(args) -> int:
     t0 = time.perf_counter()
     spec = load_spec(args.spec)
+    if args.cavity is not None and not 0 <= args.cavity < spec.K:
+        raise ValidationError("--cavity", f"must be a cavity index in [0, {spec.K - 1}], "
+                                          f"got {args.cavity}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     kappas = np.linspace(args.kappa_min, args.kappa_max, args.kappa_steps)
@@ -269,6 +272,24 @@ def cmd_validate(args) -> int:
     return EXIT_OK if not failures else EXIT_VALIDATION
 
 
+def _flag_type(convert, valid, requirement: str):
+    """An argparse type: convert(text) where valid(value) holds.  Any other
+    text exits 2 with a message that names the flag and the requirement."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+    return parse
+
+
+_COUNT = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
+_POSITIVE = _flag_type(float, lambda v: 0.0 < v < float("inf"), "a finite number > 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="cavityscat",
                                  description="Modal solver for rectangular-cavity scattering")
@@ -285,27 +306,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("field", help="sample the interior field on a grid")
     add_common(p)
-    p.add_argument("--grid", type=int, nargs=2, default=(61, 61), metavar=("NX", "NY"))
+    p.add_argument("--grid", type=_COUNT, nargs=2, default=(61, 61), metavar=("NX", "NY"))
     p.set_defaults(func=cmd_field)
 
     p = sub.add_parser("rcs", help="TM backscatter sweep")
     add_common(p)
-    p.add_argument("--angles", type=int, default=181)
+    p.add_argument("--angles", type=_COUNT, default=181)
     p.add_argument("--phi-min", type=float, default=pi / 180.0)
     p.add_argument("--phi-max", type=float, default=pi - pi / 180.0)
     p.set_defaults(func=cmd_rcs)
 
     p = sub.add_parser("enhance", help="enhancement-factor spectrum over kappa0")
     add_common(p)
-    p.add_argument("--kappa-min", type=float, required=True)
-    p.add_argument("--kappa-max", type=float, required=True)
-    p.add_argument("--kappa-steps", type=int, default=101)
+    p.add_argument("--kappa-min", type=_POSITIVE, required=True)
+    p.add_argument("--kappa-max", type=_POSITIVE, required=True)
+    p.add_argument("--kappa-steps", type=_COUNT, default=101)
     p.add_argument("--cavity", type=int, default=None, help="cavity index (default: all)")
     p.set_defaults(func=cmd_enhance)
 
     p = sub.add_parser("convergence", help="self-convergence table under panel refinement")
     add_common(p)
-    p.add_argument("--levels", type=int, default=5)
+    p.add_argument("--levels", type=_COUNT, default=5)
     p.set_defaults(func=cmd_convergence)
 
     p = sub.add_parser("validate", help="run the oracle suites")

@@ -40,6 +40,11 @@ def mode_numbers(polarization: str, N: int) -> range:
     return range(1, N + 1) if polarization == "TM" else range(0, N + 1)
 
 
+def mode_norms(n, w):
+    """I_0^w trig(n pi x/w)^2 dx: w/2, and w for the TE mode n = 0 (TM has none)."""
+    return np.where(np.asarray(n) == 0, w, 0.5 * w)
+
+
 @dataclass(frozen=True)
 class ModeCoefficients:
     """One cavity's modes n: betas, a and b (one row per mode, one column per

@@ -12,7 +12,7 @@ import cmath
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from .errors import SpecFileError, ValidationError
 
@@ -206,6 +206,20 @@ def _require(obj: dict, key: str, path):
     return obj[key]
 
 
+def _object(value, path, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise SpecFileError(path, f"must be an object, got {value!r}", field=field)
+    return value
+
+
+def _integer(value, path, field: str) -> int:
+    """A JSON integer (an integral float such as 4.0 counts; true and 2.7 do not)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
+        raise SpecFileError(path, f"must be an integer, got {value!r}", field=field)
+    return int(value)
+
+
 def spec_from_dict(doc: dict, path="<dict>") -> ProblemSpec:
     if not isinstance(doc, dict):
         raise SpecFileError(path, "top-level document must be an object")
@@ -217,20 +231,20 @@ def spec_from_dict(doc: dict, path="<dict>") -> ProblemSpec:
         wave = IncidentWave(kappa0=float(_require(doc, "kappa0", path)),
                             theta=float(_require(doc, "theta", path)))
         polarization = str(_require(doc, "polarization", path))
-        N = int(_require(doc, "N", path))
+        N = _integer(_require(doc, "N", path), path, "N")
         # unknown keys are ignored; older files carry "lift_threshold", a
         # setting nothing read
-        qd = doc.get("quadrature", {})
-        quad = QuadratureConfig(
-            panels=int(qd.get("panels", QuadratureConfig.panels)),
-            points_per_panel=int(qd.get("points_per_panel", QuadratureConfig.points_per_panel)),
-            bessel_K=int(qd.get("bessel_K", QuadratureConfig.bessel_K)),
-        )
+        qd = _object(doc.get("quadrature", {}), path, "quadrature")
+        quad = QuadratureConfig(**{
+            key: _integer(qd.get(key, default), path, f"quadrature.{key}")
+            for key, default in asdict(QuadratureConfig()).items()})
         cavities = []
         for ci, cd in enumerate(_require(doc, "cavities", path)):
+            cd = _object(cd, path, f"cavities[{ci}]")
             layers = []
             y_top = 0.0
             for li, ld in enumerate(cd.get("layers", [])):
+                ld = _object(ld, path, f"cavities[{ci}].layers[{li}]")
                 if "y_bottom" not in ld:
                     raise SpecFileError(path, "missing required field",
                                         field=f"cavities[{ci}].layers[{li}].y_bottom")

@@ -8,13 +8,12 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .assembly import (ApertureSolution, SystemFactorization, aperture_phases,
-                       build_system)
+from .assembly import ApertureSolution, SystemFactorization, build_system, system_phases
 from .errors import UnsupportedPolarizationError, ValidationError
 from .modal import (ModalTables, build_modal_tables, interior_coefficients,
-                    layer_profiles, mode_numbers)
+                    layer_profiles, mode_norms)
 from .model import ProblemSpec, validate
-from .quadrature import SingularBlockCache, composite_nodes, gauss_rule
+from .quadrature import composite_nodes, gauss_rule
 
 # Four-point Gauss panels of the enhancement y-integrals.
 _ENHANCE_RULE = gauss_rule(4)
@@ -148,14 +147,6 @@ def diagonal_trace(spec: ProblemSpec, tables: ModalTables, solution: ApertureSol
 # Radar cross-section (TM only: the aperture formula has no TE analogue here)
 
 
-def _tm_phases(spec: ProblemSpec, alphas) -> np.ndarray:
-    """`aperture_phases` (sin) of every cavity side by side: one row per
-    alpha, one column per aperture coefficient in system order."""
-    modes = mode_numbers("TM", spec.N)
-    return np.concatenate([aperture_phases(alphas, cav, modes, "sin")
-                           for cav in spec.cavities], axis=1)
-
-
 def rcs_tm(spec: ProblemSpec, solution: ApertureSolution, phi: float) -> float:
     """sigma(phi) = kappa0 |sin(phi) I_Gamma u^s e^{i kappa0 cos(phi) x} dx|^2.
 
@@ -168,7 +159,7 @@ def rcs_tm(spec: ProblemSpec, solution: ApertureSolution, phi: float) -> float:
     if not (0.0 < phi < pi):
         raise ValidationError("phi", f"observation angle must lie in (0, pi), got {phi}")
     k0 = spec.wave.kappa0
-    total = _tm_phases(spec, k0 * np.cos(phi))[0] @ np.concatenate(solution.coefficients)
+    total = system_phases(spec, k0 * np.cos(phi))[0] @ np.concatenate(solution.coefficients)
     return float(k0 * abs(np.sin(phi) * total) ** 2)
 
 
@@ -184,16 +175,17 @@ def backscatter_sweep(spec: ProblemSpec, angles) -> RcsSweep:
     if spec.polarization != "TM":
         raise UnsupportedPolarizationError("RCS aperture formula is defined for TM only")
     angles = np.asarray(angles, dtype=float)
+    if angles.size == 0:
+        raise ValidationError("angles", "at least one observation angle is required")
     if np.any(angles <= 0.0) or np.any(angles >= pi):
         raise ValidationError("angles", "observation angles must lie in (0, pi)")
     spec = validate(spec)
     tables = build_modal_tables(spec)
-    base = build_system(spec, tables, SingularBlockCache(spec.quad))
-    fact = SystemFactorization(base)
+    fact = SystemFactorization(build_system(spec, tables))
     k0 = spec.wave.kappa0
     alpha = k0 * np.cos(angles)
     beta = k0 * np.sin(angles)
-    phases = _tm_phases(spec, alpha)
+    phases = system_phases(spec, alpha)
     sol = fact.solve((-2j * beta[:, None] * phases).T)
     coeffs = np.concatenate(sol.coefficients)  # (rows, angles)
     amp = np.sin(angles) * np.einsum("ar,ra->a", phases, coeffs)
@@ -212,8 +204,8 @@ def enhancement(spec: ProblemSpec, tables: ModalTables, solution: ApertureSoluti
                 k: int, points_per_layer: int = 16) -> float:
     """Q_E = ||u||_{L2(cavity)} / ||u^i||_{L2(cavity)} for cavity k.
 
-    Modal orthogonality turns the numerator into sum_n c_n I |u^(n)(y)|^2 dy
-    with c_n = w/2 (w for the TE n = 0 mode); the y-integral runs per layer
+    Modal orthogonality turns the numerator into the sum over modes n of
+    `mode_norms` times I |u^(n)(y)|^2 dy; the y-integral runs per layer
     on the closed-form profile.  |u^i| = 1 for the plane wave, so the
     denominator is sqrt(w * depth).
     """
@@ -225,8 +217,7 @@ def enhancement(spec: ProblemSpec, tables: ModalTables, solution: ApertureSoluti
     wy = np.concatenate([n[1] for n in nodes])
     layers = np.repeat(np.arange(cav.L), panels * _ENHANCE_RULE.q)
     modes, prof, _ = _mode_profiles(spec, tables, solution, k, ys, layers)
-    c_n = np.where((modes == 0) & (spec.polarization == "TE"), cav.w, 0.5 * cav.w)
-    num = float(c_n @ (np.abs(prof) ** 2 @ wy))
+    num = float(mode_norms(modes, cav.w) @ (np.abs(prof) ** 2 @ wy))
     return sqrt(num / (cav.w * cav.depth))
 
 

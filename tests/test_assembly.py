@@ -11,7 +11,7 @@ from cavityscat.assembly import (SystemFactorization, aperture_phases, build_sys
 from cavityscat.errors import SingularSystemError
 from cavityscat.modal import build_modal_tables, single_layer_impedance_tm
 from cavityscat.model import QuadratureConfig
-from cavityscat.quadrature import SingularBlockCache, gauss_rule
+from cavityscat.quadrature import gauss_rule
 
 from conftest import (composite_integral_1d, example1_spec, example4_spec,
                       scalar_aperture_phase)
@@ -63,11 +63,10 @@ def test_rhs_matches_scalar_closed_form(pol):
     k0 = spec.wave.kappa0
     w0, w2 = spec.cavities[0].w, spec.cavities[2].w
     tables = build_modal_tables(spec)
-    cache = SingularBlockCache(spec.quad)
     kind = "sin" if pol == "TM" else "cos"
     for theta in (np.arcsin(pi / (w0 * k0)), -np.arcsin(pi / (w2 * k0)), 0.3):
         wave = cs.IncidentWave(k0, float(theta))
-        got = build_system(replace(spec, wave=wave), tables, cache).rhs
+        got = build_system(replace(spec, wave=wave), tables).rhs
         scale = -2j * wave.beta if pol == "TM" else 2.0
         want = np.array([scale * scalar_aperture_phase(wave.alpha, cav, m, kind)
                          for cav in spec.cavities for m in tables.modes()])
@@ -254,32 +253,46 @@ def test_te_single_cavity_against_independent_assembly():
     assert np.max(np.abs(prod - ref)) <= 1e-8 * np.max(np.abs(ref))
 
 
-def _two_call_cross_blocks(spec, tables):
-    """Reference: every ordered cavity pair (k, j) from its own cross-block
-    integrals, as -M_{k,j} (TM) or -M_hat_{k,j} (TE)."""
-    from cavityscat.quadrature import cross_block_matrix
+def _block_reference(spec, tables):
+    """Reference lhs assembled block by block: every ordered cavity pair
+    (k, j) from its own kernel integrals, cross blocks from
+    `cross_block_matrix` and diagonal blocks from `singular_block_matrix`
+    scaled by (w/2pi)^2, as -M_{k,j} (TM) or -M_hat_{k,j} (TE); the diagonal
+    blocks add w/2 s_hat (TM) or the norms w, w/2, ..., w/2 (TE)."""
+    from cavityscat.quadrature import cross_block_matrix, singular_block_matrix
     k0 = spec.wave.kappa0
     modes = np.array(list(tables.modes()))
-    blocks = {}
+    mn = modes[:, None] * modes[None, :]
+    lay = assembly.ModeLayout(spec.polarization, spec.N, spec.K)
+    lhs = np.zeros((lay.size, lay.size), dtype=complex)
     for k, cav_k in enumerate(spec.cavities):
         for j, cav_j in enumerate(spec.cavities):
             if j == k:
-                continue
-            cc = cross_block_matrix(cav_k, cav_j, modes, modes, k0, "cos", spec.quad)
-            if spec.polarization == "TM":
-                ss = cross_block_matrix(cav_k, cav_j, modes, modes, k0, "sin", spec.quad)
-                mn = modes[:, None] * modes[None, :]
-                blocks[k, j] = -(0.5j * k0 * k0 * ss - 0.5j * mn * pi * pi / (cav_j.w * cav_k.w) * cc)
+                c = k0 * cav_k.w / (2 * pi)
+                integral = lambda kind: ((cav_k.w / (2 * pi)) ** 2
+                                         * singular_block_matrix(modes, modes, c, kind, spec.quad))
             else:
-                t_j = tables.cavities[j].impedance
-                blocks[k, j] = 0.5j * cc * t_j[None, :]
-    return blocks
+                integral = lambda kind: cross_block_matrix(cav_k, cav_j, modes, modes, k0, kind,
+                                                           spec.quad)
+            if spec.polarization == "TM":
+                block = -(0.5j * k0 * k0 * integral("sin")
+                          - 0.5j * mn * pi * pi / (cav_j.w * cav_k.w) * integral("cos"))
+                if j == k:
+                    block += np.diag(0.5 * cav_k.w * tables.cavities[k].impedance)
+            else:
+                block = 0.5j * integral("cos") * tables.cavities[j].impedance[None, :]
+                if j == k:
+                    block += np.diag([cav_k.w] + [cav_k.w / 2] * spec.N)
+            lhs[lay.block_slice(k), lay.block_slice(j)] = block
+    return lhs
 
 
 @pytest.mark.parametrize("pol", ["TM", "TE"])
 def test_cross_pairs_integrated_once(pol, monkeypatch):
-    # block (j, k) is the transpose of block (k, j); three cavities
+    # block (j, k) is the transpose of block (k, j); three cavities of
+    # widths 0.5, 0.2 and 0.3, so every diagonal block has its own scale
     spec = example4_spec(pol, N=6, panels=16)
+    assert [cav.w for cav in spec.cavities] == pytest.approx([0.5, 0.2, 0.3])
     tables = build_modal_tables(spec)
     calls = []
     cross = assembly.cross_block_matrix
@@ -293,8 +306,5 @@ def test_cross_pairs_integrated_once(pol, monkeypatch):
     monkeypatch.undo()
     per_kind = 2 if pol == "TM" else 1
     assert len(calls) == 3 * per_kind  # 3 pairs, not 6 ordered pairs
-    ref = lhs.copy()
-    lay = assembly.ModeLayout(spec.polarization, spec.N, spec.K)
-    for (k, j), block in _two_call_cross_blocks(spec, tables).items():
-        ref[lay.block_slice(k), lay.block_slice(j)] = block
+    ref = _block_reference(spec, tables)
     assert np.linalg.norm(lhs - ref) <= 1e-13 * np.linalg.norm(ref)

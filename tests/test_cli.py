@@ -271,3 +271,48 @@ def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _no_solve(sp):
+    raise AssertionError("a flag check must come before any solve")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["rcs", "--angles", "0"], "--angles"),
+    (["rcs", "--angles", "-3"], "--angles"),
+    (["convergence", "--levels", "-1"], "--levels"),
+    (["field", "--grid", "-2", "3"], "--grid"),
+    (["enhance", "--kappa-min", "1.4", "--kappa-max", "1.6", "--kappa-steps", "0"],
+     "--kappa-steps"),
+    (["enhance", "--kappa-min", "0", "--kappa-max", "1.6"], "--kappa-min"),
+    (["enhance", "--kappa-min", "-1.4", "--kappa-max", "1.6"], "--kappa-min"),
+    (["enhance", "--kappa-min", "1.4", "--kappa-max", "0"], "--kappa-max"),
+    (["enhance", "--kappa-min", "1.4", "--kappa-max", "-1.6"], "--kappa-max"),
+])
+def test_bad_flag_values_exit_2_naming_the_flag(tmp_path, capsys, monkeypatch, argv, flag):
+    # counts must be >= 1 and wavenumbers > 0: an empty sweep, a negative
+    # grid or ladder, or kappa_min = 0 is an input error, not a traceback
+    monkeypatch.setattr(cs.assembly, "solve", _no_solve)
+    monkeypatch.setattr(cs.postprocess, "backscatter_sweep", _no_solve)
+    spec_path = _write_spec(tmp_path, _tiny_tm())
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([argv[0], "--spec", str(spec_path), "--out", str(out)] + argv[1:])
+    assert exc.value.code == cli.EXIT_INPUT
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cavity", ["5", "2", "-1"])
+def test_enhance_cavity_index_out_of_range_exits_2(tmp_path, capsys, monkeypatch, cavity):
+    # a two-cavity spec has indices 0 and 1 only; -1 would write a Q_E_-1 column
+    monkeypatch.setattr(cs.assembly, "solve", _no_solve)
+    cavs = (cs.Cavity(0.0, 0.05, (cs.Layer(0.0, -1.0, 1.5 + 0j),)),
+            cs.Cavity(0.1, 0.15, (cs.Layer(0.0, -1.0, 1.5 + 0j),)))
+    spec_path = _write_spec(tmp_path, cs.ProblemSpec(cs.IncidentWave(1.5, 0.0), "TE", cavs, N=3))
+    out = tmp_path / "out"
+    assert cli.main(["enhance", "--spec", str(spec_path), "--out", str(out),
+                     "--kappa-min", "1.4", "--kappa-max", "1.6", "--kappa-steps", "3",
+                     "--cavity", cavity]) == cli.EXIT_INPUT
+    assert "--cavity: must be a cavity index in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()

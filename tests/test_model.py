@@ -169,3 +169,42 @@ def test_roundtrip_is_lossless(a, w, d1, d2, kre, kim, kappa0, theta, n):
         N=n)
     spec = cs.validate(spec)
     assert spec_from_dict(spec_to_dict(spec)) == spec
+
+
+def _edited(edit):
+    doc = spec_to_dict(example4_spec("TM"))
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize("edit,field", [
+    (lambda d: d.update(cavities=[1]), "cavities[0]"),
+    (lambda d: d["cavities"].append("cavity"), "cavities[3]"),
+    (lambda d: d["cavities"][1].update(layers=[{"y_bottom": -0.5, "kappa": [1, 0]}, 2]),
+     "cavities[1].layers[1]"),
+    (lambda d: d.update(quadrature=[1]), "quadrature"),
+])
+def test_non_object_entries_name_the_field(edit, field):
+    # a list or number where an object belongs is a spec error, not an
+    # AttributeError from deep inside the parser
+    with pytest.raises(SpecFileError) as exc:
+        spec_from_dict(_edited(edit))
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("key", ["N", "panels", "points_per_panel", "bessel_K"])
+@pytest.mark.parametrize("value", [2.7, True, "4"])
+def test_integer_fields_reject_fractions_and_booleans(key, value):
+    # int() would truncate 2.7 to 2 and read true as 1
+    def edit(doc):
+        (doc if key == "N" else doc["quadrature"])[key] = value
+    with pytest.raises(SpecFileError) as exc:
+        spec_from_dict(_edited(edit))
+    assert exc.value.field == (key if key == "N" else f"quadrature.{key}")
+
+
+def test_integral_float_counts_as_integer():
+    doc = _edited(lambda d: (d.update(N=12.0), d["quadrature"].update(panels=32.0)))
+    spec = spec_from_dict(doc)
+    assert (spec.N, spec.quad.panels) == (12, 32)
+    assert type(spec.N) is int and type(spec.quad.panels) is int

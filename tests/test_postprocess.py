@@ -235,6 +235,14 @@ def test_backscatter_rejects_bad_angles(tm_example1):
         backscatter_sweep(spec, [0.0, 1.0])
 
 
+def test_backscatter_rejects_no_angles(tm_example1):
+    # an empty sweep is an input error, not a zero-size reduction in the solve
+    spec, _, _ = tm_example1
+    with pytest.raises(ValidationError) as exc:
+        backscatter_sweep(spec, [])
+    assert exc.value.field == "angles"
+
+
 # --- enhancement -------------------------------------------------------------
 
 
@@ -315,8 +323,7 @@ def _per_angle_sweep(spec, angles):
 
     from cavityscat.assembly import SystemFactorization, build_system
     from cavityscat.modal import build_modal_tables
-    from cavityscat.quadrature import SingularBlockCache
-    base = build_system(spec, build_modal_tables(spec), SingularBlockCache(spec.quad))
+    base = build_system(spec, build_modal_tables(spec))
     fact = SystemFactorization(base)
     modes = base.layout.modes
     k0 = spec.wave.kappa0
