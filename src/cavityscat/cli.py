@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: solve, field, rcs, enhance, convergence, validate.  Every
-subcommand is a pure function of (spec file, flags) to (files, exit code):
-outputs are CSV plus a JSON manifest written atomically next to them.
+Subcommands: solve, field, rcs, enhance, convergence, validate.  Each is a
+body `cmd_x(spec, args, out)` that computes, writes its CSV files and returns
+a `Run`; `main` alone loads the spec, times the run, writes the JSON manifest
+atomically next to the CSVs and maps input errors to exit 2.
 Exit codes: 0 success, 1 validation-suite failure, 2 input error.
 """
 
@@ -14,6 +15,7 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
 from math import pi
 from pathlib import Path
@@ -66,16 +68,28 @@ def _finite_or_null(obj):
     return None if isinstance(obj, float) and not np.isfinite(obj) else obj
 
 
-def _write_manifest(out_dir: Path, subcommand: str, spec_path, resolved: dict,
-                    outputs: list[str], wall_time: float, diagnostics: dict) -> None:
-    RunManifest(subcommand=subcommand, spec=str(spec_path) if spec_path else None,
-                resolved=resolved, outputs=outputs, wall_time_s=wall_time,
-                diagnostics=diagnostics).write(out_dir)
+def _write_csv(path: Path, header: list, rows) -> None:
+    """Floats as `_fmt` writes them (17 significant digits), every other cell as it is."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
 
 
-def _solution_diag(sol) -> dict:
+def _output(out: Path, name: str) -> Path:
+    """The path of one output; --out is created here, after the body's input checks."""
+    out.mkdir(parents=True, exist_ok=True)
+    return out / name
+
+
+# what a subcommand body produced: output names, the resolved flags, the
+# diagnostics, the lines to print and the exit code
+Run = namedtuple("Run", "outputs resolved diagnostics lines code", defaults=(EXIT_OK,))
+
+
+def _solution_diag(spec, sol) -> dict:
     return {"rcond": sol.rcond, "backward_error": sol.backward_error,
-            "size": sol.layout.size, "warnings": list(sol.diagnostics)}
+            "size": sol.layout.size, "warnings": list(sol.diagnostics), **_series_diag([spec])}
 
 
 def _series_diag(specs) -> dict:
@@ -90,32 +104,20 @@ def _series_diag(specs) -> dict:
     return {"bessel_K": [max(col) for col in zip(*Ks)], "series_dps": dps}
 
 
-def cmd_solve(args) -> int:
-    t0 = time.perf_counter()
-    spec = load_spec(args.spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_solve(spec, args, out: Path) -> Run:
     tables, sol = assembly.solve(spec)
-    path = out / "coefficients.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["cavity", "mode", "re_u", "im_u", "abs_u"])
-        for k in range(spec.K):
-            for n in tables.modes():
-                v = sol.coefficient(k, n)
-                wr.writerow([k, n, _fmt(v.real), _fmt(v.imag), _fmt(abs(v))])
-    _write_manifest(out, "solve", args.spec, {"quadrature": spec_to_dict(spec)["quadrature"]},
-                    [path.name], time.perf_counter() - t0, _solution_diag(sol))
-    print(f"solved {spec.polarization} system of size {sol.layout.size} "
-          f"(rcond {sol.rcond:.2e}) -> {path}")
-    return EXIT_OK
+    path = _output(out, "coefficients.csv")
+    _write_csv(path, ["cavity", "mode", "re_u", "im_u", "abs_u"],
+               ([k, n, v.real, v.imag, abs(v)]
+                for k in range(spec.K) for n in tables.modes()
+                for v in [sol.coefficient(k, n)]))
+    return Run([path.name], {"quadrature": spec_to_dict(spec)["quadrature"]},
+               _solution_diag(spec, sol),
+               [f"solved {spec.polarization} system of size {sol.layout.size} "
+                f"(rcond {sol.rcond:.2e}) -> {path}"])
 
 
-def cmd_field(args) -> int:
-    t0 = time.perf_counter()
-    spec = load_spec(args.spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_field(spec, args, out: Path) -> Run:
     nx, ny = args.grid
     tables, sol = assembly.solve(spec)
     maps = [postprocess.field_grid(spec, tables, sol, k, nx, ny) for k in range(spec.K)]
@@ -125,53 +127,38 @@ def cmd_field(args) -> int:
         cavity=np.concatenate([m.cavity for m in maps]),
         layer=np.concatenate([m.layer for m in maps]),
         values=np.concatenate([m.values for m in maps]))
-    path = out / "field.csv"
+    path = _output(out, "field.csv")
     postprocess.export_grid(fm, path)
-    _write_manifest(out, "field", args.spec, {"grid": [nx, ny]}, [path.name],
-                    time.perf_counter() - t0, _solution_diag(sol))
-    print(f"field grid {nx}x{ny} per cavity -> {path}")
-    return EXIT_OK
+    return Run([path.name], {"grid": [nx, ny]}, _solution_diag(spec, sol),
+               [f"field grid {nx}x{ny} per cavity -> {path}"])
 
 
-def cmd_rcs(args) -> int:
-    t0 = time.perf_counter()
-    spec = load_spec(args.spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_rcs(spec, args, out: Path) -> Run:
     angles = np.linspace(args.phi_min, args.phi_max, args.angles)
     sweep = postprocess.backscatter_sweep(spec, angles)
-    path = out / "rcs.csv"
+    path = _output(out, "rcs.csv")
     postprocess.export_sweep(sweep, path)
-    _write_manifest(out, "rcs", args.spec,
-                    {"angles": args.angles, "phi_min": args.phi_min, "phi_max": args.phi_max},
-                    [path.name], time.perf_counter() - t0,
-                    {"rcond": sweep.rcond, "backward_error": sweep.backward_error,
-                     "size": spec.K * spec.N, **_series_diag([spec])})
-    print(f"backscatter sweep over {args.angles} angles -> {path}")
-    return EXIT_OK
+    return Run([path.name],
+               {"angles": args.angles, "phi_min": args.phi_min, "phi_max": args.phi_max},
+               {"rcond": sweep.rcond, "backward_error": sweep.backward_error,
+                "size": spec.K * spec.N, **_series_diag([spec])},
+               [f"backscatter sweep over {args.angles} angles -> {path}"])
 
 
 def _rescaled_spec(spec, kappa0: float):
     """Scale the scenario to a new illumination wavenumber: every layer
     wavenumber scales proportionally (non-dispersive media)."""
     ratio = kappa0 / spec.wave.kappa0
-    from .model import Cavity, Layer
-    cavities = tuple(
-        Cavity(c.a, c.b, tuple(Layer(l.y_top, l.y_bottom, l.kappa * ratio)
-                               for l in c.layers))
-        for c in spec.cavities)
+    cavities = tuple(replace(c, layers=tuple(replace(l, kappa=l.kappa * ratio) for l in c.layers))
+                     for c in spec.cavities)
     return replace(spec, wave=IncidentWave(kappa0=kappa0, theta=spec.wave.theta),
                    cavities=cavities)
 
 
-def cmd_enhance(args) -> int:
-    t0 = time.perf_counter()
-    spec = load_spec(args.spec)
+def cmd_enhance(spec, args, out: Path) -> Run:
     if args.cavity is not None and not 0 <= args.cavity < spec.K:
         raise ValidationError("--cavity", f"must be a cavity index in [0, {spec.K - 1}], "
                                           f"got {args.cavity}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     kappas = np.linspace(args.kappa_min, args.kappa_max, args.kappa_steps)
     cavs = [args.cavity] if args.cavity is not None else list(range(spec.K))
     # rcond, backward error, then Q_E per cavity
@@ -186,7 +173,7 @@ def cmd_enhance(args) -> int:
         except (ModalResonanceError, ConnectionResonanceError, SingularSystemError) as exc:
             failed.append({"kappa": float(kappas[i]), "error": str(exc)})
     rconds = rows[:, 0]
-    path = out / "enhancement.csv"
+    path = _output(out, "enhancement.csv")
     postprocess.export_enhancement(kappas, dict(zip(cavs, rows[:, 2:].T)), path)
     diagnostics = {"size": assembly.ModeLayout(spec.polarization, spec.N, spec.K).size,
                    "rcond_below_warn": int(np.count_nonzero(rconds < assembly.RCOND_WARN)),
@@ -195,12 +182,9 @@ def cmd_enhance(args) -> int:
         worst = int(np.nanargmin(rconds))
         diagnostics.update(rcond_min=float(rconds[worst]), rcond_min_kappa=float(kappas[worst]),
                            backward_error_max=float(np.nanmax(rows[:, 1])))
-    _write_manifest(out, "enhance", args.spec,
-                    {"kappa_min": args.kappa_min, "kappa_max": args.kappa_max,
-                     "kappa_steps": args.kappa_steps, "cavities": cavs},
-                    [path.name], time.perf_counter() - t0, diagnostics)
-    print(f"enhancement spectrum over {args.kappa_steps} wavenumbers -> {path}")
-    return EXIT_OK
+    return Run([path.name], {"kappa_min": args.kappa_min, "kappa_max": args.kappa_max,
+                             "kappa_steps": args.kappa_steps, "cavities": cavs},
+               diagnostics, [f"enhancement spectrum over {args.kappa_steps} wavenumbers -> {path}"])
 
 
 def convergence_study(spec, levels: int):
@@ -224,52 +208,35 @@ def convergence_study(spec, levels: int):
     return ladder, errs, order
 
 
-def cmd_convergence(args) -> int:
-    t0 = time.perf_counter()
-    spec = load_spec(args.spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_convergence(spec, args, out: Path) -> Run:
     ladder, errs, order = convergence_study(spec, args.levels)
-    path = out / "convergence.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["level", "panels", "h", "l2_error_vs_finest"])
-        for j, (p, e) in enumerate(zip(ladder[:-1], errs)):
-            wr.writerow([j, p, _fmt(2.0 * pi / p), _fmt(e)])
-    _write_manifest(out, "convergence", args.spec,
-                    {"levels": args.levels, "base_panels": spec.quad.panels},
-                    [path.name], time.perf_counter() - t0,
-                    {"fitted_order": order, "reference_panels": ladder[-1]})
-    for j, (p, e) in enumerate(zip(ladder[:-1], errs)):
-        print(f"  level {j}: panels {p:5d}  error {e:.3e}")
-    print(f"fitted order: {order:.2f} ({spec.polarization})")
-    return EXIT_OK
+    levels = list(zip(ladder[:-1], errs))
+    path = _output(out, "convergence.csv")
+    _write_csv(path, ["level", "panels", "h", "l2_error_vs_finest"],
+               ([j, p, 2.0 * pi / p, e] for j, (p, e) in enumerate(levels)))
+    return Run([path.name], {"levels": args.levels, "base_panels": spec.quad.panels},
+               {"fitted_order": order, "reference_panels": ladder[-1]},
+               [f"  level {j}: panels {p:5d}  error {e:.3e}" for j, (p, e) in enumerate(levels)]
+               + [f"fitted order: {order:.2f} ({spec.polarization})"])
 
 
-def cmd_validate(args) -> int:
-    t0 = time.perf_counter()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_validate(spec, args, out: Path) -> Run:
     from . import oracle  # scipy.special: only this subcommand pays its import
     reports = oracle.validation_reports(oracle.TOLERANCE_PROFILES[args.tolerance_profile])
-    path = out / "oracle_report.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["case", "oracle_re", "oracle_im", "production_re", "production_im",
-                     "abs_err", "rel_err", "grid", "passed"])
-        for r in reports:
-            wr.writerow([r.case_id, _fmt(r.oracle_value.real), _fmt(r.oracle_value.imag),
-                         _fmt(r.production_value.real), _fmt(r.production_value.imag),
-                         _fmt(r.abs_err), _fmt(r.rel_err), r.grid, int(r.converged)])
+    path = _output(out, "oracle_report.csv")
+    _write_csv(path, ["case", "oracle_re", "oracle_im", "production_re", "production_im",
+                      "abs_err", "rel_err", "grid", "passed"],
+               ([r.case_id, r.oracle_value.real, r.oracle_value.imag, r.production_value.real,
+                 r.production_value.imag, r.abs_err, r.rel_err, r.grid, int(r.converged)]
+                for r in reports))
     failures = [r for r in reports if not r.converged]
-    _write_manifest(out, "validate", None, {"tolerance_profile": args.tolerance_profile},
-                    [path.name], time.perf_counter() - t0,
-                    {"cases": len(reports), "failures": len(failures)})
-    for r in reports:
-        mark = "ok  " if r.converged else "FAIL"
-        print(f"  [{mark}] {r.case_id}: rel_err {r.rel_err:.3e}")
-    print(f"validation: {len(reports) - len(failures)}/{len(reports)} cases passed -> {path}")
-    return EXIT_OK if not failures else EXIT_VALIDATION
+    lines = [f"  [{'ok  ' if r.converged else 'FAIL'}] {r.case_id}: rel_err {r.rel_err:.3e}"
+             for r in reports]
+    lines.append(f"validation: {len(reports) - len(failures)}/{len(reports)} cases passed "
+                 f"-> {path}")
+    return Run([path.name], {"tolerance_profile": args.tolerance_profile},
+               {"cases": len(reports), "failures": len(failures)}, lines,
+               EXIT_VALIDATION if failures else EXIT_OK)
 
 
 def _flag_type(convert, valid, requirement: str):
@@ -295,54 +262,51 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Modal solver for rectangular-cavity scattering")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_common(p, spec=True):
+    def add(name, body, summary, spec=True):
+        p = sub.add_parser(name, help=summary)
         if spec:
             p.add_argument("--spec", required=True, help="JSON scenario file")
         p.add_argument("--out", required=True, help="output directory")
+        p.set_defaults(func=body)
+        return p
 
-    p = sub.add_parser("solve", help="solve and dump aperture coefficients")
-    add_common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("field", help="sample the interior field on a grid")
-    add_common(p)
+    add("solve", cmd_solve, "solve and dump aperture coefficients")
+    p = add("field", cmd_field, "sample the interior field on a grid")
     p.add_argument("--grid", type=_COUNT, nargs=2, default=(61, 61), metavar=("NX", "NY"))
-    p.set_defaults(func=cmd_field)
-
-    p = sub.add_parser("rcs", help="TM backscatter sweep")
-    add_common(p)
+    p = add("rcs", cmd_rcs, "TM backscatter sweep")
     p.add_argument("--angles", type=_COUNT, default=181)
     p.add_argument("--phi-min", type=float, default=pi / 180.0)
     p.add_argument("--phi-max", type=float, default=pi - pi / 180.0)
-    p.set_defaults(func=cmd_rcs)
-
-    p = sub.add_parser("enhance", help="enhancement-factor spectrum over kappa0")
-    add_common(p)
+    p = add("enhance", cmd_enhance, "enhancement-factor spectrum over kappa0")
     p.add_argument("--kappa-min", type=_POSITIVE, required=True)
     p.add_argument("--kappa-max", type=_POSITIVE, required=True)
     p.add_argument("--kappa-steps", type=_COUNT, default=101)
     p.add_argument("--cavity", type=int, default=None, help="cavity index (default: all)")
-    p.set_defaults(func=cmd_enhance)
-
-    p = sub.add_parser("convergence", help="self-convergence table under panel refinement")
-    add_common(p)
+    p = add("convergence", cmd_convergence, "self-convergence table under panel refinement")
     p.add_argument("--levels", type=_COUNT, default=5)
-    p.set_defaults(func=cmd_convergence)
-
-    p = sub.add_parser("validate", help="run the oracle suites")
-    add_common(p, spec=False)
+    p = add("validate", cmd_validate, "run the oracle suites", spec=False)
     p.add_argument("--tolerance-profile", choices=TOLERANCE_PROFILE_NAMES, default="default")
-    p.set_defaults(func=cmd_validate)
     return ap
 
 
 def main(argv=None) -> int:
+    """Parse, load the spec, run one subcommand body, then write its manifest
+    and print its summary.  Any CavityScatError exits 2 with no manifest."""
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
+    spec_path = getattr(args, "spec", None)  # validate reads no spec
+    out = Path(args.out)
     try:
-        return args.func(args)
+        run = args.func(load_spec(spec_path) if spec_path else None, args, out)
     except CavityScatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    RunManifest(subcommand=args.command, spec=spec_path, resolved=run.resolved,
+                outputs=run.outputs, wall_time_s=time.perf_counter() - t0,
+                diagnostics=run.diagnostics).write(out)
+    for line in run.lines:
+        print(line)
+    return run.code
 
 
 if __name__ == "__main__":

@@ -220,6 +220,19 @@ def _integer(value, path, field: str) -> int:
     return int(value)
 
 
+def _number(value, path, field: str) -> float:
+    """A JSON number as a float (true and "1.5" are not numbers)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecFileError(path, f"must be a number, got {value!r}", field=field)
+    return float(value)
+
+
+def _list(value, path, field: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise SpecFileError(path, f"must be a list, got {value!r}", field=field)
+    return value
+
+
 def spec_from_dict(doc: dict, path="<dict>") -> ProblemSpec:
     if not isinstance(doc, dict):
         raise SpecFileError(path, "top-level document must be an object")
@@ -227,39 +240,38 @@ def spec_from_dict(doc: dict, path="<dict>") -> ProblemSpec:
     if schema != SCHEMA_VERSION:
         raise SpecFileError(path, f"unsupported schema version {schema} (expected {SCHEMA_VERSION})",
                             field="schema")
-    try:
-        wave = IncidentWave(kappa0=float(_require(doc, "kappa0", path)),
-                            theta=float(_require(doc, "theta", path)))
-        polarization = str(_require(doc, "polarization", path))
-        N = _integer(_require(doc, "N", path), path, "N")
-        # unknown keys are ignored; older files carry "lift_threshold", a
-        # setting nothing read
-        qd = _object(doc.get("quadrature", {}), path, "quadrature")
-        quad = QuadratureConfig(**{
-            key: _integer(qd.get(key, default), path, f"quadrature.{key}")
-            for key, default in asdict(QuadratureConfig()).items()})
-        cavities = []
-        for ci, cd in enumerate(_require(doc, "cavities", path)):
-            cd = _object(cd, path, f"cavities[{ci}]")
-            layers = []
-            y_top = 0.0
-            for li, ld in enumerate(cd.get("layers", [])):
-                ld = _object(ld, path, f"cavities[{ci}].layers[{li}]")
-                if "y_bottom" not in ld:
-                    raise SpecFileError(path, "missing required field",
-                                        field=f"cavities[{ci}].layers[{li}].y_bottom")
-                kp = ld.get("kappa")
-                if not (isinstance(kp, (list, tuple)) and len(kp) == 2):
-                    raise SpecFileError(path, "kappa must be a [re, im] pair",
-                                        field=f"cavities[{ci}].layers[{li}].kappa")
-                layers.append(Layer(y_top=y_top, y_bottom=float(ld["y_bottom"]),
-                                    kappa=complex(float(kp[0]), float(kp[1]))))
-                y_top = float(ld["y_bottom"])
-            if "a" not in cd or "b" not in cd:
-                raise SpecFileError(path, "missing required field", field=f"cavities[{ci}].a/b")
-            cavities.append(Cavity(a=float(cd["a"]), b=float(cd["b"]), layers=tuple(layers)))
-    except (TypeError, ValueError) as exc:
-        raise SpecFileError(path, f"malformed value: {exc}") from exc
+    wave = IncidentWave(kappa0=_number(_require(doc, "kappa0", path), path, "kappa0"),
+                        theta=_number(_require(doc, "theta", path), path, "theta"))
+    polarization = str(_require(doc, "polarization", path))
+    N = _integer(_require(doc, "N", path), path, "N")
+    # unknown keys are ignored; older files carry "lift_threshold", a
+    # setting nothing read
+    qd = _object(doc.get("quadrature", {}), path, "quadrature")
+    quad = QuadratureConfig(**{
+        key: _integer(qd.get(key, default), path, f"quadrature.{key}")
+        for key, default in asdict(QuadratureConfig()).items()})
+    cavities = []
+    for ci, cd in enumerate(_list(_require(doc, "cavities", path), path, "cavities")):
+        tag = f"cavities[{ci}]"
+        cd = _object(cd, path, tag)
+        layers = []
+        y_top = 0.0
+        for li, ld in enumerate(_list(cd.get("layers", []), path, f"{tag}.layers")):
+            ltag = f"{tag}.layers[{li}]"
+            ld = _object(ld, path, ltag)
+            if "y_bottom" not in ld:
+                raise SpecFileError(path, "missing required field", field=f"{ltag}.y_bottom")
+            kp = ld.get("kappa")
+            if not (isinstance(kp, (list, tuple)) and len(kp) == 2):
+                raise SpecFileError(path, "kappa must be a [re, im] pair", field=f"{ltag}.kappa")
+            y_bottom = _number(ld["y_bottom"], path, f"{ltag}.y_bottom")
+            kappa = complex(*(_number(v, path, f"{ltag}.kappa") for v in kp))
+            layers.append(Layer(y_top=y_top, y_bottom=y_bottom, kappa=kappa))
+            y_top = y_bottom
+        if "a" not in cd or "b" not in cd:
+            raise SpecFileError(path, "missing required field", field=f"{tag}.a/b")
+        cavities.append(Cavity(a=_number(cd["a"], path, f"{tag}.a"),
+                               b=_number(cd["b"], path, f"{tag}.b"), layers=tuple(layers)))
     return ProblemSpec(wave=wave, polarization=polarization, cavities=tuple(cavities), N=N, quad=quad)
 
 

@@ -15,8 +15,12 @@ from .modal import (ModalTables, build_modal_tables, interior_coefficients,
 from .model import ProblemSpec, validate
 from .quadrature import composite_nodes, gauss_rule
 
-# Four-point Gauss panels of the enhancement y-integrals.
+# The enhancement y-integrals: 4 panels of four-point Gauss per layer.  The
+# n >= 1 profiles of a narrow cavity decay within a small part of a layer, so
+# for two w = 0.05, depth-1 cavities at kappa0 = 1.45 this rule leaves Q_E
+# about 3e-8 (relative) off the value it converges to at 1024 points.
 _ENHANCE_RULE = gauss_rule(4)
+_ENHANCE_PANELS = 4
 
 
 @dataclass(frozen=True)
@@ -201,7 +205,7 @@ def backscatter_sweep(spec: ProblemSpec, angles) -> RcsSweep:
 
 
 def enhancement(spec: ProblemSpec, tables: ModalTables, solution: ApertureSolution,
-                k: int, points_per_layer: int = 16) -> float:
+                k: int) -> float:
     """Q_E = ||u||_{L2(cavity)} / ||u^i||_{L2(cavity)} for cavity k.
 
     Modal orthogonality turns the numerator into the sum over modes n of
@@ -210,12 +214,11 @@ def enhancement(spec: ProblemSpec, tables: ModalTables, solution: ApertureSoluti
     denominator is sqrt(w * depth).
     """
     cav = spec.cavities[k]
-    panels = max(1, points_per_layer // _ENHANCE_RULE.q)
-    nodes = [composite_nodes(lay.y_bottom, lay.y_top, panels, _ENHANCE_RULE)
+    nodes = [composite_nodes(lay.y_bottom, lay.y_top, _ENHANCE_PANELS, _ENHANCE_RULE)
              for lay in cav.layers]
     ys = np.concatenate([n[0] for n in nodes])
     wy = np.concatenate([n[1] for n in nodes])
-    layers = np.repeat(np.arange(cav.L), panels * _ENHANCE_RULE.q)
+    layers = np.repeat(np.arange(cav.L), _ENHANCE_PANELS * _ENHANCE_RULE.q)
     modes, prof, _ = _mode_profiles(spec, tables, solution, k, ys, layers)
     num = float(mode_norms(modes, cav.w) @ (np.abs(prof) ** 2 @ wy))
     return sqrt(num / (cav.w * cav.depth))

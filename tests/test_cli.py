@@ -45,6 +45,7 @@ def test_solve_roundtrip(tmp_path):
     assert man["diagnostics"]["size"] == 6
     _, sol = cs.solve(cs.load_spec(spec_path))
     assert man["diagnostics"]["backward_error"] == sol.backward_error < 1e-13
+    assert man["diagnostics"]["bessel_K"] == [10] and man["diagnostics"]["series_dps"] == 40
 
 
 def test_solve_deterministic_reruns(tmp_path):
@@ -68,6 +69,8 @@ def test_field_subcommand(tmp_path):
     lines = (out / "field.csv").read_text().splitlines()
     assert lines[0] == "x,y,cavity,layer,re_u,im_u,abs_u"
     assert len(lines) == 1 + 9 * 7
+    diag = _manifest(out)["diagnostics"]
+    assert diag["bessel_K"] == [10] and diag["series_dps"] == 40
 
 
 def test_rcs_subcommand_and_te_rejection(tmp_path):
@@ -239,6 +242,21 @@ def test_input_errors_exit_2(tmp_path):
     p.write_text(json.dumps(doc))
     assert cli.main(["solve", "--spec", str(p),
                      "--out", str(tmp_path / "o")]) == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["field"], ["rcs"],
+                                  ["enhance", "--kappa-min", "1.4", "--kappa-max", "1.6"],
+                                  ["convergence"]])
+def test_invalid_spec_exits_2_before_out_exists(tmp_path, capsys, argv):
+    doc = cs.model.spec_to_dict(_tiny_tm())
+    doc["cavities"][0]["b"] = doc["cavities"][0]["a"]  # invalid aperture
+    spec_path = tmp_path / "degenerate.json"
+    spec_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main([argv[0], "--spec", str(spec_path), "--out", str(out)]
+                    + argv[1:]) == cli.EXIT_INPUT
+    assert "cavities[0].a" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validate_subcommand_passes(tmp_path):

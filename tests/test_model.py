@@ -183,10 +183,15 @@ def _edited(edit):
     (lambda d: d["cavities"][1].update(layers=[{"y_bottom": -0.5, "kappa": [1, 0]}, 2]),
      "cavities[1].layers[1]"),
     (lambda d: d.update(quadrature=[1]), "quadrature"),
+    (lambda d: d.update(cavities=5), "cavities"),
+    (lambda d: d.update(cavities={"a": 0.0}), "cavities"),
+    (lambda d: d["cavities"][2].update(layers=5), "cavities[2].layers"),
+    (lambda d: d["cavities"][2].update(layers="layer"), "cavities[2].layers"),
 ])
 def test_non_object_entries_name_the_field(edit, field):
-    # a list or number where an object belongs is a spec error, not an
-    # AttributeError from deep inside the parser
+    # a list or number where an object belongs, or a non-list where a list
+    # belongs, is a spec error naming the field, not an AttributeError or a
+    # TypeError from deep inside the parser
     with pytest.raises(SpecFileError) as exc:
         spec_from_dict(_edited(edit))
     assert exc.value.field == field
@@ -201,6 +206,38 @@ def test_integer_fields_reject_fractions_and_booleans(key, value):
     with pytest.raises(SpecFileError) as exc:
         spec_from_dict(_edited(edit))
     assert exc.value.field == (key if key == "N" else f"quadrature.{key}")
+
+
+def _layer(d, ci, li):
+    return d["cavities"][ci]["layers"][li]
+
+
+_FLOAT_FIELDS = [
+    ("kappa0", lambda d, v: d.update(kappa0=v)),
+    ("theta", lambda d, v: d.update(theta=v)),
+    ("cavities[1].a", lambda d, v: d["cavities"][1].update(a=v)),
+    ("cavities[1].b", lambda d, v: d["cavities"][1].update(b=v)),
+    ("cavities[1].layers[2].y_bottom", lambda d, v: _layer(d, 1, 2).update(y_bottom=v)),
+    ("cavities[2].layers[0].kappa", lambda d, v: _layer(d, 2, 0).update(kappa=[v, 0.0])),
+    ("cavities[2].layers[0].kappa", lambda d, v: _layer(d, 2, 0).update(kappa=[1.0, v])),
+]
+
+
+@pytest.mark.parametrize("field,edit", _FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [True, False, "1.5", None, [1.0]])
+def test_float_fields_reject_booleans_and_non_numbers(field, edit, value):
+    # float() would read true as 1.0 and "1.5" as 1.5
+    with pytest.raises(SpecFileError) as exc:
+        spec_from_dict(_edited(lambda d: edit(d, value)))
+    assert exc.value.field == field
+
+
+def test_integer_valued_floats_load_as_floats():
+    doc = _edited(lambda d: (d.update(kappa0=2, theta=0),
+                             d["cavities"][0]["layers"][0].update(kappa=[3, 0])))
+    spec = spec_from_dict(doc)
+    assert (spec.wave.kappa0, spec.wave.theta) == (2.0, 0.0)
+    assert type(spec.wave.kappa0) is float and spec.cavities[0].layers[0].kappa == 3 + 0j
 
 
 def test_integral_float_counts_as_integer():
