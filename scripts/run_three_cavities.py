@@ -12,14 +12,12 @@ along each cavity diagonal (200 samples).
 Usage: python scripts/run_three_cavities.py [outdir]
 """
 
-import csv
 import sys
 from math import pi
 from pathlib import Path
 
-import numpy as np
-
 import cavityscat as cs
+from cavityscat.postprocess import export_grid, write_csv
 
 OUT = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("results/three_cavities")
 K0 = 2 * pi
@@ -45,17 +43,12 @@ def main():
         cs.save_spec(sp, out / "spec.json")
         tables, sol = cs.solve(sp)
         print(f"{pol}: solved system of size {sol.layout.size} (rcond {sol.rcond:.2e})")
-        with open(out / "diagonal_traces.csv", "w", newline="", encoding="utf-8") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["cavity", "x", "y", "abs_u"])
-            for k in range(3):
-                tr = cs.diagonal_trace(sp, tables, sol, k, samples=200)
-                for i in range(len(tr.x)):
-                    wr.writerow([k, f"{tr.x[i]:.17g}", f"{tr.y[i]:.17g}",
-                                 f"{abs(tr.values[i]):.17g}"])
+        traces = [cs.diagonal_trace(sp, tables, sol, k, samples=200) for k in range(3)]
+        write_csv(out / "diagonal_traces.csv", ["cavity", "x", "y", "abs_u"],
+                  ([k, x, y, abs(v)] for k, tr in enumerate(traces)
+                   for x, y, v in zip(tr.x, tr.y, tr.values)))
         for k in range(3):
             fm = cs.field_grid(sp, tables, sol, k, 81, 61)
-            from cavityscat.postprocess import export_grid
             export_grid(fm, out / f"field_cavity{k}.csv")
         print(f"  wrote diagonal traces and field maps -> {out}")
     return 0

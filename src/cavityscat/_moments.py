@@ -197,13 +197,18 @@ def p_moment_mp(k: int, n: int, m: int):
                                             - m * log_trig_moment_mp(k - 1, m, "sin"))
 
 
-def bessel_K_for(c: float, floor: int = 8) -> int:
-    """Series truncation: smallest K >= floor with (c pi)^{2K+2}/((K+1)!)^2 < 1e-16.
+# the least log-series truncation K, whatever the aperture scale c
+BESSEL_K_FLOOR = 8
+
+
+def bessel_K_for(c: float) -> int:
+    """Series truncation: smallest K >= BESSEL_K_FLOOR with
+    (c pi)^{2K+2}/((K+1)!)^2 < 1e-16.
 
     Keeps the J0 remainder below roundoff over the whole parameter square, so
     the alternating S/P series carries the entire log-part weight.
     """
-    K = floor
+    K = BESSEL_K_FLOOR
     while (2 * K + 2) * log10(c * pi) - 2.0 * lgamma(K + 2) / log(10.0) >= -16.0:
         K += 1
     return K

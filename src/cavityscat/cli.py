@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 validation-suite failure, 2 input error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -22,11 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _moments, assembly, postprocess, quadrature
+from . import _moments, assembly, postprocess
 from .errors import (CavityScatError, ConnectionResonanceError, ModalResonanceError,
                      SingularSystemError, ValidationError)
 from .model import IncidentWave, load_spec, spec_to_dict
-from .postprocess import _fmt
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -68,14 +66,6 @@ def _finite_or_null(obj):
     return None if isinstance(obj, float) and not np.isfinite(obj) else obj
 
 
-def _write_csv(path: Path, header: list, rows) -> None:
-    """Floats as `_fmt` writes them (17 significant digits), every other cell as it is."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        wr.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
-
-
 def _output(out: Path, name: str) -> Path:
     """The path of one output; --out is created here, after the body's input checks."""
     out.mkdir(parents=True, exist_ok=True)
@@ -98,7 +88,7 @@ def _series_diag(specs) -> dict:
     Ks, dps = [], 0
     for s in specs:
         scales = [s.wave.kappa0 * cav.w / (2.0 * pi) for cav in s.cavities]
-        row = [quadrature.bessel_truncation(c, s.quad) for c in scales]
+        row = [_moments.bessel_K_for(c) for c in scales]
         dps = max(dps, *(_moments._series_dps(c, K) for c, K in zip(scales, row)))
         Ks.append(row)
     return {"bessel_K": [max(col) for col in zip(*Ks)], "series_dps": dps}
@@ -107,10 +97,10 @@ def _series_diag(specs) -> dict:
 def cmd_solve(spec, args, out: Path) -> Run:
     tables, sol = assembly.solve(spec)
     path = _output(out, "coefficients.csv")
-    _write_csv(path, ["cavity", "mode", "re_u", "im_u", "abs_u"],
-               ([k, n, v.real, v.imag, abs(v)]
-                for k in range(spec.K) for n in tables.modes()
-                for v in [sol.coefficient(k, n)]))
+    postprocess.write_csv(path, ["cavity", "mode", "re_u", "im_u", "abs_u"],
+                          ([k, n, v.real, v.imag, abs(v)]
+                           for k in range(spec.K) for n in tables.modes()
+                           for v in [sol.coefficient(k, n)]))
     return Run([path.name], {"quadrature": spec_to_dict(spec)["quadrature"]},
                _solution_diag(spec, sol),
                [f"solved {spec.polarization} system of size {sol.layout.size} "
@@ -212,8 +202,8 @@ def cmd_convergence(spec, args, out: Path) -> Run:
     ladder, errs, order = convergence_study(spec, args.levels)
     levels = list(zip(ladder[:-1], errs))
     path = _output(out, "convergence.csv")
-    _write_csv(path, ["level", "panels", "h", "l2_error_vs_finest"],
-               ([j, p, 2.0 * pi / p, e] for j, (p, e) in enumerate(levels)))
+    postprocess.write_csv(path, ["level", "panels", "h", "l2_error_vs_finest"],
+                          ([j, p, 2.0 * pi / p, e] for j, (p, e) in enumerate(levels)))
     return Run([path.name], {"levels": args.levels, "base_panels": spec.quad.panels},
                {"fitted_order": order, "reference_panels": ladder[-1]},
                [f"  level {j}: panels {p:5d}  error {e:.3e}" for j, (p, e) in enumerate(levels)]
@@ -224,11 +214,12 @@ def cmd_validate(spec, args, out: Path) -> Run:
     from . import oracle  # scipy.special: only this subcommand pays its import
     reports = oracle.validation_reports(oracle.TOLERANCE_PROFILES[args.tolerance_profile])
     path = _output(out, "oracle_report.csv")
-    _write_csv(path, ["case", "oracle_re", "oracle_im", "production_re", "production_im",
-                      "abs_err", "rel_err", "grid", "passed"],
-               ([r.case_id, r.oracle_value.real, r.oracle_value.imag, r.production_value.real,
-                 r.production_value.imag, r.abs_err, r.rel_err, r.grid, int(r.converged)]
-                for r in reports))
+    postprocess.write_csv(path, ["case", "oracle_re", "oracle_im", "production_re",
+                                 "production_im", "abs_err", "rel_err", "grid", "passed"],
+                          ([r.case_id, r.oracle_value.real, r.oracle_value.imag,
+                            r.production_value.real, r.production_value.imag, r.abs_err,
+                            r.rel_err, r.grid, int(r.converged)]
+                           for r in reports))
     failures = [r for r in reports if not r.converged]
     lines = [f"  [{'ok  ' if r.converged else 'FAIL'}] {r.case_id}: rel_err {r.rel_err:.3e}"
              for r in reports]

@@ -78,7 +78,6 @@ class Cavity:
 class QuadratureConfig:
     panels: int = 64
     points_per_panel: int = 4
-    bessel_K: int = 8
 
 
 @dataclass(frozen=True)
@@ -128,11 +127,12 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
         raise ValidationError("quadrature.panels", "must be >= 1")
     if q.points_per_panel < 2:
         raise ValidationError("quadrature.points_per_panel", "must be >= 2")
-    if q.bessel_K < 1:
-        raise ValidationError("quadrature.bessel_K", "must be >= 1")
 
     for ci, cav in enumerate(spec.cavities):
         tag = f"cavities[{ci}]"
+        for name, x in (("a", cav.a), ("b", cav.b)):
+            if not math.isfinite(x):
+                raise ValidationError(f"{tag}.{name}", f"must be finite, got {x}")
         if not (cav.a < cav.b):
             raise ValidationError(f"{tag}.a", f"aperture needs a < b, got [{cav.a}, {cav.b}]")
         if cav.L < 1:
@@ -146,6 +146,8 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
             if li > 0 and lay.y_top != prev_bottom:
                 raise ValidationError(f"{ltag}.y_top",
                                       f"layers must be contiguous: expected {prev_bottom}, got {lay.y_top}")
+            if not math.isfinite(lay.y_bottom):
+                raise ValidationError(f"{ltag}.y_bottom", f"must be finite, got {lay.y_bottom}")
             if not (lay.y_bottom < lay.y_top):
                 raise ValidationError(f"{ltag}.y_bottom",
                                       f"interfaces must descend: y_bottom {lay.y_bottom} >= y_top {lay.y_top}")
@@ -184,7 +186,6 @@ def spec_to_dict(spec: ProblemSpec) -> dict:
         "quadrature": {
             "panels": spec.quad.panels,
             "points_per_panel": spec.quad.points_per_panel,
-            "bessel_K": spec.quad.bessel_K,
         },
         "cavities": [
             {
@@ -244,8 +245,8 @@ def spec_from_dict(doc: dict, path="<dict>") -> ProblemSpec:
                         theta=_number(_require(doc, "theta", path), path, "theta"))
     polarization = str(_require(doc, "polarization", path))
     N = _integer(_require(doc, "N", path), path, "N")
-    # unknown keys are ignored; older files carry "lift_threshold", a
-    # setting nothing read
+    # unknown keys are ignored; older files carry "lift_threshold" and
+    # "bessel_K", settings that are gone (K is worked out from the aperture)
     qd = _object(doc.get("quadrature", {}), path, "quadrature")
     quad = QuadratureConfig(**{
         key: _integer(qd.get(key, default), path, f"quadrature.{key}")

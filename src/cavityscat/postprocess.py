@@ -255,30 +255,31 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def export_grid(fieldmap: FieldMap, path) -> None:
+def write_csv(path, header: list, rows) -> None:
+    """The one CSV writer: floats (numpy floats too) as `_fmt` writes them,
+    every other cell as it is."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["x", "y", "cavity", "layer", "re_u", "im_u", "abs_u"])
-        for i in range(len(fieldmap.x)):
-            v = fieldmap.values[i]
-            wr.writerow([_fmt(fieldmap.x[i]), _fmt(fieldmap.y[i]),
-                         int(fieldmap.cavity[i]), int(fieldmap.layer[i]),
-                         _fmt(v.real), _fmt(v.imag), _fmt(abs(v))])
+        wr.writerow(header)
+        wr.writerows([_fmt(v) if isinstance(v, (float, np.floating)) else v for v in row]
+                     for row in rows)
+
+
+def export_grid(fieldmap: FieldMap, path) -> None:
+    # the scalar abs: np.abs rounds some moduli differently in the last bit
+    v = fieldmap.values
+    write_csv(path, ["x", "y", "cavity", "layer", "re_u", "im_u", "abs_u"],
+              zip(fieldmap.x, fieldmap.y, fieldmap.cavity, fieldmap.layer,
+                  v.real, v.imag, map(abs, v)))
 
 
 def export_sweep(sweep: RcsSweep, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["phi_rad", "sigma", "sigma_db"])
-        for i in range(len(sweep.angles)):
-            wr.writerow([_fmt(sweep.angles[i]), _fmt(sweep.sigma[i]), _fmt(sweep.sigma_db[i])])
+    write_csv(path, ["phi_rad", "sigma", "sigma_db"],
+              zip(sweep.angles, sweep.sigma, sweep.sigma_db))
 
 
 def export_enhancement(kappas, q_columns: dict[int, np.ndarray], path) -> None:
     """Columns: kappa, then Q_E per cavity index (sorted)."""
     keys = sorted(q_columns)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["kappa"] + [f"Q_E_{k}" for k in keys])
-        for i, kap in enumerate(kappas):
-            wr.writerow([_fmt(kap)] + [_fmt(float(q_columns[k][i])) for k in keys])
+    write_csv(path, ["kappa"] + [f"Q_E_{k}" for k in keys],
+              zip(kappas, *(q_columns[k] for k in keys)))

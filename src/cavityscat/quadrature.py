@@ -86,7 +86,9 @@ def composite_nodes_edges(edges: np.ndarray, rule: GaussRule):
 
 
 def bessel_truncation(c: float, cfg: QuadratureConfig) -> int:
-    return _moments.bessel_K_for(c, cfg.bessel_K)
+    """`_moments.bessel_K_for(c)`; cfg is not read.  The benchmark harness
+    (`perfbench/job.py`) calls this two-argument form."""
+    return _moments.bessel_K_for(c)
 
 
 def _offset_distances(pts: np.ndarray, panels: int) -> np.ndarray:
@@ -125,9 +127,9 @@ def _grid_kernel(c: float, pts: np.ndarray, panels: int, K: int) -> np.ndarray:
 def singular_block_matrix(modes_m, modes_n, c: float, kind: str,
                           cfg: QuadratureConfig) -> np.ndarray:
     """All blocks [m, n] for the given mode lists at kernel scale c."""
-    if c <= 0:
-        raise ValidationError("c", "kernel scale must be positive")
-    K = bessel_truncation(c, cfg)
+    if not 0.0 < c < float("inf"):
+        raise ValidationError("c", f"kernel scale must be positive and finite, got {c}")
+    K = _moments.bessel_K_for(c)
     rule = gauss_rule(cfg.points_per_panel)
     pts, wts = composite_nodes(0.0, TWO_PI, cfg.panels, rule)
     kern = _grid_kernel(c, pts, cfg.panels, K)

@@ -124,35 +124,15 @@ def _j0_y0(x):
     return j, y
 
 
-def _check_domain(x, name, strict_positive):
-    x = np.asarray(x, dtype=float)
-    if strict_positive:
-        if np.any(x <= 0.0):
-            raise ValidationError(name, "argument must be > 0")
-    elif np.any(x < 0.0):
-        raise ValidationError(name, "argument must be >= 0")
-    return x
-
-
 def _scalar_like(value, x):
     return value.item() if np.ndim(x) == 0 else value
 
 
-def bessel_j0(x):
-    """J0(x) for x >= 0."""
-    xa = _check_domain(x, "bessel_j0", strict_positive=False)
-    return _scalar_like(_j0_y0(xa)[0], x)
-
-
-def bessel_y0(x):
-    """Y0(x) for x > 0; diverges like (2/pi) ln(x/2) as x -> 0+."""
-    xa = _check_domain(x, "bessel_y0", strict_positive=True)
-    return _scalar_like(_j0_y0(xa)[1], x)
-
-
 def hankel1_0(x):
     """H0^(1)(x) = J0(x) + i Y0(x) for x > 0."""
-    xa = _check_domain(x, "hankel1_0", strict_positive=True)
+    xa = np.asarray(x, dtype=float)
+    if np.any(xa <= 0.0):
+        raise ValidationError("hankel1_0", "argument must be > 0")
     j, y = _j0_y0(xa)
     return _scalar_like(j + 1j * y, x)
 

@@ -219,18 +219,18 @@ def test_bessel_truncation_rule():
     cfg = QuadratureConfig()
     for c in (0.25, 1.0, 4.0):
         K = q.bessel_truncation(c, cfg)
-        assert K >= cfg.bessel_K
+        assert K >= _moments.BESSEL_K_FLOOR
         # remainder scale bound below 1e-16 at the domain corner
         assert (2 * K + 2) * log(c * pi) - 2 * sum(log(j) for j in range(1, K + 2)) < -16 * log(10)
         assert (2 * K) * log(c * pi) - 2 * sum(log(j) for j in range(1, K + 1)) >= -16 * log(10) \
-            or K == cfg.bessel_K
+            or K == _moments.BESSEL_K_FLOOR
 
 
 @pytest.mark.parametrize("N, c", [(30, 0.24), (150, 1.0), (40, 4.0), (60, 8.0)])
 def test_folded_log_series_matches_per_pair(N, c):
     # the per-frequency fold against the per-pair mpmath series, on the
     # diagonal, the zero-mode row/column and a sample of off-diagonal pairs
-    K = _moments.bessel_K_for(c, 8)
+    K = _moments.bessel_K_for(c)
     rng = np.random.default_rng(N)
     sample = rng.integers(0, N + 1, size=(80, 2)).tolist()
     for kind, lo in (("sin", 1), ("cos", 0)):
@@ -248,7 +248,7 @@ def test_folded_log_series_matches_per_pair(N, c):
 
 
 def test_folded_log_series_zero_modes_and_parity():
-    K = _moments.bessel_K_for(1.0, 8)
+    K = _moments.bessel_K_for(1.0)
     sin = _moments.log_series_matrix("sin", [0, 1, 2, 3], [0, 1, 2, 3, 4], 1.0, K)
     assert np.all(sin[0] == 0) and np.all(sin[:, 0] == 0)  # sin(0 s/2) vanishes
     cos = _moments.log_series_matrix("cos", [0, 1, 2], [0, 1, 2, 3, 4], 1.0, K)
@@ -376,7 +376,7 @@ PR3_SET = [(30, 0.24), (150, 1.0), (40, 4.0), (60, 8.0)]
 
 @pytest.mark.parametrize("N, c", PR3_SET)
 def test_integer_fold_matches_mpf_fold(N, c):
-    K = _moments.bessel_K_for(c, 8)
+    K = _moments.bessel_K_for(c)
     for kind, lo in (("sin", 1), ("cos", 0)):
         modes = list(range(lo, N + 1))
         got = _moments.log_series_matrix(kind, modes, modes, c, K)
@@ -389,7 +389,7 @@ def test_zero_mode_fold_against_80_digit_reference():
     # the q = 0 entries reach (2 pi)^{2K+2} and the fold cancels against them:
     # at c = 8 (K = 82) 30 fixed digits left the cos zero mode 2.4e-11 off
     c, N = 8.0, 60
-    K = _moments.bessel_K_for(c, 8)
+    K = _moments.bessel_K_for(c)
     assert K == 82
     modes = list(range(N + 1))
     got = _moments.log_series_matrix("cos", modes, modes, c, K)
@@ -404,7 +404,7 @@ def test_tables_do_not_depend_on_call_order():
     # fold reads the same table on a fresh memo as after any fill
     _moments._table.cache_clear()
     _moments._si_cin.cache_clear()
-    K = _moments.bessel_K_for(1.0, 8)
+    K = _moments.bessel_K_for(1.0)
     modes = list(range(1, 151))
     fresh = {kind: _moments.log_series_matrix(kind, modes, modes, 1.0, K)
              for kind in ("sin", "cos")}

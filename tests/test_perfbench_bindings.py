@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cavityscat import assembly, quadrature
+from cavityscat import _moments, assembly, quadrature
 from cavityscat.model import QuadratureConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -32,7 +32,7 @@ def test_every_traced_binding_resolves(monkeypatch):
 
 def test_size_counters_and_rcond_probe_names():
     K = quadrature.bessel_truncation(1.0, QuadratureConfig())
-    assert isinstance(K, int) and K >= QuadratureConfig().bessel_K
+    assert isinstance(K, int) and K >= _moments.BESSEL_K_FLOOR
     assert assembly.ModeLayout("TE", 4, 2).size == 10
     layout = assembly.ModeLayout("TM", 2, 1)
     system = assembly.ApertureSystem(lhs=np.diag([2.0 + 0j, 4.0]), rhs=np.ones(2, complex),

@@ -25,6 +25,14 @@ def test_singular_block_odd_parity_exact_zero():
             assert singular_block(m, n, 1.0, "sin", CFG) == 0.0
 
 
+@pytest.mark.parametrize("c", [0.0, -1.0, float("inf"), float("nan")])
+def test_singular_block_rejects_bad_scale(c):
+    # an infinite scale made the truncation search loop for ever
+    with pytest.raises(cs.ValidationError) as exc:
+        singular_block(1, 1, c, "sin", CFG)
+    assert exc.value.field == "c"
+
+
 def test_singular_block_vs_oracle_spot():
     prod = singular_block(1, 1, 0.25, "sin", CFG)
     ref, _ = oracle.kernel_block("sin", 1, 1, 0.25, tol=1e-9)
