@@ -155,6 +155,7 @@ def cmd_enhance(spec, args, out: Path) -> Run:
     rows = np.full((len(kappas), 2 + len(cavs)), np.nan)
     failed = []
     specs = [_rescaled_spec(spec, float(kap)) for kap in kappas]
+    series = _series_diag(specs)  # a sweep past the aperture-scale bound fails here
     for i, sp in enumerate(specs):
         try:  # a failed wavenumber leaves NaN in its row and a record in the manifest
             tables, sol = assembly.solve(sp)
@@ -167,7 +168,7 @@ def cmd_enhance(spec, args, out: Path) -> Run:
     postprocess.export_enhancement(kappas, dict(zip(cavs, rows[:, 2:].T)), path)
     diagnostics = {"size": assembly.ModeLayout(spec.polarization, spec.N, spec.K).size,
                    "rcond_below_warn": int(np.count_nonzero(rconds < assembly.RCOND_WARN)),
-                   "failed": failed, **_series_diag(specs)}
+                   "failed": failed, **series}
     if len(failed) < len(kappas):
         worst = int(np.nanargmin(rconds))
         diagnostics.update(rcond_min=float(rconds[worst]), rcond_min_kappa=float(kappas[worst]),

@@ -14,6 +14,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 
+from ._moments import MAX_APERTURE_SCALE
 from .errors import SpecFileError, ValidationError
 
 SCHEMA_VERSION = 1
@@ -135,6 +136,10 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
                 raise ValidationError(f"{tag}.{name}", f"must be finite, got {x}")
         if not (cav.a < cav.b):
             raise ValidationError(f"{tag}.a", f"aperture needs a < b, got [{cav.a}, {cav.b}]")
+        c = w.kappa0 * cav.w / (2.0 * math.pi)
+        if c > MAX_APERTURE_SCALE:
+            raise ValidationError(tag, f"aperture scale kappa0*w/(2 pi) must be at most "
+                                       f"{MAX_APERTURE_SCALE}, got {c:g}")
         if cav.L < 1:
             raise ValidationError(f"{tag}.layers", "at least one layer is required")
         if cav.layers[0].y_top != 0.0:

@@ -4,18 +4,18 @@ A singular block is the parameter-square integral
 
     II trig(n s/2) H0^(1)(c |s-t|) trig(m t/2) ds dt,   c = kappa0 w / (2 pi),
 
-assembled in three exact pieces: (i) zero when m+n is odd (parity lemma);
-(ii) a tensor composite Gauss pass over the log-regularized kernel, which is
-an entire function of (s-t); (iii) the log part (2i/pi) sum_k (-1)^k
-(c/2)^{2k}/(k!)^2 {S|P}_{2k+1} carried by the exact 2-D log moments, plus a
-Gauss pass over the C^{2K+2} Bessel-tail remainder times ln|s-t|.  K is
-raised until that remainder is below roundoff, so the series carries the
-whole singular weight; the moments come from `_moments` which evaluates them
-exactly (the float-seeded downward recursions printed in the recurrence
-family lose too much accuracy once c exceeds ~1; `oracle` keeps them as
-consistency identities on the exact moments).  The series is
+split as in the paper into two exact parts (blocks with m+n odd are zero by
+parity): (i) a tensor composite Gauss pass over the log-regularized kernel
+H0^(1)(c d) - (2i/pi) J0(c d) ln d, an entire function of d = |s-t|; (ii) the
+log part (2i/pi) sum_{k<=K} (-1)^k (c/2)^{2k}/(k!)^2 {S|P}_{2k+1} carried by
+the exact 2-D log moments.  `_moments.bessel_K_for` picks K so that the
+dropped J0 tail times ln|s-t| is below roundoff on the whole square, so the
+series carries the whole singular weight; the moments come from `_moments`
+which evaluates them exactly (the float-seeded downward recursions printed
+in the recurrence family lose too much accuracy once c exceeds ~1; `oracle`
+keeps them as consistency identities on the exact moments).  The series is
 folded into three sums per frequency (`_moments.log_series_matrix`), and
-the smooth integrand, a function of |s-t| alone, is evaluated once per
+the regularized kernel, a function of |s-t| alone, is evaluated once per
 (panel offset, node, node) of the uniform grid and gathered by index.
 
 Off-diagonal (cross-cavity) blocks have a smooth kernel and use plain tensor
@@ -110,18 +110,13 @@ def _gather_offsets(per_offset: np.ndarray) -> np.ndarray:
     return per_offset[idx].transpose(0, 2, 1, 3).reshape(panels * q, panels * q)
 
 
-def _grid_kernel(c: float, pts: np.ndarray, panels: int, K: int) -> np.ndarray:
-    """Combined smooth integrand on the tensor grid: regularized kernel plus
-    (2i/pi) times the Bessel-tail remainder against ln|s-t|.
+def _grid_kernel(c: float, pts: np.ndarray, panels: int) -> np.ndarray:
+    """Log-regularized kernel on the tensor grid.
 
     It depends on |s-t| only, so it is evaluated once per (panel offset,
     node, node) and gathered into the full matrix."""
     D = _offset_distances(pts, panels)
-    kern = special.regularized_kernel_abs(D, KernelScale(c))
-    with np.errstate(divide="ignore"):
-        lnD = np.where(D > 0, np.log(np.where(D > 0, D, 1.0)), 0.0)
-    rem = special.j0_series_remainder(c * D, K)
-    return _gather_offsets(kern + (2j / pi) * rem * lnD)
+    return _gather_offsets(special.regularized_kernel_abs(D, KernelScale(c)))
 
 
 def singular_block_matrix(modes_m, modes_n, c: float, kind: str,
@@ -132,7 +127,7 @@ def singular_block_matrix(modes_m, modes_n, c: float, kind: str,
     K = _moments.bessel_K_for(c)
     rule = gauss_rule(cfg.points_per_panel)
     pts, wts = composite_nodes(0.0, TWO_PI, cfg.panels, rule)
-    kern = _grid_kernel(c, pts, cfg.panels, K)
+    kern = _grid_kernel(c, pts, cfg.panels)
     f = np.sin if kind == "sin" else np.cos
     modes_m = np.asarray(list(modes_m), dtype=int)
     modes_n = np.asarray(list(modes_n), dtype=int)
@@ -146,8 +141,6 @@ def singular_block_matrix(modes_m, modes_n, c: float, kind: str,
 
 def singular_block(m: int, n: int, c: float, kind: str, cfg: QuadratureConfig) -> complex:
     """II trig(n s/2) H0^(1)(c|s-t|) trig(m t/2) ds dt; exactly 0 for odd m+n."""
-    if (m + n) % 2:
-        return 0.0 + 0.0j
     return complex(singular_block_matrix([m], [n], c, kind, cfg)[0, 0])
 
 

@@ -7,7 +7,8 @@ The crossover at 5 keeps the series free of cancellation (largest term
 sides agree to ~1e-15 at the joint.
 
 Also provides the log-regularized Hankel kernel used by the aperture
-quadrature and the truncated Bessel power-series remainder.
+quadrature and the truncated Bessel power-series remainder, which only the
+tests call (to check the truncation K of `_moments.bessel_K_for`).
 
 All functions accept floats or numpy arrays and are pure.
 """
@@ -137,42 +138,27 @@ def hankel1_0(x):
     return _scalar_like(j + 1j * y, x)
 
 
-# Below this separation the regularized kernel is evaluated by its diagonal
-# limit; the first correction term is O(d^2 ln d) ~ 1e-19 there.
-_DIAG_THRESHOLD = 1e-10
-
-
 def regularized_kernel_abs(d, scale: KernelScale):
     """H0^(1)(c d) - (2i/pi) J0(c d) ln d for separations d = |s - t| >= 0.
 
     The subtraction removes the logarithmic singularity: the result is an
     entire function of d^2.  For c*d <= 8 it is summed directly from the
-    ascending series (no cancellation against the log), above that the two
-    terms are evaluated separately, which is safe since ln d is O(1) there.
+    ascending series (no cancellation against the log; at d = 0 the series
+    is the closed-form limit 1 + (2i/pi)(gamma + ln(c/2))), above that the
+    two terms are evaluated separately, which is safe since ln d is O(1) there.
     """
     c = scale.c
     d = np.asarray(d, dtype=float)
+    z = c * d
     out = np.empty(d.shape, dtype=complex)
-
-    diag = d < _DIAG_THRESHOLD
-    out[diag] = 1.0 + (2j / pi) * (EULER_GAMMA + log(c / 2.0))
-
-    rest = ~diag
-    dr = d[rest]
-    z = c * dr
-    res = np.empty_like(z, dtype=complex)
-
     small = z <= 8.0
     if np.any(small):
         j0, hsum = _j0_ysum(z[small])
-        res[small] = j0 * (1.0 + (2j / pi) * (EULER_GAMMA + log(c / 2.0))) + (2j / pi) * hsum
+        out[small] = j0 * (1.0 + (2j / pi) * (EULER_GAMMA + log(c / 2.0))) + (2j / pi) * hsum
     big = ~small
     if np.any(big):
-        zb = z[big]
-        j, y = _asym_j0_y0(zb)
-        res[big] = j + 1j * y - (2j / pi) * j * np.log(dr[big])
-
-    out[rest] = res
+        j, y = _asym_j0_y0(z[big])
+        out[big] = j + 1j * y - (2j / pi) * j * np.log(d[big])
     return out
 
 
@@ -181,7 +167,7 @@ def j0_series_remainder(z, K: int):
 
     The tail form stays accurate near z = 0 (leading behaviour
     (-1)^{K+1} (z/2)^{2K+2} / ((K+1)!)^2) where the difference of J0 and the
-    partial sum would round to zero.
+    partial sum would round to zero.  No solve path calls it.
     """
     if K < 0:
         raise ValidationError("K", "series truncation must be >= 0")

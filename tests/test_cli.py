@@ -334,3 +334,26 @@ def test_enhance_cavity_index_out_of_range_exits_2(tmp_path, capsys, monkeypatch
                      "--cavity", cavity]) == cli.EXIT_INPUT
     assert "--cavity: must be a cavity index in [0, 1]" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_huge_aperture_exits_2_naming_the_cavity(tmp_path, capsys):
+    doc = cs.model.spec_to_dict(_tiny_tm())
+    doc["kappa0"] = 2e12 * pi  # w = 1, so kappa0*w/(2 pi) = 1e12
+    spec_path = tmp_path / "huge.json"
+    spec_path.write_text(json.dumps(doc))
+    assert cli.main(["solve", "--spec", str(spec_path),
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_INPUT
+    assert "cavities[0]: aperture scale" in capsys.readouterr().err
+
+
+def test_enhance_sweep_past_the_aperture_bound_exits_2_before_any_solve(
+        tmp_path, capsys, monkeypatch):
+    # the spec itself is valid (c = 0.24); the sweep's top wavenumber reaches c = 65
+    monkeypatch.setattr(cs.assembly, "solve", _no_solve)
+    spec_path = _write_spec(tmp_path, _tiny_te())
+    out = tmp_path / "out"
+    assert cli.main(["enhance", "--spec", str(spec_path), "--out", str(out),
+                     "--kappa-min", "1.5", "--kappa-max", str(130 * pi),
+                     "--kappa-steps", "3"]) == cli.EXIT_INPUT
+    assert "c: aperture scale" in capsys.readouterr().err
+    assert not out.exists()

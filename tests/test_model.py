@@ -258,3 +258,21 @@ def test_integral_float_counts_as_integer():
     spec = spec_from_dict(doc)
     assert (spec.N, spec.quad.panels) == (12, 32)
     assert type(spec.N) is int and type(spec.quad.panels) is int
+
+
+@pytest.mark.parametrize("c, field", [(64.0, None), (65.0, "cavities[1]"),
+                                      (1e12, "cavities[0]")])
+def test_aperture_scale_bound(tmp_path, c, field):
+    # kappa0*w/(2 pi) above MAX_APERTURE_SCALE is rejected, naming the first
+    # cavity past it (c is that of cavity 1; cavity 0 is half as wide): the
+    # log-series truncation search used to hang at c = 1e12
+    cavs = (cs.Cavity(0.0, 0.25, (cs.Layer(0.0, -1.0, 1 + 0j),)),
+            cs.Cavity(0.5, 1.0, (cs.Layer(0.0, -1.0, 1 + 0j),)))
+    path = tmp_path / "spec.json"
+    cs.save_spec(cs.ProblemSpec(cs.IncidentWave(4.0 * math.pi * c, 0.0), "TM", cavs, N=4), path)
+    if field is None:
+        assert cs.load_spec(path).wave.kappa0 * 0.5 / (2.0 * math.pi) == c
+        return
+    with pytest.raises(ValidationError) as exc:
+        cs.load_spec(path)
+    assert exc.value.field == field

@@ -419,3 +419,24 @@ def test_tables_do_not_depend_on_call_order():
         got = _moments.log_series_matrix(kind, modes, modes, 1.0, K)
         assert np.array_equal(got, want), kind
     assert _moments._table(1, 2 * K + 1) is _moments._table(1, 2 * K + 1)
+
+
+@pytest.mark.parametrize("c", [0.012, 0.5, 1.0, 4.0, 16.0, 64.0])
+def test_truncation_leaves_the_log_tail_below_roundoff(c):
+    # the invariant that lets a singular block drop the J0 tail: beyond
+    # k = K, (2/pi) R_K(c d) ln d is below 2**-53 on the whole square
+    from cavityscat.special import j0_series_remainder
+    d = np.linspace(0.0, 2 * pi, 4001)
+    rem = j0_series_remainder(c * d, _moments.bessel_K_for(c))
+    with np.errstate(divide="ignore"):
+        lnd = np.where(d > 0, np.log(np.where(d > 0, d, 1.0)), 0.0)
+    assert np.max(np.abs((2 / pi) * rem * lnd)) < 2.0 ** -53
+
+
+def test_truncation_rejects_a_huge_aperture_at_once():
+    # the search for K used to run for ever at c = 1e12
+    assert _moments.bessel_K_for(_moments.MAX_APERTURE_SCALE) == 560
+    for c in (1e12, float("inf"), float("nan"), 64.000001):
+        with pytest.raises(ValidationError) as exc:
+            _moments.bessel_K_for(c)
+        assert exc.value.field == "c"

@@ -27,10 +27,12 @@ def test_singular_block_odd_parity_exact_zero():
 
 @pytest.mark.parametrize("c", [0.0, -1.0, float("inf"), float("nan")])
 def test_singular_block_rejects_bad_scale(c):
-    # an infinite scale made the truncation search loop for ever
-    with pytest.raises(cs.ValidationError) as exc:
-        singular_block(1, 1, c, "sin", CFG)
-    assert exc.value.field == "c"
+    # an infinite scale made the truncation search loop for ever; an odd pair
+    # gets the same check as an even one
+    for m, n in [(1, 1), (1, 2)]:
+        with pytest.raises(cs.ValidationError) as exc:
+            singular_block(m, n, c, "sin", CFG)
+        assert exc.value.field == "c"
 
 
 def test_singular_block_vs_oracle_spot():
@@ -156,7 +158,7 @@ def test_panel_offset_kernel_matches_direct_grid(panels, ppp, c):
         lnD = np.where(D > 0, np.log(np.where(D > 0, D, 1.0)), 0.0)
     direct = (special.regularized_kernel_abs(D, KernelScale(c))
               + (2j / pi) * special.j0_series_remainder(c * D, K) * lnD)
-    got = _grid_kernel(c, pts, panels, K)
+    got = _grid_kernel(c, pts, panels)
     assert np.linalg.norm(got - direct) <= 3e-15 * max(1.0, c) * np.linalg.norm(direct)
 
 
