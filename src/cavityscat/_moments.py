@@ -207,15 +207,15 @@ MAX_APERTURE_SCALE = 64
 
 def bessel_K_for(c: float) -> int:
     """Series truncation: smallest K >= BESSEL_K_FLOOR with
-    (c pi)^{2K+2}/((K+1)!)^2 < 1e-16; c above MAX_APERTURE_SCALE raises.
+    (c pi)^{2K+2}/((K+1)!)^2 < 1e-16; c outside (0, MAX_APERTURE_SCALE] raises.
 
     Invariant (tested): the dropped J0 tail R_K keeps |(2/pi) R_K(c d) ln d|
     below 2**-53 for every d in [0, 2 pi], so the alternating S/P series
     carries the entire log-part weight and no remainder pass is needed.
     """
-    if not c <= MAX_APERTURE_SCALE:
-        raise ValidationError("c", f"aperture scale kappa0*w/(2 pi) must be at most "
-                                   f"{MAX_APERTURE_SCALE}, got {c}")
+    if not 0.0 < c <= MAX_APERTURE_SCALE:
+        raise ValidationError("c", f"aperture scale kappa0*w/(2 pi) must be positive and "
+                                   f"at most {MAX_APERTURE_SCALE}, got {c}")
     K = BESSEL_K_FLOOR
     while (2 * K + 2) * log10(c * pi) - 2.0 * lgamma(K + 2) / log(10.0) >= -16.0:
         K += 1

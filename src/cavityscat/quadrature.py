@@ -16,7 +16,8 @@ in the recurrence family lose too much accuracy once c exceeds ~1; `oracle`
 keeps them as consistency identities on the exact moments).  The series is
 folded into three sums per frequency (`_moments.log_series_matrix`), and
 the regularized kernel, a function of |s-t| alone, is evaluated once per
-(panel offset, node, node) of the uniform grid and gathered by index.
+distinct separation of the uniform grid (node of panel P >= 0 against node of
+panel 0) and laid out as a symmetric block-Toeplitz matrix in one copy.
 
 Off-diagonal (cross-cavity) blocks have a smooth kernel and use plain tensor
 Gauss with panels graded toward the facing edges when the gap is small.
@@ -91,39 +92,34 @@ def bessel_truncation(c: float, cfg: QuadratureConfig) -> int:
     return _moments.bessel_K_for(c)
 
 
-def _offset_distances(pts: np.ndarray, panels: int) -> np.ndarray:
-    """|s - t| on a uniform composite grid, one value per (panel offset
-    P - Q, node i of panel P, node j of panel Q); the offset axis runs from
-    1 - panels to panels - 1."""
-    blocks = pts.reshape(panels, -1)
-    offsets = np.arange(1 - panels, panels)
-    rows = blocks[np.maximum(offsets, 0)]
-    cols = blocks[np.maximum(-offsets, 0)]
-    return np.abs(rows[:, :, None] - cols[:, None, :])
-
-
 def _gather_offsets(per_offset: np.ndarray) -> np.ndarray:
-    """Full grid matrix [P*q + i, Q*q + j] = per_offset[P - Q + panels - 1, i, j]."""
-    n_off, q, _ = per_offset.shape
-    panels = (n_off + 1) // 2
-    idx = np.arange(panels)[:, None] - np.arange(panels)[None, :] + panels - 1
-    return per_offset[idx].transpose(0, 2, 1, 3).reshape(panels * q, panels * q)
+    """Full grid matrix [P*q + i, Q*q + j] from the blocks per_offset[P - Q, i, j]
+    at the non-negative panel offsets.
+
+    The matrix is symmetric block-Toeplitz: offset -P is the transposed block
+    of offset P.  The full matrix is one reshape (the only full-size copy) of
+    a sliding window over the 2*panels - 1 offsets."""
+    panels, q, _ = per_offset.shape
+    stacked = np.concatenate((per_offset[:0:-1].transpose(0, 2, 1), per_offset))
+    # windows[P, i, j, w] = stacked[P + w], offset P - (panels - 1 - w)
+    windows = np.lib.stride_tricks.sliding_window_view(stacked, panels, axis=0)
+    return windows[..., ::-1].transpose(0, 1, 3, 2).reshape(panels * q, panels * q)
 
 
 def _grid_kernel(c: float, pts: np.ndarray, panels: int) -> np.ndarray:
     """Log-regularized kernel on the tensor grid.
 
-    It depends on |s-t| only, so it is evaluated once per (panel offset,
-    node, node) and gathered into the full matrix."""
-    D = _offset_distances(pts, panels)
+    It depends on |s-t| only, so it is evaluated once per distinct separation,
+    |node i of panel P - node j of panel 0| for P >= 0, and laid out by
+    `_gather_offsets`."""
+    blocks = pts.reshape(panels, -1)
+    D = np.abs(blocks[:, :, None] - blocks[0][None, None, :])
     return _gather_offsets(special.regularized_kernel_abs(D, KernelScale(c)))
 
 
 def singular_block_matrix(modes_m, modes_n, c: float, kind: str,
                           cfg: QuadratureConfig) -> np.ndarray:
     """All blocks [m, n] for the given mode lists at kernel scale c."""
-    if not 0.0 < c < float("inf"):
-        raise ValidationError("c", f"kernel scale must be positive and finite, got {c}")
     K = _moments.bessel_K_for(c)
     rule = gauss_rule(cfg.points_per_panel)
     pts, wts = composite_nodes(0.0, TWO_PI, cfg.panels, rule)

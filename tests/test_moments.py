@@ -436,7 +436,7 @@ def test_truncation_leaves_the_log_tail_below_roundoff(c):
 def test_truncation_rejects_a_huge_aperture_at_once():
     # the search for K used to run for ever at c = 1e12
     assert _moments.bessel_K_for(_moments.MAX_APERTURE_SCALE) == 560
-    for c in (1e12, float("inf"), float("nan"), 64.000001):
+    for c in (1e12, float("inf"), float("nan"), 64.000001, 0.0, -1.0):
         with pytest.raises(ValidationError) as exc:
             _moments.bessel_K_for(c)
         assert exc.value.field == "c"

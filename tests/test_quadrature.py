@@ -142,15 +142,16 @@ def test_cross_block_requires_disjoint():
 @pytest.mark.parametrize("panels, ppp, c", [(16, 4, 0.5), (32, 6, 1.0), (24, 6, 4.0), (24, 6, 8.0)])
 def test_panel_offset_kernel_matches_direct_grid(panels, ppp, c):
     from cavityscat import special
-    from cavityscat.quadrature import (_gather_offsets, _grid_kernel, _offset_distances,
-                                       bessel_truncation, composite_nodes, gauss_rule)
+    from cavityscat.quadrature import (_gather_offsets, _grid_kernel, bessel_truncation,
+                                       composite_nodes, gauss_rule)
     from cavityscat.special import KernelScale
     rule = gauss_rule(ppp)
     K = bessel_truncation(c, CFG)
     pts, _ = composite_nodes(0.0, 2 * pi, panels, rule)
     D = np.abs(pts[:, None] - pts[None, :])
-    offsets = _offset_distances(pts, panels)
-    assert offsets.shape == (2 * panels - 1, ppp, ppp)
+    blocks = pts.reshape(panels, ppp)
+    offsets = np.abs(blocks[:, :, None] - blocks[0][None, None, :])
+    assert offsets.shape == (panels, ppp, ppp)
     gathered = _gather_offsets(offsets)
     assert np.array_equal(gathered == 0, D == 0)
     assert np.max(np.abs(gathered - D)) <= 8 * np.finfo(float).eps * 2 * pi
@@ -160,6 +161,38 @@ def test_panel_offset_kernel_matches_direct_grid(panels, ppp, c):
               + (2j / pi) * special.j0_series_remainder(c * D, K) * lnD)
     got = _grid_kernel(c, pts, panels)
     assert np.linalg.norm(got - direct) <= 3e-15 * max(1.0, c) * np.linalg.norm(direct)
+
+
+def test_grid_kernel_from_distinct_separations_is_bitwise_the_full_offset_layout(monkeypatch):
+    from cavityscat import quadrature, special
+    from cavityscat.special import KernelScale
+    kernel, seen = special.regularized_kernel_abs, []
+
+    def counting(d, scale):
+        seen.append(np.size(d))
+        return kernel(d, scale)
+
+    monkeypatch.setattr(special, "regularized_kernel_abs", counting)
+    for c, panels, ppp in [(1, 96, 10), (0.0123, 24, 4), (4, 64, 4), (16, 96, 10),
+                           (0.5, 8, 4), (64, 64, 6), (2, 1, 4)]:
+        pts, _ = quadrature.composite_nodes(0.0, 2 * pi, panels, quadrature.gauss_rule(ppp))
+        # reference: the kernel at all 2*panels - 1 offsets, gathered by index
+        blocks = pts.reshape(panels, ppp)
+        off = np.arange(1 - panels, panels)
+        D = np.abs(blocks[np.maximum(off, 0)][:, :, None]
+                   - blocks[np.maximum(-off, 0)][:, None, :])
+        per_offset = kernel(D, KernelScale(c))
+        idx = np.arange(panels)[:, None] - np.arange(panels)[None, :] + panels - 1
+        ref = per_offset[idx].transpose(0, 2, 1, 3).reshape(panels * ppp, panels * ppp)
+        seen.clear()
+        got = quadrature._grid_kernel(c, pts, panels)
+        # the negative offsets are exact negations of the non-negative ones
+        # before abs, so the kernel sees the same set of values; the
+        # whole-array stop rule of its ascending series then runs the same
+        # number of terms, and every value is bitwise the reference's
+        assert seen == [panels * ppp * ppp], (c, panels, ppp)
+        assert np.array_equal(got, ref), (c, panels, ppp)
+        assert np.array_equal(got, got.T), (c, panels, ppp)
 
 
 def test_cache_stores_whole_matrices():
