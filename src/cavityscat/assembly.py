@@ -10,7 +10,7 @@ from math import pi
 
 import numpy as np
 
-from .errors import SingularSystemError
+from .errors import SingularSystemError, ValidationError
 from .modal import ModalTables, build_modal_tables, mode_norms, mode_numbers
 from .model import Cavity, ProblemSpec
 from .quadrature import SingularBlockCache, cross_block_matrix
@@ -58,6 +58,9 @@ class ApertureSolution:
     backward_error: float | None = None  # of the solve that produced the coefficients
 
     def coefficient(self, k: int, n: int) -> complex:
+        """Coefficient of mode n in cavity k; raises ValidationError outside the layout."""
+        if not (0 <= k < self.layout.K and n in self.layout.modes):
+            raise ValidationError("coefficient", f"no mode {n} in cavity {k} of {self.layout}")
         return complex(self.coefficients[k][n - self.layout.modes.start])
 
 
@@ -142,23 +145,18 @@ def build_system(spec: ProblemSpec, tables: ModalTables | None = None) -> Apertu
 
 
 class SystemFactorization:
-    """An aperture matrix with its exact 1-norm reciprocal condition number.
-    It keeps no LU: each solve() factors afresh, so pass all right-hand sides
-    as the columns of one matrix, as `backscatter_sweep` does."""
+    """An aperture matrix with its exact 1-norm reciprocal condition number
+    1/(||A||_1 ||A^-1||_1), from `np.linalg.cond(A, 1)`: that is inf, with
+    no warning, for a singular matrix and for an inverse or a norm product
+    that overflows, so those all raise SingularSystemError.  It keeps no
+    LU: each solve() factors afresh, so pass all right-hand sides as the
+    columns of one matrix, as `backscatter_sweep` does."""
 
     def __init__(self, sys: ApertureSystem):
         self.layout = sys.layout
         self._lhs = sys.lhs
-        try:
-            inv = np.linalg.inv(sys.lhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"system singular: {exc}") from exc
-        abs_lhs = np.abs(sys.lhs)
-        self._norm_inf = float(abs_lhs.sum(axis=1).max())
-        # 1/(||A||_1 ||A^-1||_1) in Python floats: an inverse that overflows,
-        # or a norm product that does, gives 0 (or nan) without a warning
-        self.rcond = 1.0 / (float(abs_lhs.sum(axis=0).max())
-                            * float(np.abs(inv).sum(axis=0).max()))
+        self._norm_inf = float(np.linalg.norm(sys.lhs, np.inf))
+        self.rcond = 1.0 / float(np.linalg.cond(sys.lhs, 1))
         if not self.rcond > 0.0:
             raise SingularSystemError(f"system singular (rcond = {self.rcond:g})")
 

@@ -247,6 +247,7 @@ def _flag_type(convert, valid, requirement: str):
 
 _COUNT = _flag_type(int, lambda v: v >= 1, "an integer >= 1")
 _POSITIVE = _flag_type(float, lambda v: 0.0 < v < float("inf"), "a finite number > 0")
+_ANGLE = _flag_type(float, lambda v: 0.0 < v < pi, "an angle in (0, pi)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_COUNT, nargs=2, default=(61, 61), metavar=("NX", "NY"))
     p = add("rcs", cmd_rcs, "TM backscatter sweep")
     p.add_argument("--angles", type=_COUNT, default=181)
-    p.add_argument("--phi-min", type=float, default=pi / 180.0)
-    p.add_argument("--phi-max", type=float, default=pi - pi / 180.0)
+    p.add_argument("--phi-min", type=_ANGLE, default=pi / 180.0)
+    p.add_argument("--phi-max", type=_ANGLE, default=pi - pi / 180.0)
     p = add("enhance", cmd_enhance, "enhancement-factor spectrum over kappa0")
     p.add_argument("--kappa-min", type=_POSITIVE, required=True)
     p.add_argument("--kappa-max", type=_POSITIVE, required=True)

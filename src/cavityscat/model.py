@@ -102,17 +102,13 @@ def kappa_from_material(omega: float, eps: complex, mu: complex, sigma: float = 
     return k
 
 
-def _finite(x) -> bool:
-    return math.isfinite(x.real) and math.isfinite(getattr(x, "imag", 0.0))
-
-
 def validate(spec: ProblemSpec) -> ProblemSpec:
     """Check every invariant; return the spec with cavities sorted by aperture.
 
     Raises ValidationError naming the offending field.  Idempotent.
     """
     w = spec.wave
-    if not _finite(complex(w.kappa0, 0)) or w.kappa0 <= 0.0:
+    if not math.isfinite(w.kappa0) or w.kappa0 <= 0.0:
         raise ValidationError("kappa0", f"free-space wavenumber must be positive, got {w.kappa0}")
     if not (-math.pi / 2 < w.theta < math.pi / 2):
         raise ValidationError("theta", f"incident angle must lie in (-pi/2, pi/2), got {w.theta}")
@@ -156,7 +152,7 @@ def validate(spec: ProblemSpec) -> ProblemSpec:
             if not (lay.y_bottom < lay.y_top):
                 raise ValidationError(f"{ltag}.y_bottom",
                                       f"interfaces must descend: y_bottom {lay.y_bottom} >= y_top {lay.y_top}")
-            if not _finite(lay.kappa):
+            if not cmath.isfinite(lay.kappa):
                 raise ValidationError(f"{ltag}.kappa", "wavenumber must be finite")
             if lay.kappa.imag < 0.0:
                 raise ValidationError(f"{ltag}.kappa",

@@ -82,12 +82,8 @@ def _unit_edges(levels: int, ratio: float, uniform: int) -> np.ndarray:
     return _cap_edges(np.concatenate(([0.0], geo, uni)), (1.0 - ratio) / uniform)
 
 
-def _gauss(q: int):
-    return np.polynomial.legendre.leggauss(q)
-
-
 def _nodes_on_edges(edges: np.ndarray, q: int):
-    x, w = _gauss(q)
+    x, w = np.polynomial.legendre.leggauss(q)
     lo = edges[:-1]
     h = np.diff(edges)
     pts = (lo[:, None] + 0.5 * h[:, None] * (x[None, :] + 1.0)).ravel()
@@ -102,11 +98,9 @@ def _graded_pass(f, levels: int, ratio: float, uniform: int, q: int) -> complex:
     is the unit grading scaled onto [0, t] (singular end at s = t) and
     [t, 2*pi] (same), so the whole pass is two tensor evaluations.
     """
-    ue = _unit_edges(levels, ratio, uniform)
+    ue = _unit_edges(levels, ratio, uniform)  # graded toward 0
     uv, uw = _nodes_on_edges(ue, q)
-
-    half = _unit_edges(levels, ratio, uniform)  # graded toward 0
-    outer_edges = np.unique(np.concatenate((pi * half, TWO_PI - pi * half)))
+    outer_edges = np.unique(np.concatenate((pi * ue, TWO_PI - pi * ue)))
     t, wt = _nodes_on_edges(outer_edges, q)
 
     s_left = t[:, None] * (1.0 - uv[None, :])

@@ -181,7 +181,7 @@ def backscatter_sweep(spec: ProblemSpec, angles) -> RcsSweep:
     angles = np.asarray(angles, dtype=float)
     if angles.size == 0:
         raise ValidationError("angles", "at least one observation angle is required")
-    if np.any(angles <= 0.0) or np.any(angles >= pi):
+    if not np.all((angles > 0.0) & (angles < pi)):
         raise ValidationError("angles", "observation angles must lie in (0, pi)")
     spec = validate(spec)
     tables = build_modal_tables(spec)

@@ -34,7 +34,6 @@ import numpy as np
 from . import _moments, special
 from .errors import ValidationError
 from .model import Cavity, QuadratureConfig
-from .special import KernelScale
 
 TWO_PI = 2.0 * pi
 
@@ -114,7 +113,7 @@ def _grid_kernel(c: float, pts: np.ndarray, panels: int) -> np.ndarray:
     `_gather_offsets`."""
     blocks = pts.reshape(panels, -1)
     D = np.abs(blocks[:, :, None] - blocks[0][None, None, :])
-    return _gather_offsets(special.regularized_kernel_abs(D, KernelScale(c)))
+    return _gather_offsets(special.regularized_kernel_abs(D, c))
 
 
 def singular_block_matrix(modes_m, modes_n, c: float, kind: str,

@@ -15,7 +15,6 @@ All functions accept floats or numpy arrays and are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lgamma, log, pi
 
 import numpy as np
@@ -43,34 +42,10 @@ _QP0 = np.array([
     -1.13663838898469149931e-2, -1.28252718670509318512e0, -1.95539544257735972385e1,
     -9.32060152123768231369e1, -1.77681167980488050595e2, -1.47077505154951170175e2,
     -5.14105326766599330220e1, -6.05014350600728481186e0])
-_QQ0 = np.array([  # leading coefficient 1.0 implied
-    6.43178256118178023184e1, 8.56430025976980587198e2, 3.88240183605401609683e3,
+_QQ0 = np.array([  # monic: Cephes' p1evl leaves the leading 1.0 implicit
+    1.0, 6.43178256118178023184e1, 8.56430025976980587198e2, 3.88240183605401609683e3,
     7.24046774195652478189e3, 5.93072701187316984827e3, 2.06209331660327847417e3,
     2.42005740240291393179e2])
-
-@dataclass(frozen=True)
-class KernelScale:
-    """Factor c = kappa0*w/(2*pi) multiplying |s-t| after the change of variables."""
-
-    c: float
-
-    def __post_init__(self):
-        if not (self.c > 0.0):
-            raise ValidationError("c", f"kernel scale must be positive, got {self.c}")
-
-
-def _polevl(x, coef):
-    ans = np.full_like(x, coef[0], dtype=float)
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x, coef):
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
 
 
 def _j0_ysum(x):
@@ -104,8 +79,8 @@ def _series_j0_y0(x):
 def _asym_j0_y0(x):
     w = 5.0 / x
     z = 25.0 / (x * x)
-    p = _polevl(z, _PP0) / _polevl(z, _PQ0)
-    q = _polevl(z, _QP0) / _p1evl(z, _QQ0)
+    p = np.polyval(_PP0, z) / np.polyval(_PQ0, z)
+    q = np.polyval(_QP0, z) / np.polyval(_QQ0, z)
     xn = x - _PIO4
     cn, sn = np.cos(xn), np.sin(xn)
     amp = _SQ2OPI / np.sqrt(x)
@@ -138,8 +113,9 @@ def hankel1_0(x):
     return _scalar_like(j + 1j * y, x)
 
 
-def regularized_kernel_abs(d, scale: KernelScale):
-    """H0^(1)(c d) - (2i/pi) J0(c d) ln d for separations d = |s - t| >= 0.
+def regularized_kernel_abs(d, c: float):
+    """H0^(1)(c d) - (2i/pi) J0(c d) ln d for separations d = |s - t| >= 0,
+    c = kappa0*w/(2*pi) the aperture scale; c must be > 0.
 
     The subtraction removes the logarithmic singularity: the result is an
     entire function of d^2.  For c*d <= 8 it is summed directly from the
@@ -147,7 +123,8 @@ def regularized_kernel_abs(d, scale: KernelScale):
     is the closed-form limit 1 + (2i/pi)(gamma + ln(c/2))), above that the
     two terms are evaluated separately, which is safe since ln d is O(1) there.
     """
-    c = scale.c
+    if not c > 0.0:
+        raise ValidationError("c", f"kernel scale must be positive, got {c}")
     d = np.asarray(d, dtype=float)
     z = c * d
     out = np.empty(d.shape, dtype=complex)

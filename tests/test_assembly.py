@@ -8,7 +8,7 @@ import cavityscat as cs
 from cavityscat import assembly
 from cavityscat.assembly import (SystemFactorization, aperture_phases, build_system,
                                  solve_system)
-from cavityscat.errors import SingularSystemError
+from cavityscat.errors import SingularSystemError, ValidationError
 from cavityscat.modal import build_modal_tables, single_layer_impedance_tm
 from cavityscat.model import QuadratureConfig
 from cavityscat.quadrature import gauss_rule
@@ -202,6 +202,19 @@ def test_rcond_warning_attached():
                          layout=ModeLayout("TM", 4, 1))
     sol = solve_system(sys)
     assert sol.diagnostics and "rcond" in sol.diagnostics[0]
+
+
+def test_coefficient_outside_the_layout_raises():
+    # n - modes.start would wrap to the last mode at TM n = 0, and k = -1 to the last cavity
+    from cavityscat.assembly import ApertureSystem, ModeLayout
+    for pol, modes in (("TM", range(1, 5)), ("TE", range(0, 5))):
+        rhs = np.array(modes, dtype=complex) + 1.0
+        sol = solve_system(ApertureSystem(lhs=np.eye(len(modes), dtype=complex), rhs=rhs,
+                                          layout=ModeLayout(pol, 4, 1)))
+        assert [sol.coefficient(0, n) for n in modes] == list(rhs)
+        for k, n in ((0, modes.start - 1), (0, 5), (-1, 1), (1, 1)):
+            with pytest.raises(ValidationError):
+                sol.coefficient(k, n)
 
 
 def test_factorization_reuse_matches_fresh_solve():

@@ -306,10 +306,15 @@ def _no_solve(sp):
     (["enhance", "--kappa-min", "-1.4", "--kappa-max", "1.6"], "--kappa-min"),
     (["enhance", "--kappa-min", "1.4", "--kappa-max", "0"], "--kappa-max"),
     (["enhance", "--kappa-min", "1.4", "--kappa-max", "-1.6"], "--kappa-max"),
+    (["rcs", "--phi-min", "nan"], "--phi-min"),
+    (["rcs", "--phi-max", "nan"], "--phi-max"),
+    (["rcs", "--phi-min", "0"], "--phi-min"),
+    (["rcs", "--phi-max", "4"], "--phi-max"),
 ])
 def test_bad_flag_values_exit_2_naming_the_flag(tmp_path, capsys, monkeypatch, argv, flag):
-    # counts must be >= 1 and wavenumbers > 0: an empty sweep, a negative
-    # grid or ladder, or kappa_min = 0 is an input error, not a traceback
+    # counts must be >= 1, wavenumbers > 0 and angles in (0, pi): an empty
+    # sweep, a negative grid or ladder, kappa_min = 0 or a NaN angle is an
+    # input error, not a traceback or a NaN row
     monkeypatch.setattr(cs.assembly, "solve", _no_solve)
     monkeypatch.setattr(cs.postprocess, "backscatter_sweep", _no_solve)
     spec_path = _write_spec(tmp_path, _tiny_tm())

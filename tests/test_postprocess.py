@@ -230,9 +230,12 @@ def test_backscatter_sweep_nonnegative_and_finite():
 
 
 def test_backscatter_rejects_bad_angles(tm_example1):
+    # NaN fails every comparison, so the check must require (0, pi), not reject outside it
     spec, _, _ = tm_example1
-    with pytest.raises(ValidationError):
-        backscatter_sweep(spec, [0.0, 1.0])
+    for angles in ([0.0, 1.0], [float("nan")], [1.0, float("nan")], [pi]):
+        with pytest.raises(ValidationError) as exc:
+            backscatter_sweep(spec, angles)
+        assert exc.value.field == "angles", angles
 
 
 def test_backscatter_rejects_no_angles(tm_example1):

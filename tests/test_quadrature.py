@@ -144,7 +144,6 @@ def test_panel_offset_kernel_matches_direct_grid(panels, ppp, c):
     from cavityscat import special
     from cavityscat.quadrature import (_gather_offsets, _grid_kernel, bessel_truncation,
                                        composite_nodes, gauss_rule)
-    from cavityscat.special import KernelScale
     rule = gauss_rule(ppp)
     K = bessel_truncation(c, CFG)
     pts, _ = composite_nodes(0.0, 2 * pi, panels, rule)
@@ -157,7 +156,7 @@ def test_panel_offset_kernel_matches_direct_grid(panels, ppp, c):
     assert np.max(np.abs(gathered - D)) <= 8 * np.finfo(float).eps * 2 * pi
     with np.errstate(divide="ignore"):
         lnD = np.where(D > 0, np.log(np.where(D > 0, D, 1.0)), 0.0)
-    direct = (special.regularized_kernel_abs(D, KernelScale(c))
+    direct = (special.regularized_kernel_abs(D, c)
               + (2j / pi) * special.j0_series_remainder(c * D, K) * lnD)
     got = _grid_kernel(c, pts, panels)
     assert np.linalg.norm(got - direct) <= 3e-15 * max(1.0, c) * np.linalg.norm(direct)
@@ -165,12 +164,11 @@ def test_panel_offset_kernel_matches_direct_grid(panels, ppp, c):
 
 def test_grid_kernel_from_distinct_separations_is_bitwise_the_full_offset_layout(monkeypatch):
     from cavityscat import quadrature, special
-    from cavityscat.special import KernelScale
     kernel, seen = special.regularized_kernel_abs, []
 
-    def counting(d, scale):
+    def counting(d, c):
         seen.append(np.size(d))
-        return kernel(d, scale)
+        return kernel(d, c)
 
     monkeypatch.setattr(special, "regularized_kernel_abs", counting)
     for c, panels, ppp in [(1, 96, 10), (0.0123, 24, 4), (4, 64, 4), (16, 96, 10),
@@ -181,7 +179,7 @@ def test_grid_kernel_from_distinct_separations_is_bitwise_the_full_offset_layout
         off = np.arange(1 - panels, panels)
         D = np.abs(blocks[np.maximum(off, 0)][:, :, None]
                    - blocks[np.maximum(-off, 0)][:, None, :])
-        per_offset = kernel(D, KernelScale(c))
+        per_offset = kernel(D, c)
         idx = np.arange(panels)[:, None] - np.arange(panels)[None, :] + panels - 1
         ref = per_offset[idx].transpose(0, 2, 1, 3).reshape(panels * ppp, panels * ppp)
         seen.clear()

@@ -13,8 +13,7 @@ import mpmath as mp
 
 from cavityscat import special
 from cavityscat.errors import ValidationError
-from cavityscat.special import (KernelScale, hankel1_0, j0_series_remainder,
-                                regularized_kernel_abs)
+from cavityscat.special import hankel1_0, j0_series_remainder, regularized_kernel_abs
 
 # mpmath dps=30
 H10_AT_1 = 0.765197686557966551449717526103 + 0.0882569642156769579829267660235j
@@ -63,36 +62,35 @@ def test_accuracy_against_mpmath_sweep():
 
 
 def test_kernel_scale_validation():
-    with pytest.raises(ValidationError):
-        KernelScale(0.0)
-    with pytest.raises(ValidationError):
-        KernelScale(-1.0)
+    for c in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValidationError) as exc:
+            regularized_kernel_abs(1.0, c)
+        assert exc.value.field == "c", c
 
 
 def test_regularized_kernel_diagonal_limit():
     # limit 1 + (2i/pi) gamma + (2i/pi) ln(c/2) with c = kappa0 w/(2 pi)
     for c in (0.25, 1.0, 4.0):
         want = 1.0 + (2j / pi) * (special.EULER_GAMMA + log(c / 2.0))
-        got = complex(regularized_kernel_abs(0.0, KernelScale(c)))
+        got = complex(regularized_kernel_abs(0.0, c))
         assert abs(got - want) <= 1e-15
 
 
 def test_regularized_kernel_continuity_at_diagonal():
-    val = complex(regularized_kernel_abs(1e-8, KernelScale(0.25)))
-    lim = complex(regularized_kernel_abs(0.0, KernelScale(0.25)))
+    val = complex(regularized_kernel_abs(1e-8, 0.25))
+    lim = complex(regularized_kernel_abs(0.0, 0.25))
     assert abs(val - lim) <= 1e-6
 
 
 def test_regularized_kernel_off_diagonal_frozen():
-    got = complex(regularized_kernel_abs(pi, KernelScale(1.0)))
+    got = complex(regularized_kernel_abs(pi, 1.0))
     assert abs(got - REG_AT_PI_C1) <= 1e-13
 
 
 @given(st.floats(0.0, 2 * pi), st.floats(0.0, 2 * pi),
        st.sampled_from([0.25, 1.0, 4.0]))
 def test_regularized_kernel_symmetric(s, t, c):
-    scale = KernelScale(c)
-    assert regularized_kernel_abs(abs(s - t), scale) == regularized_kernel_abs(abs(t - s), scale)
+    assert regularized_kernel_abs(abs(s - t), c) == regularized_kernel_abs(abs(t - s), c)
 
 
 def test_remainder_trivial():
