@@ -1,6 +1,10 @@
 """Aperture linear systems: D - M from whole-system kernel matrices, the
 aperture phases behind the incident vectors, and the dense solve (numpy
-only)."""
+only).
+
+A wavenumber sweep (a list of specs that differ only in their
+wavenumbers) is assembled as one stack of systems, (wavenumbers x size x
+size); each of its systems is then factored and solved on its own."""
 
 from __future__ import annotations
 
@@ -12,7 +16,7 @@ import numpy as np
 
 from .errors import SingularSystemError, ValidationError
 from .modal import ModalTables, build_modal_tables, mode_norms, mode_numbers
-from .model import Cavity, ProblemSpec
+from .model import Cavity, ProblemSpec, across_sweep, sweep_first
 from .quadrature import SingularBlockCache, cross_block_matrix
 
 RCOND_WARN = 1e-14
@@ -97,48 +101,60 @@ def system_phases(spec: ProblemSpec, alphas) -> np.ndarray:
                            for cav in spec.cavities], axis=1)
 
 
-def _kernel_matrix(spec: ProblemSpec, cache: SingularBlockCache, layout: ModeLayout,
+def _kernel_matrix(spec, cache: SingularBlockCache, layout: ModeLayout,
                    kind: str) -> np.ndarray:
     """G[kind]: I I trig_i(x) H0^(1)(kappa0 |x - y|) trig_j(y) dy dx over the
     apertures for every pair of aperture coefficients i, j in system order,
-    trig_i(x) = trig(n pi (x - a)/w) for the mode n and cavity of i.  Diagonal
-    blocks are the weakly singular blocks scaled by (w/2pi)^2; the kernel is
-    symmetric, so each cavity pair is integrated once: block (j, k) = (k, j)^T."""
-    k0 = spec.wave.kappa0
+    trig_i(x) = trig(n pi (x - a)/w) for the mode n and cavity of i; one
+    matrix per wavenumber of a sweep.  Diagonal blocks are the weakly
+    singular blocks scaled by (w/2pi)^2; the kernel is symmetric, so each
+    cavity pair is integrated once: block (j, k) = (k, j)^T."""
+    first = sweep_first(spec)
+    k0 = np.asarray(across_sweep(spec, lambda s: s.wave.kappa0))
     modes = np.array(layout.modes)
-    G = np.empty((layout.size, layout.size), dtype=complex)
-    for k, cav in enumerate(spec.cavities):
+    G = np.empty(k0.shape + (layout.size, layout.size), dtype=complex)
+    for k, cav in enumerate(first.cavities):
         sl = layout.block_slice(k)
-        G[sl, sl] = (cav.w / (2.0 * pi)) ** 2 * cache.matrix(kind, modes, k0 * cav.w / (2.0 * pi))
-    for k, j in itertools.combinations(range(spec.K), 2):
-        cross = cross_block_matrix(spec.cavities[k], spec.cavities[j], modes, modes, k0, kind,
-                                   spec.quad)
-        G[layout.block_slice(k), layout.block_slice(j)] = cross
-        G[layout.block_slice(j), layout.block_slice(k)] = cross.T
+        G[..., sl, sl] = (cav.w / (2.0 * pi)) ** 2 * cache.matrix(kind, modes,
+                                                                  k0 * cav.w / (2.0 * pi))
+    for k, j in itertools.combinations(range(first.K), 2):
+        cross = cross_block_matrix(first.cavities[k], first.cavities[j], modes, modes, k0, kind,
+                                   first.quad)
+        G[..., layout.block_slice(k), layout.block_slice(j)] = cross
+        G[..., layout.block_slice(j), layout.block_slice(k)] = cross.swapaxes(-1, -2)
     return G
 
 
-def build_system(spec: ProblemSpec, tables: ModalTables | None = None) -> ApertureSystem:
+def build_system(spec, tables: ModalTables | None = None) -> ApertureSystem:
     """Assemble (D - M) U = F (TM) or (D_hat - M_hat) U = G (TE) from the kernel
     matrices, with per aperture coefficient the mode norm, the impedance (s_hat
-    or t_hat) and mu = n pi/w; F and G are -2 i beta and 2 times the phases."""
+    or t_hat) and mu = n pi/w; F and G are -2 i beta and 2 times the phases.
+
+    For a sweep (spec a list of specs, tables their stacked tables) lhs and
+    rhs hold one system per wavenumber along a leading axis."""
     tables = tables or build_modal_tables(spec)
-    cache = SingularBlockCache(spec.quad)
-    layout = ModeLayout(spec.polarization, spec.N, spec.K)
-    n = np.tile(np.array(layout.modes), spec.K)
-    w = np.repeat([cav.w for cav in spec.cavities], layout.block)
+    first = sweep_first(spec)
+    cache = SingularBlockCache(first.quad)
+    layout = ModeLayout(first.polarization, first.N, first.K)
+    n = np.tile(np.array(layout.modes), first.K)
+    w = np.repeat([cav.w for cav in first.cavities], layout.block)
     norms = mode_norms(n, w)
-    impedance = np.concatenate([mc.impedance for mc in tables.cavities])
-    wave = spec.wave
-    if spec.polarization == "TM":
+    impedance = np.concatenate([mc.impedance for mc in tables.cavities], axis=-1)
+    alpha = np.asarray(across_sweep(spec, lambda s: s.wave.alpha))
+    phases = system_phases(first, alpha).reshape(alpha.shape + (layout.size,))
+    diag = np.arange(layout.size)
+    if first.polarization == "TM":
+        k0 = np.asarray(across_sweep(spec, lambda s: s.wave.kappa0))[..., None, None]
+        beta = np.asarray(across_sweep(spec, lambda s: s.wave.beta))[..., None]
         mu = n * pi / w
-        lhs = np.diag(norms * impedance) - 0.5j * (
-            wave.kappa0 ** 2 * _kernel_matrix(spec, cache, layout, "sin")
-            - mu[:, None] * mu[None, :] * _kernel_matrix(spec, cache, layout, "cos"))
-        rhs = -2j * wave.beta * system_phases(spec, wave.alpha)[0]
+        lhs = -0.5j * (k0 ** 2 * _kernel_matrix(spec, cache, layout, "sin")
+                       - mu[:, None] * mu[None, :] * _kernel_matrix(spec, cache, layout, "cos"))
+        lhs[..., diag, diag] += norms * impedance
+        rhs = -2j * beta * phases
     else:
-        lhs = np.diag(norms) + 0.5j * _kernel_matrix(spec, cache, layout, "cos") * impedance
-        rhs = 2.0 * system_phases(spec, wave.alpha)[0]
+        lhs = 0.5j * _kernel_matrix(spec, cache, layout, "cos") * impedance[..., None, :]
+        lhs[..., diag, diag] += norms
+        rhs = 2.0 * phases
     if not np.all(np.isfinite(lhs)):
         raise SingularSystemError("assembled matrix contains non-finite entries")
     return ApertureSystem(lhs=lhs, rhs=rhs, layout=layout)
@@ -193,3 +209,14 @@ def solve(spec: ProblemSpec):
     tables = build_modal_tables(spec)
     solution = solve_system(build_system(spec, tables))
     return tables, solution
+
+
+def solve_sweep(specs):
+    """Solve a sweep, a list of specs that differ only in their
+    wavenumbers, from one stacked assembly.  Returns the tables, with a
+    leading wavenumber axis, and one solution per spec in order, each from
+    its own factorization."""
+    tables = build_modal_tables(specs)
+    stack = build_system(specs, tables)
+    return tables, [solve_system(ApertureSystem(lhs, rhs, stack.layout))
+                    for lhs, rhs in zip(stack.lhs, stack.rhs)]

@@ -145,6 +145,23 @@ def _rescaled_spec(spec, kappa0: float):
                    cavities=cavities)
 
 
+# The sweep of `enhance` runs in chunks of wavenumbers whose stacked kernel
+# values hold at most this many entries, counting nodes^2 per wavenumber (the
+# most distinct separations a cross block can have): eight wavenumbers for
+# grids of 96 nodes (24 panels of 4 points), one from 193 nodes on.
+SWEEP_GRID_ENTRIES = 8 * 96 * 96
+
+# the failures that leave one wavenumber's row NaN instead of ending the sweep
+_WAVENUMBER_FAILURES = (ModalResonanceError, ConnectionResonanceError, SingularSystemError)
+
+
+def _enhance_rows(specs, cavs) -> np.ndarray:
+    """rcond, backward error, then Q_E per cavity: one row per spec of a sweep."""
+    tables, sols = assembly.solve_sweep(specs)
+    return np.column_stack([[sol.rcond for sol in sols], [sol.backward_error for sol in sols]]
+                           + [postprocess.enhancement(specs, tables, sols, k) for k in cavs])
+
+
 def cmd_enhance(spec, args, out: Path) -> Run:
     if args.cavity is not None and not 0 <= args.cavity < spec.K:
         raise ValidationError("--cavity", f"must be a cavity index in [0, {spec.K - 1}], "
@@ -154,15 +171,22 @@ def cmd_enhance(spec, args, out: Path) -> Run:
     # rcond, backward error, then Q_E per cavity
     rows = np.full((len(kappas), 2 + len(cavs)), np.nan)
     failed = []
-    specs = [_rescaled_spec(spec, float(kap)) for kap in kappas]
-    series = _series_diag(specs)  # a sweep past the aperture-scale bound fails here
-    for i, sp in enumerate(specs):
-        try:  # a failed wavenumber leaves NaN in its row and a record in the manifest
-            tables, sol = assembly.solve(sp)
-            rows[i] = [sol.rcond, sol.backward_error] + [
-                postprocess.enhancement(sp, tables, sol, k) for k in cavs]
-        except (ModalResonanceError, ConnectionResonanceError, SingularSystemError) as exc:
-            failed.append({"kappa": float(kappas[i]), "error": str(exc)})
+    # a sweep past the aperture-scale bound fails here, before any solve
+    series = _series_diag(_rescaled_spec(spec, float(kap)) for kap in kappas)
+    nodes = spec.quad.panels * spec.quad.points_per_panel
+    chunk = max(1, SWEEP_GRID_ENTRIES // (nodes * nodes))
+    for start in range(0, len(kappas), chunk):
+        parts = [range(start, min(start + chunk, len(kappas)))]
+        while parts:
+            part = parts.pop(0)
+            try:
+                rows[part.start:part.stop] = _enhance_rows(
+                    [_rescaled_spec(spec, float(kappas[i])) for i in part], cavs)
+            except _WAVENUMBER_FAILURES as exc:
+                if len(part) > 1:  # the chunk again, one wavenumber at a time
+                    parts = [range(i, i + 1) for i in part]
+                else:  # a NaN row and a record in the manifest
+                    failed.append({"kappa": float(kappas[part.start]), "error": str(exc)})
     rconds = rows[:, 0]
     path = _output(out, "enhancement.csv")
     postprocess.export_enhancement(kappas, dict(zip(cavs, rows[:, 2:].T)), path)

@@ -17,6 +17,13 @@ functions take an array of mode numbers (one number gives 0-d results): a
 cavity's betas, a and b are (modes x layers) arrays, and one elimination over
 the layers solves all modes.  TM is TE's elimination with unit weights in
 place of 1/kappa_l^2 and a zero at the PEC bottom.
+
+A wavenumber sweep is the same cavity at several wavenumbers: where a
+function takes a cavity it also takes a list of such cavities (and then one
+kappa0 per cavity), and every array gains a leading wavenumber axis,
+(wavenumbers x modes x layers).  The per-wavenumber inputs (layer kappa,
+kappa^2, (kappa0/kappa_1)^2) are Python scalar arithmetic on each cavity, so a
+sweep holds the floats of its single solves.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConnectionResonanceError, ModalResonanceError
-from .model import Cavity, Layer
+from .model import Layer, across_sweep, sweep_first
 
 # Relative size under which beta is routed to the beta = 0 branch.
 _BETA_ZERO_RTOL = 1e-14
@@ -72,6 +79,13 @@ class ModalTables:
         return mode_numbers(self.polarization, self.N)
 
 
+def _per_mode(x, n):
+    """x, (wavenumbers...) x layers, with one axis per axis of the mode
+    numbers n inserted before the layers."""
+    x = np.asarray(x)
+    return x.reshape(x.shape[:-1] + (1,) * np.ndim(n) + x.shape[-1:])
+
+
 def beta(kappa, w: float, n):
     """Principal vertical wavenumbers (kappa^2 - (n pi/w)^2)^{1/2} with Im >= 0,
     for kappa and n broadcast against each other.
@@ -96,13 +110,15 @@ def _layer_factors(betas, h, modes, layers, cavity):
     layer formula shares.  betas (modes on the first axis, layers on the
     last) broadcast against the thicknesses h.  A resonant entry raises
     ModalResonanceError naming the smallest such mode, then its layer
-    (`layers[column]`, or the column itself), and the cavity."""
+    (`layers[column]`, or the column itself), and the cavity; leading
+    wavenumber axes are searched as one."""
     flat = betas == 0
     ib = 1j * np.where(flat, 1j, betas)
     one_minus_r = -np.expm1(-2.0 * ib * h)
     resonant = ~flat & (np.abs(one_minus_r) <= _RESONANCE_RTOL * (1.0 + np.abs(1.0 - one_minus_r)))
     if np.any(resonant):
-        i, col = np.argwhere(np.atleast_2d(resonant))[0]
+        resonant = np.atleast_2d(resonant)
+        i, col = np.argwhere(resonant.reshape((-1,) + resonant.shape[-2:]).any(0))[0]
         raise ModalResonanceError(int(np.ravel(modes)[i]),
                                   int(col if layers is None else layers[col]), cavity)
     return flat, ib, one_minus_r
@@ -123,27 +139,33 @@ def layer_coeffs(betas, h, *, modes=-1, cavity: int | None = None):
     return a, b
 
 
-def mode_coefficients(cavity: Cavity, n, *, cavity_index: int | None = None) -> ModeCoefficients:
-    """Vertical wavenumbers and layer coefficients of the modes n in every layer."""
+def mode_coefficients(cavity, n, *, cavity_index: int | None = None) -> ModeCoefficients:
+    """Vertical wavenumbers and layer coefficients of the modes n in every
+    layer, of one cavity or of a sweep."""
     n = np.asarray(n)
-    betas = beta(np.array([lay.kappa for lay in cavity.layers]), cavity.w, n[..., None])
-    a, b = layer_coeffs(betas, np.array([lay.h for lay in cavity.layers]), modes=n,
+    geometry = sweep_first(cavity)
+    kappa = np.array(across_sweep(cavity, lambda c: [lay.kappa for lay in c.layers]))
+    betas = beta(_per_mode(kappa, n), geometry.w, n[..., None])
+    a, b = layer_coeffs(betas, np.array([lay.h for lay in geometry.layers]), modes=n,
                         cavity=cavity_index)
     return ModeCoefficients(n=n, betas=betas, a=a, b=b)
 
 
-def _connection(cavity: Cavity, n, weights, factor, dim: int, cavity_index, coeffs):
+def _connection(cavity, n, weights, factor, dim: int, cavity_index, coeffs):
     """coeffs (built for the modes n when None) with u_hat, the solution of
     T u_hat = e_1 for every mode at once, and the impedances
     factor [a_1^2 u_hat_1 / g_1 - b_1].  T is the leading dim x dim block of
     the symmetric tri-diagonal matrix with diagonal b_l/g_l + b_{l+1}/g_{l+1}
-    (b_L/g_L = 0) and off-diagonal a_{l+1}/g_{l+1}, g the layer weights.
+    (b_L/g_L = 0) and off-diagonal a_{l+1}/g_{l+1}, g the layer weights
+    ((wavenumbers x) layers, as factor is (wavenumbers)).
 
     The elimination loops over layers only.  A pivot at most 1e-15 of its
     mode's largest entry raises ConnectionResonanceError naming the smallest
-    such mode.
+    such mode at any wavenumber.
     """
     mc = coeffs if coeffs is not None else mode_coefficients(cavity, n, cavity_index=cavity_index)
+    weights = _per_mode(weights, mc.n)
+    factor = np.reshape(factor, np.shape(factor) + (1,) * mc.n.ndim)
     d = mc.b / weights
     d[..., :-1] += d[..., 1:]
     d, off = d[..., :dim], (mc.a / weights)[..., 1:dim]
@@ -160,6 +182,7 @@ def _connection(cavity: Cavity, n, weights, factor, dim: int, cavity_index, coef
     if dim:
         bad |= np.abs(d[..., -1]) <= tiny
     if np.any(bad):
+        bad = bad.reshape((-1,) + mc.n.shape).any(0)
         raise ConnectionResonanceError(int(np.ravel(mc.n)[np.argmax(np.ravel(bad))]),
                                        cavity_index)
     for i in reversed(range(dim)):  # back substitution, in place
@@ -167,36 +190,42 @@ def _connection(cavity: Cavity, n, weights, factor, dim: int, cavity_index, coef
             u[..., i] -= off[..., i] * u[..., i + 1]
         u[..., i] /= d[..., i]
     a1, u1 = mc.a[..., 0], u[..., 0] if dim else 0.0
-    return replace(mc, u_hat=u, impedance=factor * (a1 * a1 * u1 / weights[0] - mc.b[..., 0]))
+    return replace(mc, u_hat=u,
+                   impedance=factor * (a1 * a1 * u1 / weights[..., 0] - mc.b[..., 0]))
 
 
-def connection_tm(cavity: Cavity, n, *, cavity_index: int | None = None,
+def connection_tm(cavity, n, *, cavity_index: int | None = None,
                   coeffs: ModeCoefficients | None = None) -> ModeCoefficients:
     """TM connection solves with unit load; impedance s_hat = -b_1 + a_1^2 u_hat_1."""
-    return _connection(cavity, n, np.ones(cavity.L), 1.0, cavity.L - 1, cavity_index, coeffs)
+    L = sweep_first(cavity).L
+    return _connection(cavity, n, np.ones(L), 1.0, L - 1, cavity_index, coeffs)
 
 
-def connection_te(cavity: Cavity, n, kappa0: float, *, cavity_index: int | None = None,
+def connection_te(cavity, n, kappa0, *, cavity_index: int | None = None,
                   coeffs: ModeCoefficients | None = None) -> ModeCoefficients:
     """TE connection solves (1/kappa^2-weighted fluxes); impedance
     t_hat = (kappa0/kappa_1)^2 [a_1^2 u_hat_1 / kappa_1^2 - b_1]."""
-    k2 = np.array([lay.kappa * lay.kappa for lay in cavity.layers])
-    return _connection(cavity, n, k2, (kappa0 / cavity.layers[0].kappa) ** 2, cavity.L,
-                       cavity_index, coeffs)
+    k2 = np.array(across_sweep(cavity, lambda c: [lay.kappa * lay.kappa for lay in c.layers]))
+    factor = np.array(across_sweep(cavity, lambda c, k0: (k0 / c.layers[0].kappa) ** 2, kappa0))
+    return _connection(cavity, n, k2, factor, sweep_first(cavity).L, cavity_index, coeffs)
 
 
-def interior_coefficients(cavity: Cavity, polarization: str, mc: ModeCoefficients,
+def interior_coefficients(cavity, polarization: str, mc: ModeCoefficients,
                           u0) -> np.ndarray:
     """Fourier coefficients of every mode on all interfaces y_0 .. y_L
-    (modes x L+1), from the solved mc and the aperture coefficients u0.
+    ((wavenumbers x) modes x L+1), from the solved mc and the aperture
+    coefficients u0 ((wavenumbers x) modes).
 
     TM: u_l = -a_1 u0 u_hat_l for interior interfaces, u_L = 0 (PEC bottom).
     TE: u_l = -(a_1/kappa_1^2) u0 u_hat_l down to and including the bottom.
     """
     u0 = np.asarray(u0, dtype=complex)
-    k1sq = cavity.layers[0].kappa ** 2 if polarization == "TE" else 1.0
+    k1sq = 1.0
+    if polarization == "TE":
+        k1sq = np.array(across_sweep(cavity, lambda c: [c.layers[0].kappa ** 2]))
+        k1sq = _per_mode(k1sq, mc.n)[..., 0]
     dim = mc.u_hat.shape[-1]
-    ifc = np.zeros(u0.shape + (cavity.L + 1,), dtype=complex)
+    ifc = np.zeros(u0.shape + (sweep_first(cavity).L + 1,), dtype=complex)
     ifc[..., 0] = u0
     ifc[..., 1:dim + 1] = (-(mc.a[..., 0] / k1sq) * u0)[..., None] * mc.u_hat
     return ifc
@@ -206,18 +235,19 @@ def layer_profiles(layer: Layer, betas, u_top, u_bottom, y, *, modes, layer_inde
                    cavity: int | None = None):
     """Profiles of several modes inside one layer, and their y-derivatives.
 
-    betas, u_top, u_bottom and modes hold one entry per mode; y holds points
-    in [y_bottom, y_top].  Returns (values, dy), each of shape (modes, points):
+    betas, u_top and u_bottom hold one entry per mode (after any leading
+    wavenumber axes), modes one per mode; y holds points in [y_bottom, y_top].
+    Returns (values, dy), each of shape ((wavenumbers x) modes x points):
     the profile of mode i interpolates u_top[i] at y_top and u_bottom[i] at
     y_bottom, and both arrays come from the same four exponentials, each of
     modulus <= 1, so evanescent modes with large |beta| |h| stay finite.  Modes
     with beta = 0 are linear in y.  A resonant layer raises
     ModalResonanceError naming the mode, the layer and the cavity.
     """
-    betas = np.asarray(betas, dtype=complex)[:, None]
-    u_top = np.asarray(u_top, dtype=complex)[:, None]
-    u_bottom = np.asarray(u_bottom, dtype=complex)[:, None]
-    y = np.asarray(y, dtype=float)[None, :]
+    betas = np.asarray(betas, dtype=complex)[..., None]
+    u_top = np.asarray(u_top, dtype=complex)[..., None]
+    u_bottom = np.asarray(u_bottom, dtype=complex)[..., None]
+    y = np.asarray(y, dtype=float)
     h = layer.h
     flat, ib, one_minus_r = _layer_factors(betas, h, modes, (layer_index,), cavity)
     e1 = np.exp(ib * (y - layer.y_bottom))
@@ -259,9 +289,14 @@ def single_layer_impedance_te(kappa: complex, w: float, depth: float, n: int) ->
 
 def build_modal_tables(spec) -> ModalTables:
     """Layer coefficients and connection solves of every mode, one array call
-    per cavity."""
-    modes = np.array(mode_numbers(spec.polarization, spec.N))
-    return ModalTables(spec.polarization, spec.N, tuple(
-        connection_tm(cav, modes, cavity_index=k) if spec.polarization == "TM"
-        else connection_te(cav, modes, spec.wave.kappa0, cavity_index=k)
-        for k, cav in enumerate(spec.cavities)))
+    per cavity.  spec is one ProblemSpec, or a sweep: a list of specs
+    that differ only in their wavenumbers, whose tables carry a leading
+    wavenumber axis."""
+    first = sweep_first(spec)
+    modes = np.array(mode_numbers(first.polarization, first.N))
+    cavities = [across_sweep(spec, lambda s: s.cavities[k]) for k in range(first.K)]
+    kappa0 = across_sweep(spec, lambda s: s.wave.kappa0)
+    return ModalTables(first.polarization, first.N, tuple(
+        connection_tm(cav, modes, cavity_index=k) if first.polarization == "TM"
+        else connection_te(cav, modes, kappa0, cavity_index=k)
+        for k, cav in enumerate(cavities)))

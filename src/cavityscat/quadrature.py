@@ -20,7 +20,9 @@ distinct separation of the uniform grid (node of panel P >= 0 against node of
 panel 0) and laid out as a symmetric block-Toeplitz matrix in one copy.
 
 Off-diagonal (cross-cavity) blocks have a smooth kernel and use plain tensor
-Gauss with panels graded toward the facing edges when the gap is small.
+Gauss with panels graded toward the facing edges when the gap is small.  The
+grid repeats separations, so the kernel is evaluated once per distinct
+separation, for every wavenumber of a sweep in one call.
 """
 
 from __future__ import annotations
@@ -116,22 +118,27 @@ def _grid_kernel(c: float, pts: np.ndarray, panels: int) -> np.ndarray:
     return _gather_offsets(special.regularized_kernel_abs(D, c))
 
 
-def singular_block_matrix(modes_m, modes_n, c: float, kind: str,
+def singular_block_matrix(modes_m, modes_n, c, kind: str,
                           cfg: QuadratureConfig) -> np.ndarray:
-    """All blocks [m, n] for the given mode lists at kernel scale c."""
-    K = _moments.bessel_K_for(c)
+    """All blocks [m, n] for the given mode lists at kernel scale c; an array
+    of scales gives one matrix per scale, stacked along its leading axes."""
     rule = gauss_rule(cfg.points_per_panel)
     pts, wts = composite_nodes(0.0, TWO_PI, cfg.panels, rule)
-    kern = _grid_kernel(c, pts, cfg.panels)
     f = np.sin if kind == "sin" else np.cos
     modes_m = np.asarray(list(modes_m), dtype=int)
     modes_n = np.asarray(list(modes_n), dtype=int)
     Tm = f(0.5 * pts[:, None] * modes_m[None, :]) * wts[:, None]
     Tn = f(0.5 * pts[:, None] * modes_n[None, :]) * wts[:, None]
-    out = Tm.T @ kern @ Tn
-    # exact parity zeros and the exact log-part series
-    out[(modes_m[:, None] + modes_n[None, :]) % 2 == 1] = 0.0
-    return out + _moments.log_series_matrix(kind, modes_m, modes_n, c, K)
+    odd = (modes_m[:, None] + modes_n[None, :]) % 2 == 1
+    c = np.asarray(c, dtype=float)
+    out = np.empty(c.shape + odd.shape, dtype=complex)
+    for idx, s in np.ndenumerate(c):
+        K = _moments.bessel_K_for(float(s))  # checks the scale first
+        block = out[idx]
+        block[...] = Tm.T @ _grid_kernel(float(s), pts, cfg.panels) @ Tn
+        block[odd] = 0.0  # exact parity zeros, then the exact log-part series
+        block += _moments.log_series_matrix(kind, modes_m, modes_n, float(s), K)
+    return out
 
 
 def singular_block(m: int, n: int, c: float, kind: str, cfg: QuadratureConfig) -> complex:
@@ -139,13 +146,14 @@ def singular_block(m: int, n: int, c: float, kind: str, cfg: QuadratureConfig) -
     return complex(singular_block_matrix([m], [n], c, kind, cfg)[0, 0])
 
 
-def _cache_key(kind: str, modes, c: float) -> tuple:
-    return kind, tuple(int(m) for m in modes), float(f"{c:.15g}")
+def _cache_key(kind: str, modes, c) -> tuple:
+    return kind, tuple(int(m) for m in modes), tuple(float(f"{s:.15g}") for s in np.ravel(c))
 
 
 class SingularBlockCache:
-    """Memo of square singular-block matrices keyed by (kind, modes, c to 15
-    significant digits); the same modes index the rows and the columns.
+    """Memo of square singular-block matrices keyed by (kind, modes, every
+    scale c to 15 significant digits); the same modes index the rows and the
+    columns, and an array of scales keys its stack of matrices.
 
     matrix() returns the stored matrix (read-only), filling it by populate()
     in one tensor-grid pass on a miss.
@@ -191,25 +199,47 @@ def _graded_interval_edges(w: float, panels: int, facing_right: bool | None, gap
     return np.unique(np.asarray(edges))
 
 
-def cross_block_matrix(cav_k: Cavity, cav_j: Cavity, modes_m, modes_n, kappa0: float,
+@lru_cache(maxsize=64)
+def _cross_grid(a_k: float, b_k: float, a_j: float, b_j: float, panels: int, q: int):
+    """The quadrature of a cavity pair, which no wavenumber enters: the
+    graded nodes and weights on either aperture, the distinct separations
+    |x + a_k - y - a_j| of the tensor grid and the index of each grid entry
+    among them.  Memoised: the arrays are shared and read-only."""
+    gap = max(a_j - b_k, a_k - b_j)
+    if gap <= 0:
+        raise ValidationError("cavities", "cross blocks require disjoint cavities")
+    k_right_of_j = a_k > b_j
+    rule = gauss_rule(q)
+    xk, wk = composite_nodes_edges(_graded_interval_edges(b_k - a_k, panels, not k_right_of_j,
+                                                          gap), rule)
+    yj, wj = composite_nodes_edges(_graded_interval_edges(b_j - a_j, panels, k_right_of_j,
+                                                          gap), rule)
+    dist = np.abs(xk[:, None] + a_k - yj[None, :] - a_j)
+    seps, inverse = np.unique(dist, return_inverse=True)
+    # the inverse is flat in numpy 1.x and shaped like dist in some 2.x releases
+    grid = (xk, wk, yj, wj, seps, inverse.reshape(dist.shape))
+    for arr in grid:
+        arr.setflags(write=False)
+    return grid
+
+
+def cross_block_matrix(cav_k: Cavity, cav_j: Cavity, modes_m, modes_n, kappa0,
                        kind: str, cfg: QuadratureConfig) -> np.ndarray:
     """Smooth cross blocks
     I_0^{w_k} I_0^{w_j} trig(m pi x/w_k) H0^(1)(kappa0|x+a_k-y-a_j|) trig(n pi y/w_j) dy dx
-    for disjoint cavities k != j."""
-    gap = max(cav_j.a - cav_k.b, cav_k.a - cav_j.b)
-    if gap <= 0:
-        raise ValidationError("cavities", "cross blocks require disjoint cavities")
-    k_right_of_j = cav_k.a > cav_j.b
-    rule = gauss_rule(cfg.points_per_panel)
-    ek = _graded_interval_edges(cav_k.w, cfg.panels, not k_right_of_j, gap)
-    ej = _graded_interval_edges(cav_j.w, cfg.panels, k_right_of_j, gap)
-    xk, wk = composite_nodes_edges(ek, rule)
-    yj, wj = composite_nodes_edges(ej, rule)
-    dist = np.abs(xk[:, None] + cav_k.a - yj[None, :] - cav_j.a)
-    kern = special.hankel1_0(kappa0 * dist)
+    for disjoint cavities k != j; an array of wavenumbers kappa0 gives one
+    block per wavenumber, stacked along its leading axes.  The kernel is
+    evaluated once per distinct separation of the grid."""
+    xk, wk, yj, wj, seps, inverse = _cross_grid(cav_k.a, cav_k.b, cav_j.a, cav_j.b,
+                                                cfg.panels, cfg.points_per_panel)
+    kappa0 = np.asarray(kappa0, dtype=float)
+    kern = special.hankel1_0(kappa0[..., None] * seps)
     f = np.sin if kind == "sin" else np.cos
     modes_m = np.asarray(list(modes_m), dtype=int)
     modes_n = np.asarray(list(modes_n), dtype=int)
     Tm = f(pi * xk[:, None] * modes_m[None, :] / cav_k.w) * wk[:, None]
     Tn = f(pi * yj[:, None] * modes_n[None, :] / cav_j.w) * wj[:, None]
-    return Tm.T @ kern @ Tn
+    # laid out on the grid one wavenumber at a time: a stack of full grids
+    # would hold wavenumbers x nodes^2 entries at once
+    blocks = [Tm.T @ row[inverse] @ Tn for row in kern.reshape(-1, len(seps))]
+    return np.array(blocks).reshape(kappa0.shape + (len(modes_m), len(modes_n)))

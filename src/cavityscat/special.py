@@ -105,9 +105,9 @@ def _scalar_like(value, x):
 
 
 def hankel1_0(x):
-    """H0^(1)(x) = J0(x) + i Y0(x) for x > 0."""
+    """H0^(1)(x) = J0(x) + i Y0(x) for x > 0 (NaN is rejected too)."""
     xa = np.asarray(x, dtype=float)
-    if np.any(xa <= 0.0):
+    if not np.all(xa > 0.0):
         raise ValidationError("hankel1_0", "argument must be > 0")
     j, y = _j0_y0(xa)
     return _scalar_like(j + 1j * y, x)
@@ -126,6 +126,8 @@ def regularized_kernel_abs(d, c: float):
     if not c > 0.0:
         raise ValidationError("c", f"kernel scale must be positive, got {c}")
     d = np.asarray(d, dtype=float)
+    if not np.all(d >= 0.0):
+        raise ValidationError("regularized_kernel_abs", "separations must be >= 0")
     z = c * d
     out = np.empty(d.shape, dtype=complex)
     small = z <= 8.0
@@ -149,7 +151,7 @@ def j0_series_remainder(z, K: int):
     if K < 0:
         raise ValidationError("K", "series truncation must be >= 0")
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0):
+    if not np.all(z >= 0.0):
         raise ValidationError("j0_series_remainder", "argument must be >= 0")
     out = np.zeros(z.shape, dtype=float)
     pos = z > 0.0

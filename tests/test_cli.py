@@ -141,17 +141,18 @@ def test_enhance_survives_a_failed_wavenumber(tmp_path, monkeypatch, error):
         N=4, quad=QuadratureConfig(panels=12)))
     spec_path = _write_spec(tmp_path, spec)
     kappas = np.linspace(1.4, 1.6, 5)
-    solve, rconds, backward_errors = cs.assembly.solve, {}, []
+    solve_sweep, rconds, backward_errors = cs.assembly.solve_sweep, {}, []
 
-    def flaky(sp):
-        if sp.wave.kappa0 == kappas[2]:
+    def flaky(specs):
+        if any(sp.wave.kappa0 == kappas[2] for sp in specs):
             raise error
-        tables, sol = solve(sp)
-        rconds[sp.wave.kappa0] = sol.rcond
-        backward_errors.append(sol.backward_error)
-        return tables, sol
+        tables, sols = solve_sweep(specs)
+        for sp, sol in zip(specs, sols):
+            rconds[sp.wave.kappa0] = sol.rcond
+            backward_errors.append(sol.backward_error)
+        return tables, sols
 
-    monkeypatch.setattr(cs.assembly, "solve", flaky)
+    monkeypatch.setattr(cs.assembly, "solve_sweep", flaky)
     out = tmp_path / "out"
     assert cli.main(["enhance", "--spec", str(spec_path), "--out", str(out),
                      "--kappa-min", "1.4", "--kappa-max", "1.6", "--kappa-steps", "5"]) == 0
@@ -165,11 +166,37 @@ def test_enhance_survives_a_failed_wavenumber(tmp_path, monkeypatch, error):
     assert diag["backward_error_max"] == max(backward_errors)
 
 
+@pytest.mark.parametrize("kappa_max,resonant", [(pi, 4), (2 * pi - 3.0, 2)])
+def test_enhance_resonant_wavenumber_fails_alone(tmp_path, kappa_max, resonant):
+    # no injected failure: at kappa0 = pi the layer kappa is pi, so mode 0
+    # (beta = pi, depth 1) resonates.  All five wavenumbers form one stacked
+    # chunk; that chunk fails and is solved again one wavenumber at a time,
+    # so only the resonant row is NaN, at the end of the sweep or between
+    # solved neighbours
+    spec = cs.validate(cs.ProblemSpec(
+        wave=cs.IncidentWave(1.5, 0.0), polarization="TE",
+        cavities=(cs.Cavity(-0.025, 0.025, (cs.Layer(0.0, -1.0, 1.5 + 0j),)),),
+        N=4, quad=QuadratureConfig(panels=12)))
+    spec_path = _write_spec(tmp_path, spec)
+    out = tmp_path / "out"
+    assert cli.main(["enhance", "--spec", str(spec_path), "--out", str(out),
+                     "--kappa-min", "3.0", "--kappa-max", repr(kappa_max),
+                     "--kappa-steps", "5"]) == 0
+    rows = [line.split(",") for line in (out / "enhancement.csv").read_text().splitlines()[1:]]
+    assert [r[1] == "nan" for r in rows] == [i == resonant for i in range(5)]
+    assert all(np.isfinite(float(r[1])) for i, r in enumerate(rows) if i != resonant)
+    diag = json.loads((out / "manifest.json").read_text(), parse_constant=_reject)["diagnostics"]
+    kappas = np.linspace(3.0, kappa_max, 5)
+    assert diag["failed"] == [{"kappa": kappas[resonant],
+                               "error": "modal resonance: mode n=0, layer 0, cavity 0"}]
+    assert diag["rcond_below_warn"] == 0 and diag["backward_error_max"] < 1e-13
+
+
 def test_enhance_with_no_solved_wavenumber_leaves_rcond_out(tmp_path, monkeypatch):
-    def singular(sp):
+    def singular(specs):
         raise cs.SingularSystemError("system singular (rcond = 0)")
 
-    monkeypatch.setattr(cs.assembly, "solve", singular)
+    monkeypatch.setattr(cs.assembly, "solve_sweep", singular)
     spec_path = _write_spec(tmp_path, _tiny_te())
     out = tmp_path / "out"
     assert cli.main(["enhance", "--spec", str(spec_path), "--out", str(out),
@@ -181,10 +208,10 @@ def test_enhance_with_no_solved_wavenumber_leaves_rcond_out(tmp_path, monkeypatc
 
 
 def test_enhance_input_errors_still_exit_2(tmp_path, monkeypatch):
-    def invalid(sp):
+    def invalid(specs):
         raise cs.ValidationError("N", "rejected")
 
-    monkeypatch.setattr(cs.assembly, "solve", invalid)
+    monkeypatch.setattr(cs.assembly, "solve_sweep", invalid)
     spec_path = _write_spec(tmp_path, _tiny_te())
     assert cli.main(["enhance", "--spec", str(spec_path), "--out", str(tmp_path / "out"),
                      "--kappa-min", "1.4", "--kappa-max", "1.6",
@@ -329,7 +356,7 @@ def test_bad_flag_values_exit_2_naming_the_flag(tmp_path, capsys, monkeypatch, a
 @pytest.mark.parametrize("cavity", ["5", "2", "-1"])
 def test_enhance_cavity_index_out_of_range_exits_2(tmp_path, capsys, monkeypatch, cavity):
     # a two-cavity spec has indices 0 and 1 only; -1 would write a Q_E_-1 column
-    monkeypatch.setattr(cs.assembly, "solve", _no_solve)
+    monkeypatch.setattr(cs.assembly, "solve_sweep", _no_solve)
     cavs = (cs.Cavity(0.0, 0.05, (cs.Layer(0.0, -1.0, 1.5 + 0j),)),
             cs.Cavity(0.1, 0.15, (cs.Layer(0.0, -1.0, 1.5 + 0j),)))
     spec_path = _write_spec(tmp_path, cs.ProblemSpec(cs.IncidentWave(1.5, 0.0), "TE", cavs, N=3))
@@ -354,7 +381,7 @@ def test_huge_aperture_exits_2_naming_the_cavity(tmp_path, capsys):
 def test_enhance_sweep_past_the_aperture_bound_exits_2_before_any_solve(
         tmp_path, capsys, monkeypatch):
     # the spec itself is valid (c = 0.24); the sweep's top wavenumber reaches c = 65
-    monkeypatch.setattr(cs.assembly, "solve", _no_solve)
+    monkeypatch.setattr(cs.assembly, "solve_sweep", _no_solve)
     spec_path = _write_spec(tmp_path, _tiny_te())
     out = tmp_path / "out"
     assert cli.main(["enhance", "--spec", str(spec_path), "--out", str(out),

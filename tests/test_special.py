@@ -129,3 +129,28 @@ def test_remainder_rejects_bad_args():
         j0_series_remainder(1.0, -1)
     with pytest.raises(ValidationError):
         j0_series_remainder(-1.0, 2)
+
+
+# NaN compares False with every bound, so each domain check asks that every
+# argument lies inside it rather than that none lies outside
+
+
+@pytest.mark.parametrize("x", [float("nan"), np.array([1.0, float("nan")]), -1.0,
+                               np.array([2.0, 0.0])])
+def test_hankel_rejects_nan_and_nonpositive_arguments(x):
+    with pytest.raises(ValidationError):
+        hankel1_0(x)
+
+
+@pytest.mark.parametrize("z", [float("nan"), np.array([1.0, float("nan")]), -1.0,
+                               np.array([0.5, -0.5])])
+def test_remainder_rejects_nan_and_negative_arguments(z):
+    with pytest.raises(ValidationError):
+        j0_series_remainder(z, 3)
+
+
+@pytest.mark.parametrize("d", [-1.0, float("nan"), np.array([0.0, float("nan")]),
+                               np.array([0.5, -0.5])])
+def test_regularized_kernel_rejects_nan_and_negative_separations(d):
+    with pytest.raises(ValidationError):
+        regularized_kernel_abs(d, 1.0)
