@@ -2,21 +2,21 @@
 aperture phases behind the incident vectors, and the dense solve (numpy
 only).
 
-A wavenumber sweep (a list of specs that differ only in their
-wavenumbers) is assembled as one stack of systems, (wavenumbers x size x
-size); each of its systems is then factored and solved on its own."""
+A wavenumber sweep (one spec and an array of kappa0, read from its modal
+tables) is assembled as one stack of systems, (wavenumbers x size x size);
+each of its systems is then factored and solved on its own."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import pi
+from math import cos, pi, sin
 
 import numpy as np
 
 from .errors import SingularSystemError, ValidationError
 from .modal import ModalTables, build_modal_tables, mode_norms, mode_numbers
-from .model import Cavity, ProblemSpec, across_sweep, sweep_first
+from .model import Cavity, ProblemSpec
 from .quadrature import SingularBlockCache, cross_block_matrix
 
 RCOND_WARN = 1e-14
@@ -101,58 +101,56 @@ def system_phases(spec: ProblemSpec, alphas) -> np.ndarray:
                            for cav in spec.cavities], axis=1)
 
 
-def _kernel_matrix(spec, cache: SingularBlockCache, layout: ModeLayout,
-                   kind: str) -> np.ndarray:
+def _kernel_matrix(spec: ProblemSpec, k0: np.ndarray, cache: SingularBlockCache,
+                   layout: ModeLayout, kind: str) -> np.ndarray:
     """G[kind]: I I trig_i(x) H0^(1)(kappa0 |x - y|) trig_j(y) dy dx over the
     apertures for every pair of aperture coefficients i, j in system order,
     trig_i(x) = trig(n pi (x - a)/w) for the mode n and cavity of i; one
-    matrix per wavenumber of a sweep.  Diagonal blocks are the weakly
+    matrix per wavenumber k0 of a sweep.  Diagonal blocks are the weakly
     singular blocks scaled by (w/2pi)^2; the kernel is symmetric, so each
     cavity pair is integrated once: block (j, k) = (k, j)^T."""
-    first = sweep_first(spec)
-    k0 = np.asarray(across_sweep(spec, lambda s: s.wave.kappa0))
     modes = np.array(layout.modes)
     G = np.empty(k0.shape + (layout.size, layout.size), dtype=complex)
-    for k, cav in enumerate(first.cavities):
+    for k, cav in enumerate(spec.cavities):
         sl = layout.block_slice(k)
         G[..., sl, sl] = (cav.w / (2.0 * pi)) ** 2 * cache.matrix(kind, modes,
                                                                   k0 * cav.w / (2.0 * pi))
-    for k, j in itertools.combinations(range(first.K), 2):
-        cross = cross_block_matrix(first.cavities[k], first.cavities[j], modes, modes, k0, kind,
-                                   first.quad)
+    for k, j in itertools.combinations(range(spec.K), 2):
+        cross = cross_block_matrix(spec.cavities[k], spec.cavities[j], modes, modes, k0, kind,
+                                   spec.quad)
         G[..., layout.block_slice(k), layout.block_slice(j)] = cross
         G[..., layout.block_slice(j), layout.block_slice(k)] = cross.swapaxes(-1, -2)
     return G
 
 
-def build_system(spec, tables: ModalTables | None = None) -> ApertureSystem:
+def build_system(spec: ProblemSpec, tables: ModalTables | None = None) -> ApertureSystem:
     """Assemble (D - M) U = F (TM) or (D_hat - M_hat) U = G (TE) from the kernel
     matrices, with per aperture coefficient the mode norm, the impedance (s_hat
     or t_hat) and mu = n pi/w; F and G are -2 i beta and 2 times the phases.
 
-    For a sweep (spec a list of specs, tables their stacked tables) lhs and
-    rhs hold one system per wavenumber along a leading axis."""
+    The wavenumber is the tables' kappa0; for a sweep (tables with an array
+    kappa0) lhs and rhs hold one system per wavenumber along a leading axis."""
     tables = tables or build_modal_tables(spec)
-    first = sweep_first(spec)
-    cache = SingularBlockCache(first.quad)
-    layout = ModeLayout(first.polarization, first.N, first.K)
-    n = np.tile(np.array(layout.modes), first.K)
-    w = np.repeat([cav.w for cav in first.cavities], layout.block)
+    cache = SingularBlockCache(spec.quad)
+    layout = ModeLayout(spec.polarization, spec.N, spec.K)
+    n = np.tile(np.array(layout.modes), spec.K)
+    w = np.repeat([cav.w for cav in spec.cavities], layout.block)
     norms = mode_norms(n, w)
     impedance = np.concatenate([mc.impedance for mc in tables.cavities], axis=-1)
-    alpha = np.asarray(across_sweep(spec, lambda s: s.wave.alpha))
-    phases = system_phases(first, alpha).reshape(alpha.shape + (layout.size,))
+    k0 = np.asarray(tables.kappa0)
+    # math, not np: a single solve keeps IncidentWave's alpha and beta
+    alpha = k0 * sin(spec.wave.theta)
+    phases = system_phases(spec, alpha).reshape(alpha.shape + (layout.size,))
     diag = np.arange(layout.size)
-    if first.polarization == "TM":
-        k0 = np.asarray(across_sweep(spec, lambda s: s.wave.kappa0))[..., None, None]
-        beta = np.asarray(across_sweep(spec, lambda s: s.wave.beta))[..., None]
+    if spec.polarization == "TM":
+        beta = (k0 * cos(spec.wave.theta))[..., None]
         mu = n * pi / w
-        lhs = -0.5j * (k0 ** 2 * _kernel_matrix(spec, cache, layout, "sin")
-                       - mu[:, None] * mu[None, :] * _kernel_matrix(spec, cache, layout, "cos"))
+        lhs = -0.5j * (k0[..., None, None] ** 2 * _kernel_matrix(spec, k0, cache, layout, "sin")
+                       - np.outer(mu, mu) * _kernel_matrix(spec, k0, cache, layout, "cos"))
         lhs[..., diag, diag] += norms * impedance
         rhs = -2j * beta * phases
     else:
-        lhs = 0.5j * _kernel_matrix(spec, cache, layout, "cos") * impedance[..., None, :]
+        lhs = 0.5j * _kernel_matrix(spec, k0, cache, layout, "cos") * impedance[..., None, :]
         lhs[..., diag, diag] += norms
         rhs = 2.0 * phases
     if not np.all(np.isfinite(lhs)):
@@ -211,12 +209,12 @@ def solve(spec: ProblemSpec):
     return tables, solution
 
 
-def solve_sweep(specs):
-    """Solve a sweep, a list of specs that differ only in their
-    wavenumbers, from one stacked assembly.  Returns the tables, with a
-    leading wavenumber axis, and one solution per spec in order, each from
-    its own factorization."""
-    tables = build_modal_tables(specs)
-    stack = build_system(specs, tables)
+def solve_sweep(spec: ProblemSpec, kappa0):
+    """Solve spec at every wavenumber of the array kappa0 (layer kappa scaled
+    by kappa0/spec.wave.kappa0) from one stacked assembly.  Returns the tables,
+    with a leading wavenumber axis, and one solution per wavenumber in order,
+    each from its own factorization."""
+    tables = build_modal_tables(spec, kappa0)
+    stack = build_system(spec, tables)
     return tables, [solve_system(ApertureSystem(lhs, rhs, stack.layout))
                     for lhs, rhs in zip(stack.lhs, stack.rhs)]

@@ -24,7 +24,7 @@ import numpy as np
 from . import _moments, assembly, postprocess
 from .errors import (CavityScatError, ConnectionResonanceError, ModalResonanceError,
                      SingularSystemError, ValidationError)
-from .model import IncidentWave, load_spec, spec_to_dict
+from .model import load_spec, spec_to_dict, validate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -79,19 +79,16 @@ Run = namedtuple("Run", "outputs resolved diagnostics lines code", defaults=(EXI
 
 def _solution_diag(spec, sol) -> dict:
     return {"rcond": sol.rcond, "backward_error": sol.backward_error,
-            "size": sol.layout.size, "warnings": list(sol.diagnostics), **_series_diag([spec])}
+            "size": sol.layout.size, "warnings": list(sol.diagnostics), **_series_diag(spec)}
 
 
-def _series_diag(specs) -> dict:
+def _series_diag(spec) -> dict:
     """The log-series truncation K per cavity and the working digits of the
-    fold, each the maximum over the given specs."""
-    Ks, dps = [], 0
-    for s in specs:
-        scales = [s.wave.kappa0 * cav.w / (2.0 * pi) for cav in s.cavities]
-        row = [_moments.bessel_K_for(c) for c in scales]
-        dps = max(dps, *(_moments._series_dps(c, K) for c, K in zip(scales, row)))
-        Ks.append(row)
-    return {"bessel_K": [max(col) for col in zip(*Ks)], "series_dps": dps}
+    fold.  Neither decreases as kappa0 grows, so at a sweep's largest kappa0
+    they are the maxima over the sweep."""
+    scales = [spec.wave.kappa0 * cav.w / (2.0 * pi) for cav in spec.cavities]
+    Ks = [_moments.bessel_K_for(c) for c in scales]
+    return {"bessel_K": Ks, "series_dps": max(map(_moments._series_dps, scales, Ks))}
 
 
 def cmd_solve(spec, args, out: Path) -> Run:
@@ -131,18 +128,8 @@ def cmd_rcs(spec, args, out: Path) -> Run:
     return Run([path.name],
                {"angles": args.angles, "phi_min": args.phi_min, "phi_max": args.phi_max},
                {"rcond": sweep.rcond, "backward_error": sweep.backward_error,
-                "size": spec.K * spec.N, **_series_diag([spec])},
+                "size": spec.K * spec.N, **_series_diag(spec)},
                [f"backscatter sweep over {args.angles} angles -> {path}"])
-
-
-def _rescaled_spec(spec, kappa0: float):
-    """Scale the scenario to a new illumination wavenumber: every layer
-    wavenumber scales proportionally (non-dispersive media)."""
-    ratio = kappa0 / spec.wave.kappa0
-    cavities = tuple(replace(c, layers=tuple(replace(l, kappa=l.kappa * ratio) for l in c.layers))
-                     for c in spec.cavities)
-    return replace(spec, wave=IncidentWave(kappa0=kappa0, theta=spec.wave.theta),
-                   cavities=cavities)
 
 
 # The sweep of `enhance` runs in chunks of wavenumbers whose stacked kernel
@@ -155,11 +142,11 @@ SWEEP_GRID_ENTRIES = 8 * 96 * 96
 _WAVENUMBER_FAILURES = (ModalResonanceError, ConnectionResonanceError, SingularSystemError)
 
 
-def _enhance_rows(specs, cavs) -> np.ndarray:
-    """rcond, backward error, then Q_E per cavity: one row per spec of a sweep."""
-    tables, sols = assembly.solve_sweep(specs)
+def _enhance_rows(spec, kappa0, cavs) -> np.ndarray:
+    """rcond, backward error, then Q_E per cavity: one row per wavenumber kappa0."""
+    tables, sols = assembly.solve_sweep(spec, kappa0)
     return np.column_stack([[sol.rcond for sol in sols], [sol.backward_error for sol in sols]]
-                           + [postprocess.enhancement(specs, tables, sols, k) for k in cavs])
+                           + [postprocess.enhancement(spec, tables, sols, k) for k in cavs])
 
 
 def cmd_enhance(spec, args, out: Path) -> Run:
@@ -171,8 +158,9 @@ def cmd_enhance(spec, args, out: Path) -> Run:
     # rcond, backward error, then Q_E per cavity
     rows = np.full((len(kappas), 2 + len(cavs)), np.nan)
     failed = []
-    # a sweep past the aperture-scale bound fails here, before any solve
-    series = _series_diag(_rescaled_spec(spec, float(kap)) for kap in kappas)
+    # the spec at the sweep's largest kappa0: past the aperture bound, exit before any solve
+    top = validate(replace(spec, wave=replace(spec.wave, kappa0=float(kappas.max()))))
+    series = _series_diag(top)
     nodes = spec.quad.panels * spec.quad.points_per_panel
     chunk = max(1, SWEEP_GRID_ENTRIES // (nodes * nodes))
     for start in range(0, len(kappas), chunk):
@@ -181,7 +169,7 @@ def cmd_enhance(spec, args, out: Path) -> Run:
             part = parts.pop(0)
             try:
                 rows[part.start:part.stop] = _enhance_rows(
-                    [_rescaled_spec(spec, float(kappas[i])) for i in part], cavs)
+                    spec, kappas[part.start:part.stop], cavs)
             except _WAVENUMBER_FAILURES as exc:
                 if len(part) > 1:  # the chunk again, one wavenumber at a time
                     parts = [range(i, i + 1) for i in part]

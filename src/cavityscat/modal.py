@@ -18,12 +18,10 @@ cavity's betas, a and b are (modes x layers) arrays, and one elimination over
 the layers solves all modes.  TM is TE's elimination with unit weights in
 place of 1/kappa_l^2 and a zero at the PEC bottom.
 
-A wavenumber sweep is the same cavity at several wavenumbers: where a
-function takes a cavity it also takes a list of such cavities (and then one
-kappa0 per cavity), and every array gains a leading wavenumber axis,
-(wavenumbers x modes x layers).  The per-wavenumber inputs (layer kappa,
-kappa^2, (kappa0/kappa_1)^2) are Python scalar arithmetic on each cavity, so a
-sweep holds the floats of its single solves.
+A wavenumber sweep scales every layer kappa of one cavity by each of an
+array of factors (non-dispersive media), and every array gains a leading
+wavenumber axis, (wavenumbers x modes x layers).  The TE factor
+(kappa0/kappa_1)^2 does not depend on the scale: it comes from the cavity.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConnectionResonanceError, ModalResonanceError
-from .model import Layer, across_sweep, sweep_first
+from .model import Cavity, Layer
 
 # Relative size under which beta is routed to the beta = 0 branch.
 _BETA_ZERO_RTOL = 1e-14
@@ -54,12 +52,13 @@ def mode_norms(n, w):
 
 @dataclass(frozen=True)
 class ModeCoefficients:
-    """One cavity's modes n: betas, a and b (one row per mode, one column per
-    layer) and, once the connection systems are solved, u_hat on the interior
-    interfaces (L-1 of them for TM; L for TE, bottom included) and the
-    aperture impedances (s_hat for TM, t_hat for TE)."""
+    """One cavity's modes n: the layer kappa ((wavenumbers x) layers), and
+    betas, a and b (one row per mode, one column per layer) and, once the
+    connection systems are solved, u_hat on the interior interfaces (L-1 for
+    TM; L for TE, bottom included) and the impedances (s_hat TM, t_hat TE)."""
 
     n: np.ndarray
+    kappa: np.ndarray
     betas: np.ndarray
     a: np.ndarray
     b: np.ndarray
@@ -69,10 +68,12 @@ class ModeCoefficients:
 
 @dataclass(frozen=True)
 class ModalTables:
-    """The solved ModeCoefficients of every cavity, over every mode."""
+    """The solved ModeCoefficients of every cavity, over every mode, at the
+    free-space wavenumber kappa0: a float, or an array for a sweep."""
 
     polarization: str
     N: int
+    kappa0: float | np.ndarray
     cavities: tuple[ModeCoefficients, ...]
 
     def modes(self) -> range:
@@ -139,33 +140,37 @@ def layer_coeffs(betas, h, *, modes=-1, cavity: int | None = None):
     return a, b
 
 
-def mode_coefficients(cavity, n, *, cavity_index: int | None = None) -> ModeCoefficients:
+def _square(kappa: np.ndarray) -> np.ndarray:
+    """kappa^2 rounded as Python rounds a complex product: numpy's array
+    product may fuse a multiply-add in the real part."""
+    return (kappa.real * kappa.real - kappa.imag * kappa.imag) + 2j * (kappa.real * kappa.imag)
+
+
+def mode_coefficients(cavity: Cavity, n, scale=1.0, *,
+                      cavity_index: int | None = None) -> ModeCoefficients:
     """Vertical wavenumbers and layer coefficients of the modes n in every
-    layer, of one cavity or of a sweep."""
+    layer, with the layer kappa times scale (a float, or an array for a
+    sweep)."""
     n = np.asarray(n)
-    geometry = sweep_first(cavity)
-    kappa = np.array(across_sweep(cavity, lambda c: [lay.kappa for lay in c.layers]))
-    betas = beta(_per_mode(kappa, n), geometry.w, n[..., None])
-    a, b = layer_coeffs(betas, np.array([lay.h for lay in geometry.layers]), modes=n,
+    kappa = np.multiply.outer(scale, [lay.kappa for lay in cavity.layers])
+    betas = beta(_per_mode(kappa, n), cavity.w, n[..., None])
+    a, b = layer_coeffs(betas, np.array([lay.h for lay in cavity.layers]), modes=n,
                         cavity=cavity_index)
-    return ModeCoefficients(n=n, betas=betas, a=a, b=b)
+    return ModeCoefficients(n=n, kappa=kappa, betas=betas, a=a, b=b)
 
 
-def _connection(cavity, n, weights, factor, dim: int, cavity_index, coeffs):
-    """coeffs (built for the modes n when None) with u_hat, the solution of
-    T u_hat = e_1 for every mode at once, and the impedances
-    factor [a_1^2 u_hat_1 / g_1 - b_1].  T is the leading dim x dim block of
-    the symmetric tri-diagonal matrix with diagonal b_l/g_l + b_{l+1}/g_{l+1}
-    (b_L/g_L = 0) and off-diagonal a_{l+1}/g_{l+1}, g the layer weights
-    ((wavenumbers x) layers, as factor is (wavenumbers)).
+def _connection(mc: ModeCoefficients, weights, factor, dim: int, cavity_index):
+    """mc with u_hat, the solution of T u_hat = e_1 for every mode at once,
+    and the impedances factor [a_1^2 u_hat_1 / g_1 - b_1].  T is the leading
+    dim x dim block of the symmetric tri-diagonal matrix with diagonal
+    b_l/g_l + b_{l+1}/g_{l+1} (b_L/g_L = 0) and off-diagonal a_{l+1}/g_{l+1},
+    g the layer weights ((wavenumbers x) layers).
 
     The elimination loops over layers only.  A pivot at most 1e-15 of its
     mode's largest entry raises ConnectionResonanceError naming the smallest
     such mode at any wavenumber.
     """
-    mc = coeffs if coeffs is not None else mode_coefficients(cavity, n, cavity_index=cavity_index)
     weights = _per_mode(weights, mc.n)
-    factor = np.reshape(factor, np.shape(factor) + (1,) * mc.n.ndim)
     d = mc.b / weights
     d[..., :-1] += d[..., 1:]
     d, off = d[..., :dim], (mc.a / weights)[..., 1:dim]
@@ -194,24 +199,24 @@ def _connection(cavity, n, weights, factor, dim: int, cavity_index, coeffs):
                    impedance=factor * (a1 * a1 * u1 / weights[..., 0] - mc.b[..., 0]))
 
 
-def connection_tm(cavity, n, *, cavity_index: int | None = None,
+def connection_tm(cavity: Cavity, n, scale=1.0, *, cavity_index: int | None = None,
                   coeffs: ModeCoefficients | None = None) -> ModeCoefficients:
     """TM connection solves with unit load; impedance s_hat = -b_1 + a_1^2 u_hat_1."""
-    L = sweep_first(cavity).L
-    return _connection(cavity, n, np.ones(L), 1.0, L - 1, cavity_index, coeffs)
+    mc = coeffs or mode_coefficients(cavity, n, scale, cavity_index=cavity_index)
+    return _connection(mc, np.ones(cavity.L), 1.0, cavity.L - 1, cavity_index)
 
 
-def connection_te(cavity, n, kappa0, *, cavity_index: int | None = None,
+def connection_te(cavity: Cavity, n, kappa0, scale=1.0, *, cavity_index: int | None = None,
                   coeffs: ModeCoefficients | None = None) -> ModeCoefficients:
     """TE connection solves (1/kappa^2-weighted fluxes); impedance
-    t_hat = (kappa0/kappa_1)^2 [a_1^2 u_hat_1 / kappa_1^2 - b_1]."""
-    k2 = np.array(across_sweep(cavity, lambda c: [lay.kappa * lay.kappa for lay in c.layers]))
-    factor = np.array(across_sweep(cavity, lambda c, k0: (k0 / c.layers[0].kappa) ** 2, kappa0))
-    return _connection(cavity, n, k2, factor, sweep_first(cavity).L, cavity_index, coeffs)
+    t_hat = (kappa0/kappa_1)^2 [a_1^2 u_hat_1 / kappa_1^2 - b_1], kappa0 and
+    kappa_1 unscaled."""
+    mc = coeffs or mode_coefficients(cavity, n, scale, cavity_index=cavity_index)
+    return _connection(mc, _square(mc.kappa), (kappa0 / cavity.layers[0].kappa) ** 2,
+                       cavity.L, cavity_index)
 
 
-def interior_coefficients(cavity, polarization: str, mc: ModeCoefficients,
-                          u0) -> np.ndarray:
+def interior_coefficients(polarization: str, mc: ModeCoefficients, u0) -> np.ndarray:
     """Fourier coefficients of every mode on all interfaces y_0 .. y_L
     ((wavenumbers x) modes x L+1), from the solved mc and the aperture
     coefficients u0 ((wavenumbers x) modes).
@@ -222,10 +227,9 @@ def interior_coefficients(cavity, polarization: str, mc: ModeCoefficients,
     u0 = np.asarray(u0, dtype=complex)
     k1sq = 1.0
     if polarization == "TE":
-        k1sq = np.array(across_sweep(cavity, lambda c: [c.layers[0].kappa ** 2]))
-        k1sq = _per_mode(k1sq, mc.n)[..., 0]
+        k1sq = _per_mode(_square(mc.kappa[..., :1]), mc.n)[..., 0]
     dim = mc.u_hat.shape[-1]
-    ifc = np.zeros(u0.shape + (sweep_first(cavity).L + 1,), dtype=complex)
+    ifc = np.zeros(u0.shape + (mc.kappa.shape[-1] + 1,), dtype=complex)
     ifc[..., 0] = u0
     ifc[..., 1:dim + 1] = (-(mc.a[..., 0] / k1sq) * u0)[..., None] * mc.u_hat
     return ifc
@@ -287,16 +291,15 @@ def single_layer_impedance_te(kappa: complex, w: float, depth: float, n: int) ->
     return 1j * bl * np.expm1(2j * bl * depth) / denom
 
 
-def build_modal_tables(spec) -> ModalTables:
+def build_modal_tables(spec, kappa0=None) -> ModalTables:
     """Layer coefficients and connection solves of every mode, one array call
-    per cavity.  spec is one ProblemSpec, or a sweep: a list of specs
-    that differ only in their wavenumbers, whose tables carry a leading
-    wavenumber axis."""
-    first = sweep_first(spec)
-    modes = np.array(mode_numbers(first.polarization, first.N))
-    cavities = [across_sweep(spec, lambda s: s.cavities[k]) for k in range(first.K)]
-    kappa0 = across_sweep(spec, lambda s: s.wave.kappa0)
-    return ModalTables(first.polarization, first.N, tuple(
-        connection_tm(cav, modes, cavity_index=k) if first.polarization == "TM"
-        else connection_te(cav, modes, kappa0, cavity_index=k)
-        for k, cav in enumerate(cavities)))
+    per cavity.  An array kappa0 makes a sweep: spec at each of those
+    wavenumbers, with every layer kappa scaled by kappa0/spec.wave.kappa0
+    (non-dispersive media), and tables with a leading wavenumber axis."""
+    modes = np.array(mode_numbers(spec.polarization, spec.N))
+    kappa0 = spec.wave.kappa0 if kappa0 is None else np.asarray(kappa0, dtype=float)
+    scale = kappa0 / spec.wave.kappa0
+    return ModalTables(spec.polarization, spec.N, kappa0, tuple(
+        connection_tm(cav, modes, scale, cavity_index=k) if spec.polarization == "TM"
+        else connection_te(cav, modes, spec.wave.kappa0, scale, cavity_index=k)
+        for k, cav in enumerate(spec.cavities)))

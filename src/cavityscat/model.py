@@ -94,23 +94,6 @@ class ProblemSpec:
         return len(self.cavities)
 
 
-def sweep_first(item):
-    """item, or the first item of a sweep: a list or tuple of specs (or of
-    one cavity) that differ only in their wavenumbers (kappa0, the layer
-    kappa and the incidence components), so that its geometry,
-    polarization, N and quadrature are every item's."""
-    return item[0] if isinstance(item, (list, tuple)) else item
-
-
-def across_sweep(item, value, *per_wavenumber):
-    """value(item, *per_wavenumber) for one spec or cavity; for a sweep, the
-    list of the values over its items, each extra argument then giving one
-    entry per item.  Results built from it carry a leading wavenumber axis."""
-    if isinstance(item, (list, tuple)):
-        return [value(x, *args) for x, *args in zip(item, *per_wavenumber)]
-    return value(item, *per_wavenumber)
-
-
 def kappa_from_material(omega: float, eps: complex, mu: complex, sigma: float = 0.0) -> complex:
     """kappa = (omega^2 eps mu + i omega mu sigma)^{1/2} on the Im >= 0 branch."""
     k = cmath.sqrt(omega * omega * eps * mu + 1j * omega * mu * sigma)

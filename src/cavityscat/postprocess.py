@@ -12,7 +12,7 @@ from .assembly import ApertureSolution, SystemFactorization, build_system, syste
 from .errors import UnsupportedPolarizationError, ValidationError
 from .modal import (ModalTables, build_modal_tables, interior_coefficients,
                     layer_profiles, mode_norms)
-from .model import ProblemSpec, across_sweep, sweep_first, validate
+from .model import ProblemSpec, validate
 from .quadrature import composite_nodes, gauss_rule
 
 # The enhancement y-integrals: 4 panels of four-point Gauss per layer.  The
@@ -66,19 +66,19 @@ def locate_cavity(spec: ProblemSpec, x: float) -> int:
     raise ValidationError("x", f"point x = {x} lies outside every aperture")
 
 
-def _mode_profiles(spec, tables: ModalTables, solution, k: int, ys, layers):
+def _mode_profiles(spec: ProblemSpec, tables: ModalTables, solution, k: int, ys, layers):
     """Mode numbers of cavity k, and the profile values and y-derivatives of
     every mode at the ordinates ys lying in the given layers (modes x points).
-    For a sweep (spec a list of specs, solution one per spec) both arrays
-    carry a leading wavenumber axis.
+    For a sweep (tables with an array kappa0, solution one per wavenumber)
+    both arrays carry a leading wavenumber axis.
 
     The interface coefficients of all modes (modes x L+1) are built once; each
     layer then evaluates all of its points in one array call."""
-    cav = sweep_first(spec).cavities[k]
+    cav = spec.cavities[k]
     mc = tables.cavities[k]
-    u0 = np.array(across_sweep(solution, lambda sol: sol.coefficients[k]))
-    ifc = interior_coefficients(across_sweep(spec, lambda s: s.cavities[k]),
-                                sweep_first(spec).polarization, mc, u0)
+    u0 = (np.array([sol.coefficients[k] for sol in solution]) if np.ndim(tables.kappa0)
+          else solution.coefficients[k])
+    ifc = interior_coefficients(spec.polarization, mc, u0)
     ys = np.asarray(ys, dtype=float)
     values = np.empty(ifc.shape[:-1] + (len(ys),), dtype=complex)
     dy = np.empty_like(values)
@@ -207,17 +207,17 @@ def backscatter_sweep(spec: ProblemSpec, angles) -> RcsSweep:
 # Field enhancement
 
 
-def enhancement(spec, tables: ModalTables, solution, k: int):
+def enhancement(spec: ProblemSpec, tables: ModalTables, solution, k: int):
     """Q_E = ||u||_{L2(cavity)} / ||u^i||_{L2(cavity)} for cavity k.
 
     Modal orthogonality turns the numerator into the sum over modes n of
     `mode_norms` times I |u^(n)(y)|^2 dy; the y-integral runs per layer
     on the closed-form profile.  |u^i| = 1 for the plane wave, so the
-    denominator is sqrt(w * depth).  For a sweep (spec a list of specs,
-    tables their stacked tables, solution one per spec) it returns the
-    array of Q_E over the wavenumbers.
+    denominator is sqrt(w * depth).  For a sweep (tables with an array
+    kappa0, solution one per wavenumber) it returns the array of Q_E over
+    the wavenumbers.
     """
-    cav = sweep_first(spec).cavities[k]
+    cav = spec.cavities[k]
     nodes = [composite_nodes(lay.y_bottom, lay.y_top, _ENHANCE_PANELS, _ENHANCE_RULE)
              for lay in cav.layers]
     ys = np.concatenate([n[0] for n in nodes])

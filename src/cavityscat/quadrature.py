@@ -180,12 +180,12 @@ class SingularBlockCache:
 # Cross-cavity (smooth) blocks
 
 
-def _graded_interval_edges(w: float, panels: int, facing_right: bool | None, gap: float):
+def _graded_interval_edges(w: float, panels: int, facing_right: bool, gap: float):
     """Uniform panels on [0, w], geometrically refined toward the facing end
     until panel sizes reach the cavity gap."""
     edges = list(np.linspace(0.0, w, panels + 1))
     base = w / panels
-    if facing_right is None or gap >= base:
+    if gap >= base:
         return np.asarray(edges)
     extra = []
     h = base / 2.0

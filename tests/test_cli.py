@@ -143,12 +143,12 @@ def test_enhance_survives_a_failed_wavenumber(tmp_path, monkeypatch, error):
     kappas = np.linspace(1.4, 1.6, 5)
     solve_sweep, rconds, backward_errors = cs.assembly.solve_sweep, {}, []
 
-    def flaky(specs):
-        if any(sp.wave.kappa0 == kappas[2] for sp in specs):
+    def flaky(spec, kappa0):
+        if any(k == kappas[2] for k in kappa0):
             raise error
-        tables, sols = solve_sweep(specs)
-        for sp, sol in zip(specs, sols):
-            rconds[sp.wave.kappa0] = sol.rcond
+        tables, sols = solve_sweep(spec, kappa0)
+        for k, sol in zip(kappa0, sols):
+            rconds[k] = sol.rcond
             backward_errors.append(sol.backward_error)
         return tables, sols
 
@@ -193,7 +193,7 @@ def test_enhance_resonant_wavenumber_fails_alone(tmp_path, kappa_max, resonant):
 
 
 def test_enhance_with_no_solved_wavenumber_leaves_rcond_out(tmp_path, monkeypatch):
-    def singular(specs):
+    def singular(spec, kappa0):
         raise cs.SingularSystemError("system singular (rcond = 0)")
 
     monkeypatch.setattr(cs.assembly, "solve_sweep", singular)
@@ -208,7 +208,7 @@ def test_enhance_with_no_solved_wavenumber_leaves_rcond_out(tmp_path, monkeypatc
 
 
 def test_enhance_input_errors_still_exit_2(tmp_path, monkeypatch):
-    def invalid(specs):
+    def invalid(spec, kappa0):
         raise cs.ValidationError("N", "rejected")
 
     monkeypatch.setattr(cs.assembly, "solve_sweep", invalid)
@@ -218,16 +218,32 @@ def test_enhance_input_errors_still_exit_2(tmp_path, monkeypatch):
                      "--kappa-steps", "3"]) == cli.EXIT_INPUT
 
 
-def test_series_diag_takes_maxima_per_cavity():
-    # three apertures (w = 0.5, 0.2, 0.3) at two wavenumbers: K per cavity and
-    # the fold's digits are the maxima over the specs
-    specs = [example4_spec("TM", kappa0=k, N=4, panels=8) for k in (4 * pi, 40 * pi)]
-    diag = cli._series_diag(specs)
-    scales = [40 * pi * cav.w / (2 * pi) for cav in specs[1].cavities]
-    Ks = [quadrature.bessel_truncation(c, specs[1].quad) for c in scales]
-    assert diag["bessel_K"] == Ks and Ks[0] > Ks[2] > Ks[1] > 8
-    assert diag["series_dps"] == _moments._series_dps(scales[0], Ks[0])
-    assert cli._series_diag(specs[:1]) == {"bessel_K": [19, 12, 15], "series_dps": 59}
+def test_series_diag_takes_maxima_per_cavity(tmp_path, monkeypatch):
+    # three apertures (w = 0.5, 0.2, 0.3) swept up and down between 4 pi and
+    # 40 pi: K per cavity and the fold's digits in the manifest are the
+    # maxima over every wavenumber of the sweep, taken here one at a time
+    def singular(spec, kappa0):
+        raise cs.SingularSystemError("system singular (rcond = 0)")
+
+    monkeypatch.setattr(cs.assembly, "solve_sweep", singular)
+    spec = example4_spec("TM", kappa0=4 * pi, N=4, panels=8)
+    spec_path = _write_spec(tmp_path, spec)
+    for kappa_min, kappa_max in ((4 * pi, 40 * pi), (40 * pi, 4 * pi)):
+        out = tmp_path / f"out{kappa_min:.0f}"
+        assert cli.main(["enhance", "--spec", str(spec_path), "--out", str(out),
+                         "--kappa-min", repr(kappa_min), "--kappa-max", repr(kappa_max),
+                         "--kappa-steps", "4"]) == 0
+        Ks, dps = [], 0
+        for k0 in np.linspace(kappa_min, kappa_max, 4):
+            scales = [float(k0) * cav.w / (2 * pi) for cav in spec.cavities]
+            row = [quadrature.bessel_truncation(c, spec.quad) for c in scales]
+            dps = max(dps, *(_moments._series_dps(c, K) for c, K in zip(scales, row)))
+            Ks.append(row)
+        diag = _manifest(out)["diagnostics"]
+        assert diag["bessel_K"] == [max(col) for col in zip(*Ks)] and diag["series_dps"] == dps
+        top = diag["bessel_K"]
+        assert [19, 12, 15] in Ks and top[0] > top[2] > top[1] > 19 and dps > 59
+        assert len(diag["failed"]) == 4
 
 
 def test_convergence_subcommand(tmp_path):
@@ -318,7 +334,7 @@ def test_parser_rejects_unknown_command():
     assert exc.value.code == 2
 
 
-def _no_solve(sp):
+def _no_solve(*args):
     raise AssertionError("a flag check must come before any solve")
 
 
@@ -343,6 +359,7 @@ def test_bad_flag_values_exit_2_naming_the_flag(tmp_path, capsys, monkeypatch, a
     # sweep, a negative grid or ladder, kappa_min = 0 or a NaN angle is an
     # input error, not a traceback or a NaN row
     monkeypatch.setattr(cs.assembly, "solve", _no_solve)
+    monkeypatch.setattr(cs.assembly, "solve_sweep", _no_solve)
     monkeypatch.setattr(cs.postprocess, "backscatter_sweep", _no_solve)
     spec_path = _write_spec(tmp_path, _tiny_tm())
     out = tmp_path / "out"
@@ -387,5 +404,5 @@ def test_enhance_sweep_past_the_aperture_bound_exits_2_before_any_solve(
     assert cli.main(["enhance", "--spec", str(spec_path), "--out", str(out),
                      "--kappa-min", "1.5", "--kappa-max", str(130 * pi),
                      "--kappa-steps", "3"]) == cli.EXIT_INPUT
-    assert "c: aperture scale" in capsys.readouterr().err
+    assert "cavities[0]: aperture scale" in capsys.readouterr().err
     assert not out.exists()

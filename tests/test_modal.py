@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -166,7 +167,7 @@ def test_interior_coefficients_zero_input():
     cav = cs.Cavity(0.0, 1.0, (cs.Layer(0.0, -0.6, 2 + 0j), cs.Layer(-0.6, -1.2, 3 + 0j)))
     mc = mode_coefficients(cav, 1)
     conn = connection_tm(cav, 1, coeffs=mc)
-    vals = interior_coefficients(cav, "TM", conn, 0.0)
+    vals = interior_coefficients("TM", conn, 0.0)
     assert all(v == 0 for v in vals)
 
 
@@ -174,7 +175,7 @@ def test_interior_coefficients_tm_bottom_zero_and_l2():
     cav = cs.Cavity(0.0, 1.0, (cs.Layer(0.0, -0.6, 2 + 0j), cs.Layer(-0.6, -1.2, 3 + 0j)))
     mc = mode_coefficients(cav, 1)
     conn = connection_tm(cav, 1, coeffs=mc)
-    vals = interior_coefficients(cav, "TM", conn, 1.0)
+    vals = interior_coefficients("TM", conn, 1.0)
     assert vals[0] == 1.0
     assert vals[-1] == 0.0
     want_u1 = -mc.a[0] / (mc.b[0] + mc.b[1])
@@ -296,12 +297,10 @@ def test_connection_resonance_raises():
     # cancellation is injected through coeffs (floating kappa leaves the
     # pivot a few ulp off zero).
     from cavityscat.errors import ConnectionResonanceError
-    from cavityscat.modal import ModeCoefficients
     kap = complex(math.pi * math.sqrt(2.0))
     cav = cs.Cavity(0.0, 1.0, (cs.Layer(0.0, -0.25, kap), cs.Layer(-0.25, -1.0, kap)))
     mc = mode_coefficients(cav, 1)
-    exact = ModeCoefficients(n=mc.n, betas=mc.betas, a=mc.a,
-                             b=np.array([-math.pi, math.pi], dtype=complex))
+    exact = replace(mc, b=np.array([-math.pi, math.pi], dtype=complex))
     with pytest.raises(ConnectionResonanceError):
         connection_tm(cav, 1, coeffs=exact)
 
@@ -436,13 +435,12 @@ def test_connection_resonance_names_smallest_mode():
     # modes 1..4 of the two-layer stack of test_connection_resonance_raises;
     # modes 2 and 4 get the exact cancellation b_1 + b_2 = 0
     from cavityscat.errors import ConnectionResonanceError
-    from cavityscat.modal import ModeCoefficients
     kap = complex(math.pi * math.sqrt(2.0))
     cav = cs.Cavity(0.0, 1.0, (cs.Layer(0.0, -0.25, kap), cs.Layer(-0.25, -1.0, kap)))
     mc = mode_coefficients(cav, np.arange(1, 5))
     b = mc.b.copy()
     b[[1, 3]] = [-math.pi, math.pi]
-    exact = ModeCoefficients(n=mc.n, betas=mc.betas, a=mc.a, b=b)
+    exact = replace(mc, b=b)
     with pytest.raises(ConnectionResonanceError) as exc:
         connection_tm(cav, mc.n, cavity_index=2, coeffs=exact)
     assert (exc.value.mode, exc.value.cavity) == (2, 2)

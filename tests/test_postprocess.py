@@ -7,7 +7,7 @@ from math import pi, sqrt
 import cavityscat as cs
 from cavityscat import postprocess
 from cavityscat.errors import UnsupportedPolarizationError, ValidationError
-from cavityscat.modal import ModalTables, ModeCoefficients
+from cavityscat.modal import ModalTables
 from cavityscat.model import QuadratureConfig
 from cavityscat.postprocess import (FieldMap, backscatter_sweep, diagonal_trace,
                                     enhancement, export_grid, export_sweep, field_at,
@@ -252,6 +252,8 @@ def test_backscatter_rejects_no_angles(tm_example1):
 def test_enhancement_identity_field_is_one():
     # constant field u = 1 via a synthetic flat n = 0 mode: Q_E = 1 to
     # quadrature tolerance (checks the norm plumbing and the w*h denominator)
+    from dataclasses import replace
+
     from cavityscat.modal import connection_te
     w, h = 0.4, 1.3
     spec = cs.validate(cs.ProblemSpec(
@@ -262,13 +264,13 @@ def test_enhancement_identity_field_is_one():
     # as production builds it
     conn1 = connection_te(cav, 1, 1.0)
     a0 = 1.0 / h
-    conn = ModeCoefficients(n=np.array([0, 1]),
-                            betas=np.array([[0.0 + 0.0j], conn1.betas]),
-                            a=np.array([[a0], conn1.a]),
-                            b=np.array([[-1.0 / h], conn1.b]),
-                            u_hat=np.array([[-1.0 / a0], conn1.u_hat]),
-                            impedance=np.array([0.0, conn1.impedance]))
-    tables = ModalTables(polarization="TE", N=1, cavities=(conn,))
+    conn = replace(conn1, n=np.array([0, 1]),
+                   betas=np.array([[0.0 + 0.0j], conn1.betas]),
+                   a=np.array([[a0], conn1.a]),
+                   b=np.array([[-1.0 / h], conn1.b]),
+                   u_hat=np.array([[-1.0 / a0], conn1.u_hat]),
+                   impedance=np.array([0.0, conn1.impedance]))
+    tables = ModalTables(polarization="TE", N=1, kappa0=1.0, cavities=(conn,))
     from cavityscat.assembly import ApertureSolution, ModeLayout
     sol = ApertureSolution(coefficients=(np.array([1.0 + 0.0j, 0.0 + 0.0j]),),
                            layout=ModeLayout("TE", 1, 1), rcond=1.0)

@@ -3,6 +3,7 @@ kernel matrices and Q_E against the single-spec path, the cross kernel from
 its distinct separations, and the resonance checks over a leading axis."""
 
 import math
+from dataclasses import replace
 from math import pi
 
 import numpy as np
@@ -32,17 +33,26 @@ def _rel(a, b) -> float:
     return abs(a - b) / abs(b)
 
 
+def _rescaled(spec, kappa0: float):
+    """spec at kappa0 with every layer kappa scaled by kappa0/spec.kappa0,
+    built as a spec of its own: the single solve a sweep row stands for."""
+    ratio = kappa0 / spec.wave.kappa0
+    cavities = tuple(replace(c, layers=tuple(replace(lay, kappa=lay.kappa * ratio)
+                                             for lay in c.layers)) for c in spec.cavities)
+    return replace(spec, wave=cs.IncidentWave(kappa0, spec.wave.theta), cavities=cavities)
+
+
 @pytest.mark.parametrize("spec,kappas", [
     (_enhance_pair_spec(), np.linspace(1.35, 1.62, 5)),   # equal widths
     (example4_spec("TM", N=6, panels=16), np.linspace(5.0, 7.0, 4)),  # w = 0.5, 0.2, 0.3
 ])
 def test_stacked_sweep_matches_single_solves(spec, kappas):
-    specs = [cli._rescaled_spec(spec, float(k)) for k in kappas]
-    tables, sols = assembly.solve_sweep(specs)
-    assert len(sols) == len(specs)
-    assert tables.cavities[0].impedance.shape == (len(specs), len(tables.modes()))
-    q = [postprocess.enhancement(specs, tables, sols, k) for k in range(spec.K)]
-    for i, sp in enumerate(specs):
+    tables, sols = assembly.solve_sweep(spec, kappas)
+    assert len(sols) == len(kappas)
+    assert tables.cavities[0].impedance.shape == (len(kappas), len(tables.modes()))
+    q = [postprocess.enhancement(spec, tables, sols, k) for k in range(spec.K)]
+    for i, k0 in enumerate(kappas):
+        sp = _rescaled(spec, float(k0))
         tables1, sol1 = assembly.solve(sp)
         assert isinstance(sols[i].rcond, float)
         assert _rel(sols[i].rcond, sol1.rcond) <= 1e-13
@@ -53,11 +63,11 @@ def test_stacked_sweep_matches_single_solves(spec, kappas):
 
 def test_stacked_system_is_the_single_systems():
     # the same floats per wavenumber: the stack holds the single matrices
-    specs = [cli._rescaled_spec(_enhance_pair_spec(), k) for k in (1.4, 1.5, 1.6)]
-    stack = assembly.build_system(specs)
+    spec, kappas = _enhance_pair_spec(), [1.4, 1.5, 1.6]
+    stack = assembly.build_system(spec, modal.build_modal_tables(spec, kappas))
     assert stack.lhs.shape == (3, 18, 18) and stack.rhs.shape == (3, 18)
-    for i, sp in enumerate(specs):
-        single = assembly.build_system(sp)
+    for i, k0 in enumerate(kappas):
+        single = assembly.build_system(_rescaled(spec, k0))
         assert np.array_equal(stack.lhs[i], single.lhs)
         assert np.array_equal(stack.rhs[i], single.rhs)
 
@@ -126,29 +136,58 @@ def test_singular_blocks_over_a_vector_of_scales():
         assert np.array_equal(stack[i], single)
 
 
-def _two_layer_sweep(kappas):
-    """One two-layer cavity at several wavenumbers: the layer kappa scale
-    with kappa0, so both TE weights and the factor (kappa0/kappa_1)^2 change
-    along the sweep."""
-    cav = cs.Cavity(0.0, 0.4, (cs.Layer(0.0, -0.3, 1.0 + 0j), cs.Layer(-0.3, -1.0, 2.0 + 0.5j)))
-    spec = cs.validate(cs.ProblemSpec(cs.IncidentWave(1.0, 0.0), "TE", (cav,), N=5))
-    return [cli._rescaled_spec(spec, k) for k in kappas]
+def _two_layer_spec(top=1.0 + 0j):
+    """One two-layer TE cavity at kappa0 = 1: swept, the layer kappa scale
+    with kappa0, so the TE weights change along the sweep, and the factor
+    (kappa0/kappa_1)^2 with them unless the top layer kappa is kappa0."""
+    cav = cs.Cavity(0.0, 0.4, (cs.Layer(0.0, -0.3, top), cs.Layer(-0.3, -1.0, 2.0 + 0.5j)))
+    return cs.validate(cs.ProblemSpec(cs.IncidentWave(1.0, 0.0), "TE", (cav,), N=5,
+                                      quad=QuadratureConfig(panels=8)))
 
 
 def test_te_connection_with_stacked_weights_matches_single_wavenumbers():
-    specs = _two_layer_sweep([1.0, 1.7, 2.9])
-    cavs = [sp.cavities[0] for sp in specs]
-    k0 = [sp.wave.kappa0 for sp in specs]
+    spec, kappas = _two_layer_spec(), np.array([1.0, 1.7, 2.9])
     modes = np.arange(0, 6)
-    stacked = modal.connection_te(cavs, modes, k0, cavity_index=0)
+    stacked = modal.connection_te(spec.cavities[0], modes, 1.0, kappas, cavity_index=0)
     assert stacked.impedance.shape == (3, 6) and stacked.u_hat.shape == (3, 6, 2)
-    for i, (cav, kappa0) in enumerate(zip(cavs, k0)):
+    for i, kappa0 in enumerate(kappas):
+        cav = _rescaled(spec, float(kappa0)).cavities[0]
         single = modal.connection_te(cav, modes, kappa0, cavity_index=0)
         assert np.array_equal(stacked.betas[i], single.betas)
         assert np.array_equal(stacked.u_hat[i], single.u_hat)
         assert np.array_equal(stacked.impedance[i], single.impedance)
-    tables = modal.build_modal_tables(specs)
+    tables = modal.build_modal_tables(spec, kappas)
     assert np.array_equal(tables.cavities[0].impedance, stacked.impedance)
+
+
+def test_sweep_rows_do_not_depend_on_the_chunking():
+    # a lossy top layer with kappa_1 != kappa0: each row is bitwise the row of
+    # its wavenumber swept alone, and within roundoff of the single solve of
+    # the rescaled spec (whose TE factor (kappa0/kappa_1)^2 rounds apart; the
+    # backward error, itself of roundoff size, then agrees only absolutely)
+    spec, kappas = _two_layer_spec(1.3 + 0.4j), np.linspace(1.0, 2.9, 5)
+    alone = [assembly.solve_sweep(spec, kappas[i:i + 1]) for i in range(len(kappas))]
+    for chunks in ([slice(0, 5)], [slice(0, 3), slice(3, 5)]):
+        for part in chunks:
+            tables, sols = assembly.solve_sweep(spec, kappas[part])
+            q = postprocess.enhancement(spec, tables, sols, 0)
+            for j, i in enumerate(range(part.start, part.stop)):
+                tables1, (sol1,) = alone[i]
+                assert sols[j].rcond == sol1.rcond
+                assert sols[j].backward_error == sol1.backward_error
+                assert np.array_equal(tables.cavities[0].impedance[j],
+                                      tables1.cavities[0].impedance[0])
+                assert q[j] == postprocess.enhancement(spec, tables1, [sol1], 0)[0]
+    tables, sols = assembly.solve_sweep(spec, kappas)
+    q = postprocess.enhancement(spec, tables, sols, 0)
+    for i, k0 in enumerate(kappas):
+        tables1, sol1 = assembly.solve(_rescaled(spec, float(k0)))
+        assert _rel(sols[i].rcond, sol1.rcond) <= 1e-13
+        assert abs(sols[i].backward_error - sol1.backward_error) <= 1e-13
+        assert np.max(np.abs(tables.cavities[0].impedance[i] - tables1.cavities[0].impedance)
+                      / np.abs(tables1.cavities[0].impedance)) <= 1e-13
+        assert _rel(q[i], postprocess.enhancement(_rescaled(spec, float(k0)), tables1, sol1,
+                                                  0)) <= 1e-13
 
 
 def test_layer_resonance_over_a_leading_axis_names_smallest_mode_then_layer():
@@ -172,13 +211,12 @@ def test_connection_resonance_over_a_leading_axis_names_smallest_mode():
     # at mode 4 of wavenumber 0 and mode 2 of wavenumber 1
     kap = complex(math.pi * math.sqrt(2.0))
     cav = cs.Cavity(0.0, 1.0, (cs.Layer(0.0, -0.25, kap), cs.Layer(-0.25, -1.0, kap)))
-    mc = modal.mode_coefficients([cav, cav], np.arange(1, 5))
+    mc = modal.mode_coefficients(cav, np.arange(1, 5), np.ones(2))
     assert mc.b.shape == (2, 4, 2)
     b = mc.b.copy()
     b[0, 3] = b[1, 1] = [-math.pi, math.pi]
-    exact = modal.ModeCoefficients(n=mc.n, betas=mc.betas, a=mc.a, b=b)
     with pytest.raises(ConnectionResonanceError) as exc:
-        modal.connection_tm([cav, cav], mc.n, cavity_index=1, coeffs=exact)
+        modal.connection_tm(cav, mc.n, cavity_index=1, coeffs=replace(mc, b=b))
     assert (exc.value.mode, exc.value.cavity) == (2, 1)
 
 
@@ -189,9 +227,9 @@ def test_enhance_sweep_chunks_of_the_grid_budget(tmp_path, monkeypatch):
     cs.save_spec(_enhance_pair_spec(), spec_path)
     solve_sweep, chunks = assembly.solve_sweep, []
 
-    def recorded(specs):
-        chunks.append([sp.wave.kappa0 for sp in specs])
-        return solve_sweep(specs)
+    def recorded(spec, kappa0):
+        chunks.append(list(kappa0))
+        return solve_sweep(spec, kappa0)
 
     monkeypatch.setattr(assembly, "solve_sweep", recorded)
     assert cli.main(["enhance", "--spec", str(spec_path), "--out", str(tmp_path / "out"),
