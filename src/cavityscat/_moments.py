@@ -264,44 +264,50 @@ def _fold_coefficients(c: float, K: int, bits: int) -> list[int]:
     return out
 
 
-def log_series_matrix(kind: str, modes_m, modes_n, c: float, K: int) -> np.ndarray:
-    """`log_series_sum` for every pair (m, n) in modes_m x modes_n.
+def log_series_matrix(kind: str, modes_m, modes_n, c, K) -> np.ndarray:
+    """`log_series_sum` for every pair (m, n) in modes_m x modes_n; an array of
+    scales c, with the truncation K of each (an int applies to all), gives
+    one matrix per scale, stacked along its leading axes.
 
     The series is folded into the per-frequency sums A_q, B_q, C_q (module
     docstring), each an exact integer dot product of fixed-point coefficients
     (`_series_dps` digits plus guard bits) with the fixed-point tables, and
-    rounded once.  Off-diagonal pairs combine the rounded A_q in one float
-    expression; diagonal pairs combine as integers and round once; odd m+n
-    pairs are exact zeros.
+    rounded once, per scale and frequency.  Off-diagonal pairs combine the
+    rounded A_q in one float expression for the whole stack; diagonal pairs
+    combine as integers and round once; odd m+n pairs are exact zeros.
     """
     m = np.asarray(modes_m, dtype=int)
     n = np.asarray(modes_n, dtype=int)
+    c = np.asarray(c, dtype=float)
+    K = np.broadcast_to(K, c.shape)
+    freqs = sorted(set(m.tolist()) | set(n.tolist()))
     diag_q = set(m.tolist()) & set(n.tolist())
-    A: dict[int, float] = {}
-    diag: dict[int, float] = {}
-    cbits = _bits(_series_dps(c, K))
-    coeffs = _fold_coefficients(c, K, cbits)
+    col = {q: i for i, q in enumerate(freqs)}
+    A = np.empty(c.shape + (len(freqs),))
+    diag = np.zeros_like(A)
     sgn = 1 if kind == "sin" else -1
-    for q in sorted(set(m.tolist()) | set(n.tolist())):
-        tab = _table(q, 2 * K + 1)
-        scale = cbits + tab.bits
-        a = sum(map(mul, coeffs, tab.ls[0:2 * K + 1:2]))
-        A[q] = a / (1 << scale)
-        if q not in diag_q:
-            continue
-        if q == 0 and kind == "sin":  # sin(0 s/2) vanishes
-            diag[q] = 0.0
-            continue
-        b = sum(map(mul, coeffs, tab.lc[0:2 * K + 1:2]))
-        cc = sum(map(mul, coeffs, tab.lc[1:2 * K + 2:2]))
-        # 2 pi B - C on the scale 2^(scale + bits)
-        core = tab.two_pi * b - (cc << tab.bits)
-        if q == 0:  # the cos zero mode is P's own case
-            diag[q] = 2 * core / (1 << (scale + tab.bits))
-        else:
-            diag[q] = (q * core + sgn * 2 * (a << tab.bits)) / (q << (scale + tab.bits))
-    am = np.array([A[q] for q in m.tolist()])[:, None]
-    an = np.array([A[q] for q in n.tolist()])[None, :]
+    for idx, s in np.ndenumerate(c):
+        k = int(K[idx])
+        cbits = _bits(_series_dps(float(s), k))
+        coeffs = _fold_coefficients(float(s), k, cbits)
+        for q in freqs:
+            tab = _table(q, 2 * k + 1)
+            scale = cbits + tab.bits
+            a = sum(map(mul, coeffs, tab.ls[0:2 * k + 1:2]))
+            A[idx + (col[q],)] = a / (1 << scale)
+            if q not in diag_q or (q == 0 and kind == "sin"):  # sin(0 s/2) vanishes
+                continue
+            b = sum(map(mul, coeffs, tab.lc[0:2 * k + 1:2]))
+            cc = sum(map(mul, coeffs, tab.lc[1:2 * k + 2:2]))
+            # 2 pi B - C on the scale 2^(scale + bits)
+            core = tab.two_pi * b - (cc << tab.bits)
+            if q == 0:  # the cos zero mode is P's own case
+                diag[idx + (col[q],)] = 2 * core / (1 << (scale + tab.bits))
+            else:
+                diag[idx + (col[q],)] = ((q * core + sgn * 2 * (a << tab.bits))
+                                         / (q << (scale + tab.bits)))
+    am = A[..., [col[q] for q in m.tolist()], None]
+    an = A[..., None, [col[q] for q in n.tolist()]]
     M, N = m[:, None], n[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         if kind == "sin":
@@ -309,6 +315,6 @@ def log_series_matrix(kind: str, modes_m, modes_n, c: float, K: int) -> np.ndarr
         else:
             out = 4.0 / (M * M - N * N) * (N * an - M * am)
     rows, cols = np.nonzero(M == N)
-    out[rows, cols] = [diag[q] for q in m[rows].tolist()]
-    out[(M + N) % 2 == 1] = 0.0
+    out[..., rows, cols] = diag[..., [col[q] for q in m[rows].tolist()]]
+    out[..., (M + N) % 2 == 1] = 0.0
     return (2j / pi) * out

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _moments, assembly, postprocess
+from . import _moments, assembly, postprocess, quadrature
 from .errors import (CavityScatError, ConnectionResonanceError, ModalResonanceError,
                      SingularSystemError, ValidationError)
 from .model import load_spec, spec_to_dict, validate
@@ -132,12 +132,6 @@ def cmd_rcs(spec, args, out: Path) -> Run:
                [f"backscatter sweep over {args.angles} angles -> {path}"])
 
 
-# The sweep of `enhance` runs in chunks of wavenumbers whose stacked kernel
-# values hold at most this many entries, counting nodes^2 per wavenumber (the
-# most distinct separations a cross block can have): eight wavenumbers for
-# grids of 96 nodes (24 panels of 4 points), one from 193 nodes on.
-SWEEP_GRID_ENTRIES = 8 * 96 * 96
-
 # the failures that leave one wavenumber's row NaN instead of ending the sweep
 _WAVENUMBER_FAILURES = (ModalResonanceError, ConnectionResonanceError, SingularSystemError)
 
@@ -161,8 +155,12 @@ def cmd_enhance(spec, args, out: Path) -> Run:
     # the spec at the sweep's largest kappa0: past the aperture bound, exit before any solve
     top = validate(replace(spec, wave=replace(spec.wave, kappa0=float(kappas.max()))))
     series = _series_diag(top)
+    # chunks of wavenumbers whose stacked kernel values hold at most the grid
+    # budget of `quadrature`, counting nodes^2 per wavenumber (the most distinct
+    # separations a cross block can have): eight wavenumbers for grids of 96
+    # nodes (24 panels of 4 points), one from 193 nodes on
     nodes = spec.quad.panels * spec.quad.points_per_panel
-    chunk = max(1, SWEEP_GRID_ENTRIES // (nodes * nodes))
+    chunk = max(1, quadrature.GRID_ENTRIES // (nodes * nodes))
     for start in range(0, len(kappas), chunk):
         parts = [range(start, min(start + chunk, len(kappas)))]
         while parts:

@@ -82,11 +82,13 @@ def _mode_profiles(spec: ProblemSpec, tables: ModalTables, solution, k: int, ys,
     ys = np.asarray(ys, dtype=float)
     values = np.empty(ifc.shape[:-1] + (len(ys),), dtype=complex)
     dy = np.empty_like(values)
-    for li in np.unique(layers):
+    for li in range(cav.L):  # not np.unique(layers), which imports numpy.ma
         sel = layers == li
+        if not sel.any():
+            continue
         values[..., sel], dy[..., sel] = layer_profiles(
             cav.layers[li], mc.betas[..., li], ifc[..., li], ifc[..., li + 1], ys[sel],
-            modes=mc.n, layer_index=int(li), cavity=k)
+            modes=mc.n, layer_index=li, cavity=k)
     return mc.n, values, dy
 
 

@@ -17,7 +17,11 @@ keeps them as consistency identities on the exact moments).  The series is
 folded into three sums per frequency (`_moments.log_series_matrix`), and
 the regularized kernel, a function of |s-t| alone, is evaluated once per
 distinct separation of the uniform grid (node of panel P >= 0 against node of
-panel 0) and laid out as a symmetric block-Toeplitz matrix in one copy.
+panel 0).  Its grid matrix is symmetric block-Toeplitz and is never laid out
+whole: the block is contracted in slabs of whole panels of at most
+`GRID_ENTRIES` entries, each a reshape of a sliding window over the panel
+offsets, with real GEMMs on the float view.  An array of scales (a sweep)
+takes the kernel and the log series in one call each.
 
 Off-diagonal (cross-cavity) blocks have a smooth kernel and use plain tensor
 Gauss with panels graded toward the facing edges when the gap is small.  The
@@ -38,6 +42,12 @@ from .errors import ValidationError
 from .model import Cavity, QuadratureConfig
 
 TWO_PI = 2.0 * pi
+
+# The most grid entries laid out at once.  A singular block is contracted in
+# slabs of whole panels of its grid rows of at most this many entries: one
+# slab for grids of 96 nodes, 7 panels of 10 points at 960 nodes.  `enhance`
+# sweeps in chunks of wavenumbers under the same budget (`cli.cmd_enhance`).
+GRID_ENTRIES = 8 * 96 * 96
 
 
 @dataclass(frozen=True)
@@ -93,51 +103,76 @@ def bessel_truncation(c: float, cfg: QuadratureConfig) -> int:
     return _moments.bessel_K_for(c)
 
 
-def _gather_offsets(per_offset: np.ndarray) -> np.ndarray:
-    """Full grid matrix [P*q + i, Q*q + j] from the blocks per_offset[P - Q, i, j]
-    at the non-negative panel offsets.
-
-    The matrix is symmetric block-Toeplitz: offset -P is the transposed block
-    of offset P.  The full matrix is one reshape (the only full-size copy) of
-    a sliding window over the 2*panels - 1 offsets."""
-    panels, q, _ = per_offset.shape
-    stacked = np.concatenate((per_offset[:0:-1].transpose(0, 2, 1), per_offset))
-    # windows[P, i, j, w] = stacked[P + w], offset P - (panels - 1 - w)
-    windows = np.lib.stride_tricks.sliding_window_view(stacked, panels, axis=0)
-    return windows[..., ::-1].transpose(0, 1, 3, 2).reshape(panels * q, panels * q)
+def _trig_weights(f, pts, wts, modes) -> np.ndarray:
+    """f(mode s/2) times the weight at every node s (nodes x modes), in place."""
+    T = np.multiply.outer(0.5 * pts, modes.astype(float))
+    f(T, out=T)
+    T *= wts[:, None]
+    return T
 
 
-def _grid_kernel(c: float, pts: np.ndarray, panels: int) -> np.ndarray:
-    """Log-regularized kernel on the tensor grid.
-
-    It depends on |s-t| only, so it is evaluated once per distinct separation,
-    |node i of panel P - node j of panel 0| for P >= 0, and laid out by
-    `_gather_offsets`."""
+def _offset_kernel(c, pts: np.ndarray, panels: int) -> np.ndarray:
+    """Log-regularized kernel at the distinct separations of the tensor grid,
+    |node i of panel P - node j of panel 0| for P >= 0, shape
+    c.shape + (panels, q, q): the kernel depends on |s-t| only."""
     blocks = pts.reshape(panels, -1)
     D = np.abs(blocks[:, :, None] - blocks[0][None, None, :])
-    return _gather_offsets(special.regularized_kernel_abs(D, c))
+    return special.regularized_kernel_abs(D, c)
+
+
+def _contract(per_offset: np.ndarray, Tm: np.ndarray, Tn: np.ndarray) -> np.ndarray:
+    """Tm.T @ G @ Tn for the grid G[P*q + i, Q*q + j] = per_offset[P - Q, i, j],
+    symmetric block-Toeplitz (offset -P is the transposed block of offset P),
+    without laying G out whole.
+
+    G is taken in slabs of whole panels of at most GRID_ENTRIES entries, a
+    split that depends on the grid alone.  A slab of columns is one reshape
+    of a sliding window over the 2*panels - 1 offsets, and since G = G.T its
+    columns are also the slab's rows: Tm.T @ G @ Tn is the sum over slabs S
+    of Tm[S].T @ (Tn.T @ G[:, S]).T.  Both products are real GEMMs, on the
+    float view of the complex slab and of its product."""
+    panels, q, _ = per_offset.shape
+    n, modes_n = panels * q, Tn.shape[1]
+    stacked = np.concatenate((per_offset[:0:-1].transpose(0, 2, 1), per_offset))
+    # windows[w, i, j, P] = stacked[P + w]: row panel P against column panel panels - 1 - w
+    windows = np.lib.stride_tricks.sliding_window_view(stacked, panels, axis=0)
+    width = max(1, GRID_ENTRIES // (n * q))  # panels per slab
+    out = np.zeros((Tm.shape[1], 2 * modes_n))
+    for lo in range(0, panels, width):
+        hi = min(lo + width, panels)
+        # cols[P, i, Q - lo, j] = G[P*q + i, Q*q + j] for the column panels Q in [lo, hi)
+        cols = windows[panels - hi:panels - lo][::-1].transpose(3, 1, 0, 2)
+        # Tn.T @ G[:, S] with real and imaginary parts interleaved; the slab's
+        # one copy (the reshape) is freed after the product
+        tg = Tn.T @ np.ascontiguousarray(cols.reshape(n, -1)).view(float)
+        gt = tg.reshape(modes_n, -1, 2).transpose(1, 0, 2).reshape(-1, 2 * modes_n)
+        out += Tm[lo * q:hi * q].T @ gt  # gt is G[S, :] @ Tn, interleaved
+    return out.view(complex)
 
 
 def singular_block_matrix(modes_m, modes_n, c, kind: str,
                           cfg: QuadratureConfig) -> np.ndarray:
     """All blocks [m, n] for the given mode lists at kernel scale c; an array
-    of scales gives one matrix per scale, stacked along its leading axes."""
+    of scales gives one matrix per scale, stacked along its leading axes.
+    The kernel and the log series take every scale in one call; each scale
+    is contracted on its own, so its matrix does not depend on the others."""
     rule = gauss_rule(cfg.points_per_panel)
     pts, wts = composite_nodes(0.0, TWO_PI, cfg.panels, rule)
     f = np.sin if kind == "sin" else np.cos
     modes_m = np.asarray(list(modes_m), dtype=int)
     modes_n = np.asarray(list(modes_n), dtype=int)
-    Tm = f(0.5 * pts[:, None] * modes_m[None, :]) * wts[:, None]
-    Tn = f(0.5 * pts[:, None] * modes_n[None, :]) * wts[:, None]
-    odd = (modes_m[:, None] + modes_n[None, :]) % 2 == 1
+    Tm = _trig_weights(f, pts, wts, modes_m)
+    Tn = Tm if np.array_equal(modes_m, modes_n) else _trig_weights(f, pts, wts, modes_n)
     c = np.asarray(c, dtype=float)
-    out = np.empty(c.shape + odd.shape, dtype=complex)
-    for idx, s in np.ndenumerate(c):
-        K = _moments.bessel_K_for(float(s))  # checks the scale first
-        block = out[idx]
-        block[...] = Tm.T @ _grid_kernel(float(s), pts, cfg.panels) @ Tn
-        block[odd] = 0.0  # exact parity zeros, then the exact log-part series
-        block += _moments.log_series_matrix(kind, modes_m, modes_n, float(s), K)
+    # the truncation checks every scale before any work
+    K = np.array([_moments.bessel_K_for(s) for s in c.ravel().tolist()],
+                 dtype=int).reshape(c.shape)
+    kern = _offset_kernel(c, pts, cfg.panels)
+    out = np.empty(c.shape + (len(modes_m), len(modes_n)), dtype=complex)
+    for idx in np.ndindex(c.shape):
+        out[idx] = _contract(kern[idx], Tm, Tn)
+    out[..., (modes_m[:, None] + modes_n[None, :]) % 2 == 1] = 0.0  # exact parity zeros
+    out += _moments.log_series_matrix(kind, modes_m, modes_n, c, K)  # the exact log part
     return out
 
 
@@ -196,7 +231,8 @@ def _graded_interval_edges(w: float, panels: int, facing_right: bool, gap: float
         edges.extend(w - np.asarray(extra))
     else:
         edges.extend(extra)
-    return np.unique(np.asarray(edges))
+    # sorted(set(...)) rather than np.unique, which imports numpy.ma (about 16 ms)
+    return np.array(sorted(set(edges)))
 
 
 @lru_cache(maxsize=64)

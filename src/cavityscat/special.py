@@ -15,7 +15,7 @@ All functions accept floats or numpy arrays and are pure.
 
 from __future__ import annotations
 
-from math import lgamma, log, pi
+from math import lgamma, pi
 
 import numpy as np
 
@@ -50,7 +50,9 @@ _QQ0 = np.array([  # monic: Cephes' p1evl leaves the leading 1.0 implicit
 
 def _j0_ysum(x):
     """Ascending series of J0(x) and of ysum = sum_k (-1)^{k+1} H_k q^k/(k!)^2,
-    q = (x/2)^2, the log-free part of Y0."""
+    q = (x/2)^2, the log-free part of Y0, along the last axis of x.  Each row
+    (index into the leading axes) stops on its own once all of its terms are
+    below 1e-18, so no row's values depend on another row."""
     q = (x / 2.0) ** 2
     term = np.ones_like(x)
     j0 = np.ones_like(x)
@@ -61,8 +63,10 @@ def _j0_ysum(x):
         j0 = j0 + term
         hk += 1.0 / k
         ysum = ysum - term * hk  # (-1)^{k+1} H_k q^k/(k!)^2
-        if np.all(np.abs(term) * (hk + 1.0) <= 1e-18):
+        done = np.all(np.abs(term) * (hk + 1.0) <= 1e-18, axis=-1)
+        if np.all(done):
             break
+        term[done] = 0.0  # a stopped row adds signed zeros from here on: its sums stay put
     return j0, ysum
 
 
@@ -113,31 +117,40 @@ def hankel1_0(x):
     return _scalar_like(j + 1j * y, x)
 
 
-def regularized_kernel_abs(d, c: float):
+def regularized_kernel_abs(d, c):
     """H0^(1)(c d) - (2i/pi) J0(c d) ln d for separations d = |s - t| >= 0,
-    c = kappa0*w/(2*pi) the aperture scale; c must be > 0.
+    c = kappa0*w/(2*pi) the aperture scale, or an array of scales, each > 0;
+    the result has shape c.shape + d.shape.
 
     The subtraction removes the logarithmic singularity: the result is an
     entire function of d^2.  For c*d <= 8 it is summed directly from the
     ascending series (no cancellation against the log; at d = 0 the series
     is the closed-form limit 1 + (2i/pi)(gamma + ln(c/2))), above that the
     two terms are evaluated separately, which is safe since ln d is O(1) there.
+    The series runs one row per scale with its own stop rule, so the values
+    of each scale are bitwise those of a call with that scale alone.
     """
-    if not c > 0.0:
+    c = np.asarray(c, dtype=float)
+    if not np.all(c > 0.0):
         raise ValidationError("c", f"kernel scale must be positive, got {c}")
     d = np.asarray(d, dtype=float)
     if not np.all(d >= 0.0):
         raise ValidationError("regularized_kernel_abs", "separations must be >= 0")
-    z = c * d
-    out = np.empty(d.shape, dtype=complex)
+    cs = c.reshape(c.shape + (1,) * d.ndim)
+    z = cs * d
+    out = np.empty(z.shape, dtype=complex)
     small = z <= 8.0
     if np.any(small):
-        j0, hsum = _j0_ysum(z[small])
-        out[small] = j0 * (1.0 + (2j / pi) * (EULER_GAMMA + log(c / 2.0))) + (2j / pi) * hsum
+        # the entries past 8 enter the series as zeros, whose terms vanish, so
+        # each scale's stop rule reads its own entries up to 8 only
+        j0, hsum = _j0_ysum(np.where(small, z, 0.0).reshape(c.size, -1))
+        j0, hsum = j0.reshape(z.shape), hsum.reshape(z.shape)
+        lim = 1.0 + (2j / pi) * (EULER_GAMMA + np.log(cs / 2.0))
+        out[small] = (j0 * lim + (2j / pi) * hsum)[small]
     big = ~small
     if np.any(big):
         j, y = _asym_j0_y0(z[big])
-        out[big] = j + 1j * y - (2j / pi) * j * np.log(d[big])
+        out[big] = j + 1j * y - (2j / pi) * j * np.log(np.broadcast_to(d, z.shape)[big])
     return out
 
 

@@ -18,11 +18,9 @@ fundamental keeps tracking k_0 while its deviation from pi/2 shrinks toward 0
 
 import json
 import time
-from dataclasses import replace
 from math import log, pi, tan
 
 import numpy as np
-import pytest
 from scipy.optimize import brentq
 
 import cavityscat as cs

@@ -10,7 +10,6 @@ from cavityscat.assembly import (SystemFactorization, aperture_phases, build_sys
                                  solve_system)
 from cavityscat.errors import SingularSystemError, ValidationError
 from cavityscat.modal import build_modal_tables, single_layer_impedance_tm
-from cavityscat.model import QuadratureConfig
 from cavityscat.quadrature import gauss_rule
 
 from conftest import (composite_integral_1d, example1_spec, example4_spec,

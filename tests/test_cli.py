@@ -328,6 +328,23 @@ def test_import_loads_no_scipy_and_no_oracle():
     assert run.stdout.split() == []
 
 
+def test_enhance_and_field_runs_leave_numpy_ma_unimported(tmp_path):
+    # np.unique without an index output imports numpy.ma in numpy 2.x, about
+    # 16 ms the first time in a process; example 4 at 4 panels has graded
+    # cross grids (gap 0.1 under the panel width 0.125) and layered cavities
+    spec_path = _write_spec(tmp_path, example4_spec("TE", N=4, panels=4))
+    flags = {"enhance": ["--kappa-min", "6.0", "--kappa-max", "6.5", "--kappa-steps", "3"],
+             "field": ["--grid", "5", "4"]}
+    env = {**os.environ, "PYTHONPATH": str(Path(cs.__file__).resolve().parent.parent)}
+    for cmd, extra in flags.items():
+        argv = [cmd, "--spec", str(spec_path), "--out", str(tmp_path / cmd), *extra]
+        code = ("import sys; from cavityscat import cli; "
+                f"code = cli.main({argv!r}); print(code, 'numpy.ma' in sys.modules)")
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert run.stdout.split()[-2:] == ["0", "False"], (cmd, run.stdout, run.stderr)
+
+
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

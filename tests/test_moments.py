@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from math import factorial, log, pi
+from math import log, pi
 
 import mpmath as mp
 
@@ -245,6 +245,19 @@ def test_folded_log_series_matches_per_pair(N, c):
         diag = np.array([folded[i, i] for i in range(len(modes))])
         ref = want[:len(modes)]
         assert np.all(np.abs(diag - ref) <= 1e-15 * np.abs(ref)), (kind, N, c)
+
+
+def test_folded_log_series_over_an_array_of_scales():
+    # one matrix per scale, each bitwise its scale's own, with its own K
+    c = np.array([[0.24, 4.0], [1.0, 0.24]])
+    K = np.array([[_moments.bessel_K_for(s) for s in row] for row in c])
+    for kind, modes_m, modes_n in (("sin", range(1, 9), range(2, 7)),
+                                   ("cos", range(0, 9), range(0, 9))):
+        stack = _moments.log_series_matrix(kind, modes_m, modes_n, c, K)
+        assert stack.shape == (2, 2, len(modes_m), len(modes_n))
+        for idx in np.ndindex(c.shape):
+            single = _moments.log_series_matrix(kind, modes_m, modes_n, float(c[idx]), K[idx])
+            assert np.array_equal(stack[idx], single), (kind, idx)
 
 
 def test_folded_log_series_zero_modes_and_parity():

@@ -14,7 +14,7 @@ from cavityscat.postprocess import (FieldMap, backscatter_sweep, diagonal_trace,
                                     field_grid, interface_value_jump, rcs_tm,
                                     te_flux_jump)
 
-from conftest import cexpm1, example1_spec, scalar_aperture_phase
+from conftest import cexpm1, scalar_aperture_phase
 
 
 def test_tm_field_vanishes_on_walls_and_bottom(tm_example1):

@@ -139,11 +139,22 @@ def test_cross_block_requires_disjoint():
         cross_block(1, 1, ck, cj, 2.0, "sin", CFG)
 
 
+def _gather_offsets(per_offset):
+    """The dense grid [P*q + i, Q*q + j] from the blocks per_offset[P - Q, i, j]
+    at the non-negative panel offsets (offset -P is the transposed block of
+    offset P): the full-grid layout production contracted before slabs, kept
+    as the reference of `quadrature._contract`."""
+    panels, q, _ = per_offset.shape
+    stacked = np.concatenate((per_offset[:0:-1].transpose(0, 2, 1), per_offset))
+    windows = np.lib.stride_tricks.sliding_window_view(stacked, panels, axis=0)
+    return windows[..., ::-1].transpose(0, 1, 3, 2).reshape(panels * q, panels * q)
+
+
 @pytest.mark.parametrize("panels, ppp, c", [(16, 4, 0.5), (32, 6, 1.0), (24, 6, 4.0), (24, 6, 8.0)])
 def test_panel_offset_kernel_matches_direct_grid(panels, ppp, c):
     from cavityscat import special
-    from cavityscat.quadrature import (_gather_offsets, _grid_kernel, bessel_truncation,
-                                       composite_nodes, gauss_rule)
+    from cavityscat.quadrature import (_offset_kernel, bessel_truncation, composite_nodes,
+                                       gauss_rule)
     rule = gauss_rule(ppp)
     K = bessel_truncation(c, CFG)
     pts, _ = composite_nodes(0.0, 2 * pi, panels, rule)
@@ -158,7 +169,7 @@ def test_panel_offset_kernel_matches_direct_grid(panels, ppp, c):
         lnD = np.where(D > 0, np.log(np.where(D > 0, D, 1.0)), 0.0)
     direct = (special.regularized_kernel_abs(D, c)
               + (2j / pi) * special.j0_series_remainder(c * D, K) * lnD)
-    got = _grid_kernel(c, pts, panels)
+    got = _gather_offsets(_offset_kernel(c, pts, panels))
     assert np.linalg.norm(got - direct) <= 3e-15 * max(1.0, c) * np.linalg.norm(direct)
 
 
@@ -183,14 +194,54 @@ def test_grid_kernel_from_distinct_separations_is_bitwise_the_full_offset_layout
         idx = np.arange(panels)[:, None] - np.arange(panels)[None, :] + panels - 1
         ref = per_offset[idx].transpose(0, 2, 1, 3).reshape(panels * ppp, panels * ppp)
         seen.clear()
-        got = quadrature._grid_kernel(c, pts, panels)
+        got = _gather_offsets(quadrature._offset_kernel(c, pts, panels))
         # the negative offsets are exact negations of the non-negative ones
-        # before abs, so the kernel sees the same set of values; the
-        # whole-array stop rule of its ascending series then runs the same
-        # number of terms, and every value is bitwise the reference's
+        # before abs, so the kernel sees the same set of values; the stop
+        # rule of its ascending series then runs the same number of terms,
+        # and every value is bitwise the reference's
         assert seen == [panels * ppp * ppp], (c, panels, ppp)
         assert np.array_equal(got, ref), (c, panels, ppp)
         assert np.array_equal(got, got.T), (c, panels, ppp)
+
+
+@pytest.mark.parametrize("kind", ["sin", "cos"])
+@pytest.mark.parametrize("panels", [1, 7, 96])
+@pytest.mark.parametrize("ppp", [4, 10])
+@pytest.mark.parametrize("slab_panels", [None, 5])
+def test_slab_contraction_matches_the_dense_product(kind, panels, ppp, slab_panels, monkeypatch):
+    # the default budget is one slab up to 96 nodes, 2 x 48 panels at 96 x 4
+    # and 13 x 7 + 5 panels at 96 x 10; a budget of 5 panels gives 5 + 2 and
+    # 19 x 5 + 1 panels
+    from cavityscat import quadrature
+    n = panels * ppp
+    if slab_panels is not None:
+        monkeypatch.setattr(quadrature, "GRID_ENTRIES", slab_panels * n * ppp)
+    f = np.sin if kind == "sin" else np.cos
+    pts, wts = quadrature.composite_nodes(0.0, 2 * pi, panels, quadrature.gauss_rule(ppp))
+    modes_m, modes_n = np.arange(1, 25), np.arange(0, 17)
+    Tm = f(0.5 * pts[:, None] * modes_m[None, :]) * wts[:, None]
+    Tn = f(0.5 * pts[:, None] * modes_n[None, :]) * wts[:, None]
+    per_offset = quadrature._offset_kernel(1.0, pts, panels)
+    want = Tm.T @ _gather_offsets(per_offset) @ Tn
+    got = quadrature._contract(per_offset, Tm, Tn)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 2e-15 * np.linalg.norm(want)
+
+
+def test_singular_block_lays_out_no_full_grid():
+    # 96 x 10 points, modes 1..150, c = 1 (the rcs_lossy block): the dense
+    # 960 x 960 complex grid alone is 14.1 MiB; the moment tables are warm
+    import tracemalloc
+    cfg = QuadratureConfig(panels=96, points_per_panel=10)
+    modes = range(1, 151)
+    singular_block_matrix(modes, modes, 1.0, "sin", cfg)
+    tracemalloc.start()
+    try:
+        singular_block_matrix(modes, modes, 1.0, "sin", cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20, peak / 2 ** 20
 
 
 def test_cache_stores_whole_matrices():

@@ -68,6 +68,26 @@ def test_kernel_scale_validation():
         assert exc.value.field == "c", c
 
 
+def test_regularized_kernel_over_an_array_of_scales():
+    # each row is bitwise its scale's own call: c = 0.01 and 0.7 stay below
+    # the z = 8 branch with series of different lengths, c = 3 and 40 cross it;
+    # at z = 0.7 d = 2.4048..., the first zero of J0, a term added after the
+    # row's own stop would show in the last bits
+    d = np.concatenate(([0.0, 1e-12, 2.404825557695773 / 0.7],
+                        np.linspace(0.0, 2 * pi, 400)[1:]))
+    c = np.array([0.01, 0.7, 3.0, 40.0])
+    stack = regularized_kernel_abs(d, c)
+    assert stack.shape == (4, len(d))
+    for i, s in enumerate(c):
+        assert np.array_equal(stack[i], regularized_kernel_abs(d, float(s))), s
+    grid = regularized_kernel_abs(d.reshape(3, -1), c[::-1].reshape(2, 2))
+    assert grid.shape == (2, 2, 3, len(d) // 3)
+    assert np.array_equal(grid.reshape(4, -1)[::-1], stack)
+    with pytest.raises(ValidationError) as exc:
+        regularized_kernel_abs(d, np.array([1.0, np.nan]))
+    assert exc.value.field == "c"
+
+
 def test_regularized_kernel_diagonal_limit():
     # limit 1 + (2i/pi) gamma + (2i/pi) ln(c/2) with c = kappa0 w/(2 pi)
     for c in (0.25, 1.0, 4.0):
