@@ -14,8 +14,8 @@ predictable digit loss plus guard bits.  A table is a pure function of
 (q, size), memoised per process.  mpmath only rounds the seeds Si(q pi),
 Cin(q pi), 2 pi and ln 2 pi once per table; the powers (2 pi)^p and
 (2 pi)^p ln 2 pi and every recurrence step are integer products and one
-rounded division.  Callers get exact mpf entries (or, in the fold below,
-integers) and round once, after any sum that itself cancels.
+rounded division.  Callers get exact mpf entries and round once, after any
+sum that itself cancels.
 
 The 2-D log moments
 
@@ -29,34 +29,23 @@ reduce, for m+n even (they vanish for odd m+n), to single integrals of the
 
 which is what `s_moment_mp` / `p_moment_mp` evaluate.
 
-The singular blocks need the log series sum_k coeff_k {S|P}_{2k+1}(n, m)
-with coeff_k = (-1)^k (c/2)^{2k}/(k!)^2 for every mode pair.  Those closed
-forms are linear in the tables of one frequency at a time, so
-`log_series_matrix` folds the series into three sums per frequency q,
-
-    A_q = sum_k coeff_k l_s(2k, q)     B_q = sum_k coeff_k l_c(2k, q)
-    C_q = sum_k coeff_k l_c(2k+1, q),
-
-and combines them per pair: 4/(m^2-n^2) (m A_n - n A_m) (sin) or
-4/(m^2-n^2) (n A_n - m A_m) (cos, zero modes included) off the diagonal, and
-2 pi B_m - C_m +- 2 A_m/m (2 (2 pi B_0 - C_0) for the cos zero mode) on it.
-The coefficients are rounded once from the exact binary value of c into
-fixed point, and A_q, B_q, C_q and the diagonal combination are exact integer
-sums, each rounded to float once by an int/int true division.
-`log_series_sum` is the per-pair reference in mpmath.
+`log_series_sum` is the paper's exact log part of a singular block per pair,
+(2i/pi) sum_{k<=K} (-1)^k (c/2)^{2k}/(k!)^2 {S|P}_{2k+1}(n, m), K from
+`bessel_K_for`.  No solve imports this module (or mpmath): it is the
+reference that the tests and the `oracle` identities check the tables and
+the 1-D rule of `quadrature.log_part_matrix` against.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import ceil, lgamma, log, log10, log2, pi
-from operator import mul
 from typing import NamedTuple
 
 import mpmath as mp
-import numpy as np
 
 from .errors import ValidationError
+from .model import MAX_APERTURE_SCALE
 
 _TABLE_DPS_MARGIN = 25
 _GUARD_BITS = 32
@@ -152,9 +141,10 @@ def _entry_table(q: int, p: int) -> _Table:
     return _table(q, max(16, (1 << int(p).bit_length()) - 1))
 
 
-def _entry(family: str, p: int, q: int):
-    """Entry p of one family (ms, mc, ls or lc) of `_entry_table` as an exact mpf."""
-    tab = _entry_table(q, p)
+def _entry(family: str, p: int, q: int, size: int | None = None):
+    """Entry p of one family (ms, mc, ls or lc) as an exact mpf, read from the
+    table of `size` powers if given, else from `_entry_table`."""
+    tab = _entry_table(q, p) if size is None else _table(q, size)
     return mp.make_mpf(mp.libmp.from_man_exp(getattr(tab, family)[p], -tab.bits))
 
 
@@ -163,46 +153,45 @@ def trig_moment_mp(p: int, q: int, kind: str):
     return _entry("ms" if kind == "sin" else "mc", p, q)
 
 
-def log_trig_moment_mp(p: int, q: int, kind: str):
-    """mpf value of I s^p ln(s) trig(q s/2) ds."""
-    return _entry("ls" if kind == "sin" else "lc", p, q)
+def log_trig_moment_mp(p: int, q: int, kind: str, size: int | None = None):
+    """mpf value of I s^p ln(s) trig(q s/2) ds (`_entry` reads `size`)."""
+    return _entry("ls" if kind == "sin" else "lc", p, q, size)
 
 
-def s_moment_mp(k: int, n: int, m: int):
-    """mpf S_k(n, m); exact zero when m + n is odd."""
+def s_moment_mp(k: int, n: int, m: int, size: int | None = None):
+    """mpf S_k(n, m); exact zero when m + n is odd (`_entry` reads `size`)."""
     if (m + n) % 2:
         return mp.mpf(0)
+
+    def lm(p, q, kind):
+        return log_trig_moment_mp(p, q, kind, size)
+
     if m == n:
-        return (2 * mp.pi * log_trig_moment_mp(k - 1, m, "cos")
-                - log_trig_moment_mp(k, m, "cos")
-                + 2 * log_trig_moment_mp(k - 1, m, "sin") / m)
-    return (mp.mpf(4) / (m * m - n * n)) * (m * log_trig_moment_mp(k - 1, n, "sin")
-                                            - n * log_trig_moment_mp(k - 1, m, "sin"))
+        return 2 * mp.pi * lm(k - 1, m, "cos") - lm(k, m, "cos") + 2 * lm(k - 1, m, "sin") / m
+    return (mp.mpf(4) / (m * m - n * n)) * (m * lm(k - 1, n, "sin") - n * lm(k - 1, m, "sin"))
 
 
-def p_moment_mp(k: int, n: int, m: int):
-    """mpf P_k(n, m); exact zero when m + n is odd."""
+def p_moment_mp(k: int, n: int, m: int, size: int | None = None):
+    """mpf P_k(n, m); exact zero when m + n is odd (`_entry` reads `size`)."""
     if (m + n) % 2:
         return mp.mpf(0)
+
+    def lm(p, q, kind):
+        return log_trig_moment_mp(p, q, kind, size)
+
     if m == 0 and n == 0:
-        return 2 * (2 * mp.pi * log_trig_moment_mp(k - 1, 0, "cos")
-                    - log_trig_moment_mp(k, 0, "cos"))
+        return 2 * (2 * mp.pi * lm(k - 1, 0, "cos") - lm(k, 0, "cos"))
     if m == 0:
-        return -(mp.mpf(4) / n) * log_trig_moment_mp(k - 1, n, "sin")
+        return -(mp.mpf(4) / n) * lm(k - 1, n, "sin")
     if n == 0:
-        return -(mp.mpf(4) / m) * log_trig_moment_mp(k - 1, m, "sin")
+        return -(mp.mpf(4) / m) * lm(k - 1, m, "sin")
     if m == n:
-        return (2 * mp.pi * log_trig_moment_mp(k - 1, m, "cos")
-                - log_trig_moment_mp(k, m, "cos")
-                - 2 * log_trig_moment_mp(k - 1, m, "sin") / m)
-    return (mp.mpf(4) / (m * m - n * n)) * (n * log_trig_moment_mp(k - 1, n, "sin")
-                                            - m * log_trig_moment_mp(k - 1, m, "sin"))
+        return 2 * mp.pi * lm(k - 1, m, "cos") - lm(k, m, "cos") - 2 * lm(k - 1, m, "sin") / m
+    return (mp.mpf(4) / (m * m - n * n)) * (n * lm(k - 1, n, "sin") - m * lm(k - 1, m, "sin"))
 
 
 # the least log-series truncation K, whatever the aperture scale c
 BESSEL_K_FLOOR = 8
-# the largest aperture scale c accepted: a cold solve costs ~7x more per doubling
-MAX_APERTURE_SCALE = 64
 
 
 def bessel_K_for(c: float) -> int:
@@ -234,7 +223,10 @@ def log_series_sum(kind: str, n: int, m: int, c: float, K: int) -> complex:
     The terms peak far above the sum once c exceeds ~1 (the truncated J0
     series diverges pointwise before the factorial wins), so the sum is
     accumulated in mpmath with exact table values and rounded once at the end.
-    This is the per-pair reference of `log_series_matrix`.
+    Every power comes from the one table of 2K + 1 powers per frequency: the
+    smaller tables of `_entry_table` hold too few digits for the series'
+    cancellation from c ~ 16 on (mixed, they left pairs 1.6e-9 off at c = 16).
+    This is the per-pair reference of `quadrature.log_part_matrix`.
     """
     if (m + n) % 2:
         return 0.0 + 0.0j
@@ -246,75 +238,5 @@ def log_series_sum(kind: str, n: int, m: int, c: float, K: int) -> complex:
         for k in range(K + 1):
             if k > 0:
                 coeff = -coeff * ch * ch / (k * k)
-            total += coeff * moment(2 * k + 1, n, m)
+            total += coeff * moment(2 * k + 1, n, m, 2 * K + 1)
         return complex(0.0, 2.0 / pi) * float(total)
-
-
-def _fold_coefficients(c: float, K: int, bits: int) -> list[int]:
-    """round(2^bits (-1)^k (c/2)^{2k}/(k!)^2) for k = 0..K, each rounded once
-    from the exact binary value of c."""
-    num, den = c.as_integer_ratio()
-    step_num, step_den = -num * num, 4 * den * den
-    a, b = 1 << bits, 1
-    out = [a]
-    for k in range(1, K + 1):
-        a *= step_num
-        b *= step_den * k * k
-        out.append(_rdiv(a, b))
-    return out
-
-
-def log_series_matrix(kind: str, modes_m, modes_n, c, K) -> np.ndarray:
-    """`log_series_sum` for every pair (m, n) in modes_m x modes_n; an array of
-    scales c, with the truncation K of each (an int applies to all), gives
-    one matrix per scale, stacked along its leading axes.
-
-    The series is folded into the per-frequency sums A_q, B_q, C_q (module
-    docstring), each an exact integer dot product of fixed-point coefficients
-    (`_series_dps` digits plus guard bits) with the fixed-point tables, and
-    rounded once, per scale and frequency.  Off-diagonal pairs combine the
-    rounded A_q in one float expression for the whole stack; diagonal pairs
-    combine as integers and round once; odd m+n pairs are exact zeros.
-    """
-    m = np.asarray(modes_m, dtype=int)
-    n = np.asarray(modes_n, dtype=int)
-    c = np.asarray(c, dtype=float)
-    K = np.broadcast_to(K, c.shape)
-    freqs = sorted(set(m.tolist()) | set(n.tolist()))
-    diag_q = set(m.tolist()) & set(n.tolist())
-    col = {q: i for i, q in enumerate(freqs)}
-    A = np.empty(c.shape + (len(freqs),))
-    diag = np.zeros_like(A)
-    sgn = 1 if kind == "sin" else -1
-    for idx, s in np.ndenumerate(c):
-        k = int(K[idx])
-        cbits = _bits(_series_dps(float(s), k))
-        coeffs = _fold_coefficients(float(s), k, cbits)
-        for q in freqs:
-            tab = _table(q, 2 * k + 1)
-            scale = cbits + tab.bits
-            a = sum(map(mul, coeffs, tab.ls[0:2 * k + 1:2]))
-            A[idx + (col[q],)] = a / (1 << scale)
-            if q not in diag_q or (q == 0 and kind == "sin"):  # sin(0 s/2) vanishes
-                continue
-            b = sum(map(mul, coeffs, tab.lc[0:2 * k + 1:2]))
-            cc = sum(map(mul, coeffs, tab.lc[1:2 * k + 2:2]))
-            # 2 pi B - C on the scale 2^(scale + bits)
-            core = tab.two_pi * b - (cc << tab.bits)
-            if q == 0:  # the cos zero mode is P's own case
-                diag[idx + (col[q],)] = 2 * core / (1 << (scale + tab.bits))
-            else:
-                diag[idx + (col[q],)] = ((q * core + sgn * 2 * (a << tab.bits))
-                                         / (q << (scale + tab.bits)))
-    am = A[..., [col[q] for q in m.tolist()], None]
-    an = A[..., None, [col[q] for q in n.tolist()]]
-    M, N = m[:, None], n[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if kind == "sin":
-            out = 4.0 / (M * M - N * N) * (M * an - N * am)
-        else:
-            out = 4.0 / (M * M - N * N) * (N * an - M * am)
-    rows, cols = np.nonzero(M == N)
-    out[..., rows, cols] = diag[..., [col[q] for q in m[rows].tolist()]]
-    out[..., (M + N) % 2 == 1] = 0.0
-    return (2j / pi) * out

@@ -145,8 +145,14 @@ def build_system(spec: ProblemSpec, tables: ModalTables | None = None) -> Apertu
     if spec.polarization == "TM":
         beta = (k0 * cos(spec.wave.theta))[..., None]
         mu = n * pi / w
-        lhs = -0.5j * (k0[..., None, None] ** 2 * _kernel_matrix(spec, k0, cache, layout, "sin")
-                       - np.outer(mu, mu) * _kernel_matrix(spec, k0, cache, layout, "cos"))
+        # -0.5j (k0^2 G_sin - mu mu^T G_cos), formed in place on the two kernel matrices
+        lhs = _kernel_matrix(spec, k0, cache, layout, "sin")
+        lhs *= k0[..., None, None] ** 2
+        g_cos = _kernel_matrix(spec, k0, cache, layout, "cos")
+        g_cos *= np.outer(mu, mu)
+        lhs -= g_cos
+        del g_cos
+        lhs *= -0.5j
         lhs[..., diag, diag] += norms * impedance
         rhs = -2j * beta * phases
     else:

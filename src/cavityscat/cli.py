@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _moments, assembly, postprocess, quadrature
+from . import assembly, postprocess, quadrature
 from .errors import (CavityScatError, ConnectionResonanceError, ModalResonanceError,
                      SingularSystemError, ValidationError)
 from .model import load_spec, spec_to_dict, validate
@@ -77,18 +77,9 @@ def _output(out: Path, name: str) -> Path:
 Run = namedtuple("Run", "outputs resolved diagnostics lines code", defaults=(EXIT_OK,))
 
 
-def _solution_diag(spec, sol) -> dict:
+def _solution_diag(sol) -> dict:
     return {"rcond": sol.rcond, "backward_error": sol.backward_error,
-            "size": sol.layout.size, "warnings": list(sol.diagnostics), **_series_diag(spec)}
-
-
-def _series_diag(spec) -> dict:
-    """The log-series truncation K per cavity and the working digits of the
-    fold.  Neither decreases as kappa0 grows, so at a sweep's largest kappa0
-    they are the maxima over the sweep."""
-    scales = [spec.wave.kappa0 * cav.w / (2.0 * pi) for cav in spec.cavities]
-    Ks = [_moments.bessel_K_for(c) for c in scales]
-    return {"bessel_K": Ks, "series_dps": max(map(_moments._series_dps, scales, Ks))}
+            "size": sol.layout.size, "warnings": list(sol.diagnostics)}
 
 
 def cmd_solve(spec, args, out: Path) -> Run:
@@ -99,7 +90,7 @@ def cmd_solve(spec, args, out: Path) -> Run:
                            for k in range(spec.K) for n in tables.modes()
                            for v in [sol.coefficient(k, n)]))
     return Run([path.name], {"quadrature": spec_to_dict(spec)["quadrature"]},
-               _solution_diag(spec, sol),
+               _solution_diag(sol),
                [f"solved {spec.polarization} system of size {sol.layout.size} "
                 f"(rcond {sol.rcond:.2e}) -> {path}"])
 
@@ -116,7 +107,7 @@ def cmd_field(spec, args, out: Path) -> Run:
         values=np.concatenate([m.values for m in maps]))
     path = _output(out, "field.csv")
     postprocess.export_grid(fm, path)
-    return Run([path.name], {"grid": [nx, ny]}, _solution_diag(spec, sol),
+    return Run([path.name], {"grid": [nx, ny]}, _solution_diag(sol),
                [f"field grid {nx}x{ny} per cavity -> {path}"])
 
 
@@ -128,7 +119,7 @@ def cmd_rcs(spec, args, out: Path) -> Run:
     return Run([path.name],
                {"angles": args.angles, "phi_min": args.phi_min, "phi_max": args.phi_max},
                {"rcond": sweep.rcond, "backward_error": sweep.backward_error,
-                "size": spec.K * spec.N, **_series_diag(spec)},
+                "size": spec.K * spec.N},
                [f"backscatter sweep over {args.angles} angles -> {path}"])
 
 
@@ -153,8 +144,7 @@ def cmd_enhance(spec, args, out: Path) -> Run:
     rows = np.full((len(kappas), 2 + len(cavs)), np.nan)
     failed = []
     # the spec at the sweep's largest kappa0: past the aperture bound, exit before any solve
-    top = validate(replace(spec, wave=replace(spec.wave, kappa0=float(kappas.max()))))
-    series = _series_diag(top)
+    validate(replace(spec, wave=replace(spec.wave, kappa0=float(kappas.max()))))
     # chunks of wavenumbers whose stacked kernel values hold at most the grid
     # budget of `quadrature`, counting nodes^2 per wavenumber (the most distinct
     # separations a cross block can have): eight wavenumbers for grids of 96
@@ -178,7 +168,7 @@ def cmd_enhance(spec, args, out: Path) -> Run:
     postprocess.export_enhancement(kappas, dict(zip(cavs, rows[:, 2:].T)), path)
     diagnostics = {"size": assembly.ModeLayout(spec.polarization, spec.N, spec.K).size,
                    "rcond_below_warn": int(np.count_nonzero(rconds < assembly.RCOND_WARN)),
-                   "failed": failed, **series}
+                   "failed": failed}
     if len(failed) < len(kappas):
         worst = int(np.nanargmin(rconds))
         diagnostics.update(rcond_min=float(rconds[worst]), rcond_min_kappa=float(kappas[worst]),

@@ -14,10 +14,15 @@ import math
 import os
 from dataclasses import asdict, dataclass, field, replace
 
-from ._moments import MAX_APERTURE_SCALE
 from .errors import SpecFileError, ValidationError
 
 SCHEMA_VERSION = 1
+
+# The largest aperture scale c = kappa0*w/(2 pi) accepted.  The singular
+# blocks cost about linearly in c, but the exact reference series that the
+# tests check them against (`_moments.log_series_sum`) costs about 7x more
+# per doubling of c.
+MAX_APERTURE_SCALE = 64
 
 # Cavities closer than this fraction of the widest aperture are rejected:
 # the cross-cavity kernel degenerates at touching corners.
@@ -247,7 +252,7 @@ def spec_from_dict(doc: dict, path="<dict>") -> ProblemSpec:
     polarization = str(_require(doc, "polarization", path))
     N = _integer(_require(doc, "N", path), path, "N")
     # unknown keys are ignored; older files carry "lift_threshold" and
-    # "bessel_K", settings that are gone (K is worked out from the aperture)
+    # "bessel_K", settings that are gone
     qd = _object(doc.get("quadrature", {}), path, "quadrature")
     quad = QuadratureConfig(**{
         key: _integer(qd.get(key, default), path, f"quadrature.{key}")

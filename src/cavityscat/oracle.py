@@ -8,9 +8,9 @@ tri-diagonal connection solves are re-done densely.  These evaluators mint
 the reference values that the production engine is tested against.
 
 The section on moment identities is not independent of production: it
-reads the exact moment tables of `_moments` that the singular blocks use and
-checks them against the downward recursion identities and against direct
-Gauss sums.  The last section, the named tolerance profiles and the report
+reads the exact moment tables of `_moments`, the reference of the singular
+blocks' log part, and checks them against the downward recursion identities
+and against direct Gauss sums.  The last section, the named tolerance profiles and the report
 builder of `cavityscat validate`, runs production against all of the above.
 """
 
@@ -238,8 +238,8 @@ def fd_interior_check(spec: ProblemSpec, tables, solution,
 # ---------------------------------------------------------------------------
 # Consistency identities on `_moments` (not independent quadrature)
 #
-# The functions below read the exact moment tables of `_moments`, which the
-# production singular blocks also use, and check them against the downward
+# The functions below read the exact moment tables of `_moments`, the tests'
+# reference for the singular blocks' log part, and check them against the downward
 # recursion family (one step from order k + 2 must give order k) and against
 # direct Gauss sums that are only sound where the integrand is smooth enough.
 # They confirm the tables are self-consistent; the graded-mesh kernel blocks

@@ -4,24 +4,22 @@ A singular block is the parameter-square integral
 
     II trig(n s/2) H0^(1)(c |s-t|) trig(m t/2) ds dt,   c = kappa0 w / (2 pi),
 
-split as in the paper into two exact parts (blocks with m+n odd are zero by
+split as in the paper into two parts (blocks with m+n odd are zero by
 parity): (i) a tensor composite Gauss pass over the log-regularized kernel
 H0^(1)(c d) - (2i/pi) J0(c d) ln d, an entire function of d = |s-t|; (ii) the
-log part (2i/pi) sum_{k<=K} (-1)^k (c/2)^{2k}/(k!)^2 {S|P}_{2k+1} carried by
-the exact 2-D log moments.  `_moments.bessel_K_for` picks K so that the
-dropped J0 tail times ln|s-t| is below roundoff on the whole square, so the
-series carries the whole singular weight; the moments come from `_moments`
-which evaluates them exactly (the float-seeded downward recursions printed
-in the recurrence family lose too much accuracy once c exceeds ~1; `oracle`
-keeps them as consistency identities on the exact moments).  The series is
-folded into three sums per frequency (`_moments.log_series_matrix`), and
-the regularized kernel, a function of |s-t| alone, is evaluated once per
+log part (2i/pi) II J0(c|s-t|) ln|s-t| trig trig ds dt.  The paper's exact
+Bessel series for (ii) over 2-D log moments stays in `_moments` as the
+reference; (ii) folds into two 1-D integrals per frequency
+(`log_part_matrix`), Gauss sums on one node set graded toward the log
+singularity, in float arithmetic at a cost about linear in c.
+
+The regularized kernel, a function of |s-t| alone, is evaluated once per
 distinct separation of the uniform grid (node of panel P >= 0 against node of
 panel 0).  Its grid matrix is symmetric block-Toeplitz and is never laid out
 whole: the block is contracted in slabs of whole panels of at most
 `GRID_ENTRIES` entries, each a reshape of a sliding window over the panel
 offsets, with real GEMMs on the float view.  An array of scales (a sweep)
-takes the kernel and the log series in one call each.
+takes the kernel and the log part in one call each.
 
 Off-diagonal (cross-cavity) blocks have a smooth kernel and use plain tensor
 Gauss with panels graded toward the facing edges when the gap is small.  The
@@ -37,9 +35,9 @@ from math import pi
 
 import numpy as np
 
-from . import _moments, special
+from . import special
 from .errors import ValidationError
-from .model import Cavity, QuadratureConfig
+from .model import MAX_APERTURE_SCALE, Cavity, QuadratureConfig
 
 TWO_PI = 2.0 * pi
 
@@ -98,8 +96,10 @@ def composite_nodes_edges(edges: np.ndarray, rule: GaussRule):
 
 
 def bessel_truncation(c: float, cfg: QuadratureConfig) -> int:
-    """`_moments.bessel_K_for(c)`; cfg is not read.  The benchmark harness
-    (`perfbench/job.py`) calls this two-argument form."""
+    """`_moments.bessel_K_for(c)`, the truncation of the exact reference
+    series; cfg is not read.  The benchmark harness (`perfbench/job.py`)
+    calls this two-argument form.  No solve does: it imports mpmath."""
+    from . import _moments
     return _moments.bessel_K_for(c)
 
 
@@ -150,12 +150,75 @@ def _contract(per_offset: np.ndarray, Tm: np.ndarray, Tn: np.ndarray) -> np.ndar
     return out.view(complex)
 
 
+@lru_cache(maxsize=8)  # a rule holds nodes x 2 (q_max + 1) floats: 3 MiB at N = 150, c = 1
+def _log_rule(q_max: int, panels: int):
+    """Nodes tau on [0, 2 pi] of the log part and the weights ln(tau) w
+    sin(q tau/2) | (2 pi - tau) ln(tau) w cos(q tau/2), q = 0..q_max, side by
+    side.  The first of `panels` uniform panels (24 points) is graded toward
+    tau = 0 (ratio 1/4, 16 points, down to 1e-17 of its width).  Memoised:
+    the arrays are read-only."""
+    h = TWO_PI / panels
+    geo = np.concatenate(([0.0], h * 0.25 ** np.arange(29, -1, -1)))
+    tg, wg = composite_nodes_edges(geo, gauss_rule(16))
+    tu, wu = composite_nodes_edges(h * np.arange(1, panels + 1), gauss_rule(24))
+    tau, wts = np.concatenate((tg, tu)), np.concatenate((wg, wu))
+    half = np.multiply.outer(0.5 * tau, np.arange(q_max + 1.0))
+    lw = np.log(tau) * wts
+    W = np.concatenate((np.sin(half) * lw[:, None],
+                        np.cos(half) * ((TWO_PI - tau) * lw)[:, None]), axis=1)
+    tau.setflags(write=False)
+    W.setflags(write=False)
+    return tau, W
+
+
+def log_part_matrix(kind: str, modes_m, modes_n, c) -> np.ndarray:
+    """(2i/pi) II trig(n s/2) J0(c|s-t|) ln|s-t| trig(m t/2) ds dt for every
+    pair (m, n); an array of scales c gives one matrix per scale, stacked
+    along its leading axes, each bitwise its scale's own.
+
+    It folds into A_q = I J0(c tau) ln(tau) sin(q tau/2) dtau and
+    D_q = I (2 pi - tau) J0(c tau) ln(tau) cos(q tau/2) dtau over [0, 2 pi],
+    on `_log_rule` with uniform panels of at most 14 rad of (q_max/2 + c) tau:
+    4/(m^2-n^2) (m A_n - n A_m) (sin) or 4/(m^2-n^2) (n A_n - m A_m) (cos)
+    off the diagonal, D_m +- 2 A_m/m on it and 2 D_0 for the cos zero mode;
+    odd m+n and the sin mode 0 are exact zeros."""
+    m = np.asarray(modes_m, dtype=int)
+    n = np.asarray(modes_n, dtype=int)
+    c = np.asarray(c, dtype=float)
+    scales = c.ravel()
+    q_max = int(max(m.max(), n.max()))
+    panels = np.ceil((0.5 * q_max + scales) * (TWO_PI / 14.0)).astype(int)
+    AD = np.empty((scales.size, 2 * (q_max + 1)))
+    # the scales of one panel count share a rule and one J0 call, a row each
+    for p in set(panels.tolist()):
+        tau, W = _log_rule(q_max, p)
+        sel = np.flatnonzero(panels == p)
+        for i, row in zip(sel.tolist(), special.bessel_j0_rows(scales[sel, None] * tau)):
+            AD[i] = row @ W
+    AD = AD.reshape(c.shape + (-1,))
+    A, D = AD[..., :q_max + 1], AD[..., q_max + 1:]
+    M, N = m[:, None], n[None, :]
+    P, Q, sgn = (M, N, 1.0) if kind == "sin" else (N, M, -1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = 4.0 / (M * M - N * N) * (P * A[..., None, n] - Q * A[..., m, None])
+        diag = D[..., m] + sgn * 2.0 * A[..., m] / m
+    diag[..., m == 0] = 0.0 if kind == "sin" else 2.0 * D[..., :1]
+    rows, cols = np.nonzero(M == N)
+    out[..., rows, cols] = diag[..., rows]
+    out[..., (M + N) % 2 == 1] = 0.0
+    return (2j / pi) * out
+
+
 def singular_block_matrix(modes_m, modes_n, c, kind: str,
                           cfg: QuadratureConfig) -> np.ndarray:
     """All blocks [m, n] for the given mode lists at kernel scale c; an array
     of scales gives one matrix per scale, stacked along its leading axes.
-    The kernel and the log series take every scale in one call; each scale
+    The kernel and the log part take every scale in one call; each scale
     is contracted on its own, so its matrix does not depend on the others."""
+    c = np.asarray(c, dtype=float)
+    if not np.all((c > 0.0) & (c <= MAX_APERTURE_SCALE)):  # NaN too, before any work
+        raise ValidationError("c", f"aperture scale kappa0*w/(2 pi) must be positive and "
+                                   f"at most {MAX_APERTURE_SCALE}, got {c}")
     rule = gauss_rule(cfg.points_per_panel)
     pts, wts = composite_nodes(0.0, TWO_PI, cfg.panels, rule)
     f = np.sin if kind == "sin" else np.cos
@@ -163,16 +226,12 @@ def singular_block_matrix(modes_m, modes_n, c, kind: str,
     modes_n = np.asarray(list(modes_n), dtype=int)
     Tm = _trig_weights(f, pts, wts, modes_m)
     Tn = Tm if np.array_equal(modes_m, modes_n) else _trig_weights(f, pts, wts, modes_n)
-    c = np.asarray(c, dtype=float)
-    # the truncation checks every scale before any work
-    K = np.array([_moments.bessel_K_for(s) for s in c.ravel().tolist()],
-                 dtype=int).reshape(c.shape)
     kern = _offset_kernel(c, pts, cfg.panels)
     out = np.empty(c.shape + (len(modes_m), len(modes_n)), dtype=complex)
     for idx in np.ndindex(c.shape):
         out[idx] = _contract(kern[idx], Tm, Tn)
     out[..., (modes_m[:, None] + modes_n[None, :]) % 2 == 1] = 0.0  # exact parity zeros
-    out += _moments.log_series_matrix(kind, modes_m, modes_n, c, K)  # the exact log part
+    out += log_part_matrix(kind, modes_m, modes_n, c)
     return out
 
 

@@ -6,9 +6,9 @@ The crossover at 5 keeps the series free of cancellation (largest term
 ~10) while the asymptotic side is well inside its validity range; both
 sides agree to ~1e-15 at the joint.
 
-Also provides the log-regularized Hankel kernel used by the aperture
-quadrature and the truncated Bessel power-series remainder, which only the
-tests call (to check the truncation K of `_moments.bessel_K_for`).
+Also provides the log-regularized Hankel kernel and J0 by rows, used by the
+aperture quadrature, and the truncated Bessel power-series remainder, which
+only the tests call (to check the truncation K of `_moments.bessel_K_for`).
 
 All functions accept floats or numpy arrays and are pure.
 """
@@ -102,6 +102,19 @@ def _j0_y0(x):
     if np.any(hi):
         j[hi], y[hi] = _asym_j0_y0(x[hi])
     return j, y
+
+
+def bessel_j0_rows(x):
+    """J0(x) for x >= 0.  The ascending series runs one row (index into the
+    leading axes) at a time with its own stop rule, as `_j0_ysum` does, so
+    each row's values are bitwise those of a call with that row alone."""
+    x = np.asarray(x, dtype=float)
+    small = x < _SERIES_CUTOFF
+    j0 = _j0_ysum(np.where(small, x, 0.0))[0]  # entries past the cutoff enter as zeros
+    big = ~small
+    if np.any(big):
+        j0[big] = _asym_j0_y0(x[big])[0]
+    return j0
 
 
 def _scalar_like(value, x):

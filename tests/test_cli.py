@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cavityscat as cs
-from cavityscat import _moments, cli, quadrature
+from cavityscat import cli
 from cavityscat.model import QuadratureConfig
 
 from conftest import example1_spec, example4_spec
@@ -45,7 +45,6 @@ def test_solve_roundtrip(tmp_path):
     assert man["diagnostics"]["size"] == 6
     _, sol = cs.solve(cs.load_spec(spec_path))
     assert man["diagnostics"]["backward_error"] == sol.backward_error < 1e-13
-    assert man["diagnostics"]["bessel_K"] == [10] and man["diagnostics"]["series_dps"] == 40
 
 
 def test_solve_deterministic_reruns(tmp_path):
@@ -69,8 +68,6 @@ def test_field_subcommand(tmp_path):
     lines = (out / "field.csv").read_text().splitlines()
     assert lines[0] == "x,y,cavity,layer,re_u,im_u,abs_u"
     assert len(lines) == 1 + 9 * 7
-    diag = _manifest(out)["diagnostics"]
-    assert diag["bessel_K"] == [10] and diag["series_dps"] == 40
 
 
 def test_rcs_subcommand_and_te_rejection(tmp_path):
@@ -88,8 +85,6 @@ def test_rcs_subcommand_and_te_rejection(tmp_path):
     # the backward error of that multi-angle solve, its worst angle
     sweep = cs.backscatter_sweep(cs.load_spec(spec_path), np.linspace(pi / 180, pi - pi / 180, 9))
     assert diag["backward_error"] == sweep.backward_error < 1e-13
-    # the log-series truncation and the fold's working digits at c = 1.5/(2 pi)
-    assert diag["bessel_K"] == [10] and diag["series_dps"] == 40
 
     te_path = _write_spec(tmp_path, _tiny_te(), "te.json")
     code = cli.main(["rcs", "--spec", str(te_path), "--out", str(tmp_path / "out2")])
@@ -125,7 +120,6 @@ def test_enhance_subcommand(tmp_path, monkeypatch):
     assert diag["rcond_min_kappa"] == kappas[int(np.argmin(factorizations))]
     assert diag["rcond_below_warn"] == 0
     assert 0.0 <= diag["backward_error_max"] < 1e-13
-    assert diag["bessel_K"] == [8] and diag["series_dps"] == 40
 
 
 @pytest.mark.parametrize("error", [cs.ModalResonanceError(2, 0, 0),
@@ -218,34 +212,6 @@ def test_enhance_input_errors_still_exit_2(tmp_path, monkeypatch):
                      "--kappa-steps", "3"]) == cli.EXIT_INPUT
 
 
-def test_series_diag_takes_maxima_per_cavity(tmp_path, monkeypatch):
-    # three apertures (w = 0.5, 0.2, 0.3) swept up and down between 4 pi and
-    # 40 pi: K per cavity and the fold's digits in the manifest are the
-    # maxima over every wavenumber of the sweep, taken here one at a time
-    def singular(spec, kappa0):
-        raise cs.SingularSystemError("system singular (rcond = 0)")
-
-    monkeypatch.setattr(cs.assembly, "solve_sweep", singular)
-    spec = example4_spec("TM", kappa0=4 * pi, N=4, panels=8)
-    spec_path = _write_spec(tmp_path, spec)
-    for kappa_min, kappa_max in ((4 * pi, 40 * pi), (40 * pi, 4 * pi)):
-        out = tmp_path / f"out{kappa_min:.0f}"
-        assert cli.main(["enhance", "--spec", str(spec_path), "--out", str(out),
-                         "--kappa-min", repr(kappa_min), "--kappa-max", repr(kappa_max),
-                         "--kappa-steps", "4"]) == 0
-        Ks, dps = [], 0
-        for k0 in np.linspace(kappa_min, kappa_max, 4):
-            scales = [float(k0) * cav.w / (2 * pi) for cav in spec.cavities]
-            row = [quadrature.bessel_truncation(c, spec.quad) for c in scales]
-            dps = max(dps, *(_moments._series_dps(c, K) for c, K in zip(scales, row)))
-            Ks.append(row)
-        diag = _manifest(out)["diagnostics"]
-        assert diag["bessel_K"] == [max(col) for col in zip(*Ks)] and diag["series_dps"] == dps
-        top = diag["bessel_K"]
-        assert [19, 12, 15] in Ks and top[0] > top[2] > top[1] > 19 and dps > 59
-        assert len(diag["failed"]) == 4
-
-
 def test_convergence_subcommand(tmp_path):
     spec_path = _write_spec(tmp_path, _tiny_tm(N=8, panels=8))
     out = tmp_path / "out"
@@ -317,11 +283,13 @@ def test_tolerance_profile_choices_are_the_oracle_profiles():
 
 
 def test_import_loads_no_scipy_and_no_oracle():
-    # the solve path and the CLI import numpy and mpmath only; scipy serves
-    # the oracle, which `validate` imports when it runs
+    # the solve path and the CLI import numpy only; scipy serves the oracle,
+    # which `validate` imports when it runs, and mpmath the exact moments of
+    # `_moments`, which only the oracle and the tests read
     code = ("import sys, cavityscat, cavityscat.cli; "
             "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')"
-            " or m == 'cavityscat.oracle'))")
+            " or m == 'mpmath' or m.startswith('mpmath.')"
+            " or m in ('cavityscat.oracle', 'cavityscat._moments')))")
     env = {**os.environ, "PYTHONPATH": str(Path(cs.__file__).resolve().parent.parent)}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
@@ -331,18 +299,26 @@ def test_import_loads_no_scipy_and_no_oracle():
 def test_enhance_and_field_runs_leave_numpy_ma_unimported(tmp_path):
     # np.unique without an index output imports numpy.ma in numpy 2.x, about
     # 16 ms the first time in a process; example 4 at 4 panels has graded
-    # cross grids (gap 0.1 under the panel width 0.125) and layered cavities
-    spec_path = _write_spec(tmp_path, example4_spec("TE", N=4, panels=4))
-    flags = {"enhance": ["--kappa-min", "6.0", "--kappa-max", "6.5", "--kappa-steps", "3"],
-             "field": ["--grid", "5", "4"]}
+    # cross grids (gap 0.1 under the panel width 0.125) and layered cavities.
+    # No run imports mpmath or `_moments` either: the log part is float code
+    te = _write_spec(tmp_path, example4_spec("TE", N=4, panels=4), "te.json")
+    tm = _write_spec(tmp_path, example4_spec("TM", N=4, panels=4), "tm.json")
+    flags = {"enhance": [te, "--kappa-min", "6.0", "--kappa-max", "6.5", "--kappa-steps", "3"],
+             "field": [te, "--grid", "5", "4"],
+             "rcs": [tm, "--angles", "5"],
+             "solve": [tm],
+             "convergence": [tm, "--levels", "2"]}
     env = {**os.environ, "PYTHONPATH": str(Path(cs.__file__).resolve().parent.parent)}
-    for cmd, extra in flags.items():
+    for cmd, (spec_path, *extra) in flags.items():
         argv = [cmd, "--spec", str(spec_path), "--out", str(tmp_path / cmd), *extra]
         code = ("import sys; from cavityscat import cli; "
-                f"code = cli.main({argv!r}); print(code, 'numpy.ma' in sys.modules)")
+                f"code = cli.main({argv!r}); "
+                "print(code, 'numpy.ma' in sys.modules, 'mpmath' in sys.modules, "
+                "'cavityscat._moments' in sys.modules)")
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
-        assert run.stdout.split()[-2:] == ["0", "False"], (cmd, run.stdout, run.stderr)
+        assert run.stdout.split()[-4:] == ["0", "False", "False", "False"], \
+            (cmd, run.stdout, run.stderr)
 
 
 def test_parser_rejects_unknown_command():

@@ -1,8 +1,10 @@
 """Gauss rules, the exact moment families and their downward recursions.
 
 The moment identities live in `oracle` as consistency checks on `_moments`.
-The fixed-point tables and the integer fold are checked against the mpf
-upward recurrence and the mpf fold kept here as references."""
+The fixed-point tables are checked against the mpf upward recurrence, and
+the 1-D log-part rule of the singular blocks (`quadrature.log_part_matrix`)
+against the exact series: per pair (`_moments.log_series_sum`) and folded
+in mpf (`_mpf_log_series_matrix`, kept here as a reference)."""
 
 from functools import lru_cache
 
@@ -226,45 +228,50 @@ def test_bessel_truncation_rule():
             or K == _moments.BESSEL_K_FLOOR
 
 
-@pytest.mark.parametrize("N, c", [(30, 0.24), (150, 1.0), (40, 4.0), (60, 8.0)])
+# the scales and mode counts of the log-part checks: the former fold's set,
+# a large aperture, and enhance_pair's scale kappa0 w/(2 pi) at N = 8
+LOG_PART_SET = [(30, 0.24), (150, 1.0), (40, 4.0), (60, 8.0), (40, 16.0), (8, 0.0115)]
+
+
+@pytest.mark.parametrize("N, c", LOG_PART_SET)
 def test_folded_log_series_matches_per_pair(N, c):
-    # the per-frequency fold against the per-pair mpmath series, on the
+    # the 1-D log-part rule against the per-pair mpmath series, on the
     # diagonal, the zero-mode row/column and a sample of off-diagonal pairs
     K = _moments.bessel_K_for(c)
     rng = np.random.default_rng(N)
     sample = rng.integers(0, N + 1, size=(80, 2)).tolist()
     for kind, lo in (("sin", 1), ("cos", 0)):
         modes = list(range(lo, N + 1))
-        folded = _moments.log_series_matrix(kind, modes, modes, c, K)
+        folded = q.log_part_matrix(kind, modes, modes, c)
         pairs = [(m, m) for m in modes] + [(m, n) for m, n in sample if m >= lo and n >= lo]
         pairs += [(0, n) for n in range(0, N + 1, 2) if kind == "cos"]
         got = np.array([folded[m - lo, n - lo] for m, n in pairs])
         want = np.array([_moments.log_series_sum(kind, n, m, c, K) for m, n in pairs])
         assert np.array_equal(got == 0, want == 0), (kind, N, c)
-        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want), (kind, N, c)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), (kind, N, c)
         diag = np.array([folded[i, i] for i in range(len(modes))])
         ref = want[:len(modes)]
-        assert np.all(np.abs(diag - ref) <= 1e-15 * np.abs(ref)), (kind, N, c)
+        assert np.linalg.norm(diag - ref) <= 1e-14 * np.linalg.norm(ref), (kind, N, c)
 
 
 def test_folded_log_series_over_an_array_of_scales():
-    # one matrix per scale, each bitwise its scale's own, with its own K
-    c = np.array([[0.24, 4.0], [1.0, 0.24]])
-    K = np.array([[_moments.bessel_K_for(s) for s in row] for row in c])
+    # one matrix per scale, each bitwise its scale's own; at 8 modes 0.24 and
+    # 0.3 share a rule of two uniform panels, 1.0 and 4.0 take others
+    c = np.array([[0.24, 4.0, 0.3], [1.0, 0.24, 0.3]])
     for kind, modes_m, modes_n in (("sin", range(1, 9), range(2, 7)),
                                    ("cos", range(0, 9), range(0, 9))):
-        stack = _moments.log_series_matrix(kind, modes_m, modes_n, c, K)
-        assert stack.shape == (2, 2, len(modes_m), len(modes_n))
+        stack = q.log_part_matrix(kind, list(modes_m), list(modes_n), c)
+        assert stack.shape == c.shape + (len(modes_m), len(modes_n))
         for idx in np.ndindex(c.shape):
-            single = _moments.log_series_matrix(kind, modes_m, modes_n, float(c[idx]), K[idx])
+            single = q.log_part_matrix(kind, list(modes_m), list(modes_n), float(c[idx]))
             assert np.array_equal(stack[idx], single), (kind, idx)
 
 
 def test_folded_log_series_zero_modes_and_parity():
     K = _moments.bessel_K_for(1.0)
-    sin = _moments.log_series_matrix("sin", [0, 1, 2, 3], [0, 1, 2, 3, 4], 1.0, K)
+    sin = q.log_part_matrix("sin", [0, 1, 2, 3], [0, 1, 2, 3, 4], 1.0)
     assert np.all(sin[0] == 0) and np.all(sin[:, 0] == 0)  # sin(0 s/2) vanishes
-    cos = _moments.log_series_matrix("cos", [0, 1, 2], [0, 1, 2, 3, 4], 1.0, K)
+    cos = q.log_part_matrix("cos", [0, 1, 2], [0, 1, 2, 3, 4], 1.0)
     for i, m in enumerate((0, 1, 2)):
         for j, n in enumerate((0, 1, 2, 3, 4)):
             want = _moments.log_series_sum("cos", n, m, 1.0, K)
@@ -275,7 +282,8 @@ def test_folded_log_series_zero_modes_and_parity():
 
 
 # ---------------------------------------------------------------------------
-# Fixed-point tables and the integer fold against mpf references
+# Fixed-point tables against the mpf recurrence; the log-part rule against
+# the mpf fold
 
 
 @lru_cache(maxsize=None)
@@ -308,9 +316,10 @@ def _mpf_tables(q_: int, pmax: int, dps: int):
 
 
 def _mpf_log_series_matrix(kind, modes, c, K, extra):
-    """The fold with mpf tables and mpf sums (`mp.fdot`), every working
-    precision `extra` digits above the production one; the same float
-    combination off the diagonal."""
+    """The exact series folded into A_q, B_q, C_q per frequency with mpf
+    tables and mpf sums (`mp.fdot`), every working precision `extra` digits
+    above `_moments`' own; the float combination of `log_part_matrix` off the
+    diagonal, with D_q = 2 pi B_q - C_q."""
     pmax = max(2 * K + 1, 16)
     A, diag = {}, {}
     with mp.workdps(_moments._series_dps(c, K) + extra):
@@ -384,43 +393,39 @@ def test_fixed_point_tables_match_mpf_recurrence(q_):
         assert worst <= 10.0 ** -(_moments._TABLE_DPS_MARGIN + 1), (q_, size)
 
 
-PR3_SET = [(30, 0.24), (150, 1.0), (40, 4.0), (60, 8.0)]
-
-
-@pytest.mark.parametrize("N, c", PR3_SET)
+@pytest.mark.parametrize("N, c", LOG_PART_SET)
 def test_integer_fold_matches_mpf_fold(N, c):
     K = _moments.bessel_K_for(c)
     for kind, lo in (("sin", 1), ("cos", 0)):
         modes = list(range(lo, N + 1))
-        got = _moments.log_series_matrix(kind, modes, modes, c, K)
+        got = q.log_part_matrix(kind, modes, modes, c)
         want = _mpf_log_series_matrix(kind, modes, c, K, 0)
         assert np.array_equal(got == 0, want == 0), (kind, N, c)
-        assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want), (kind, N, c)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), (kind, N, c)
 
 
 def test_zero_mode_fold_against_80_digit_reference():
-    # the q = 0 entries reach (2 pi)^{2K+2} and the fold cancels against them:
-    # at c = 8 (K = 82) 30 fixed digits left the cos zero mode 2.4e-11 off
+    # the q = 0 entries of the exact tables reach (2 pi)^{2K+2} and the fold
+    # cancels against them; the 1-D rule meets the 80-digit reference there
     c, N = 8.0, 60
     K = _moments.bessel_K_for(c)
     assert K == 82
     modes = list(range(N + 1))
-    got = _moments.log_series_matrix("cos", modes, modes, c, K)
+    got = q.log_part_matrix("cos", modes, modes, c)
     want = _mpf_log_series_matrix("cos", modes, c, K, 80)
-    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
     assert abs(got[0, 0] - want[0, 0]) <= 1e-15 * abs(want[0, 0])
 
 
 def test_tables_do_not_depend_on_call_order():
     # a table is a pure function of (q, size): reading high powers after low
-    # ones neither regrows nor re-rounds the entries read before, and the
-    # fold reads the same table on a fresh memo as after any fill
+    # ones neither regrows nor re-rounds the entries read before; the log
+    # part reads the same rule on a fresh memo as after other rules' fills
     _moments._table.cache_clear()
     _moments._si_cin.cache_clear()
-    K = _moments.bessel_K_for(1.0)
+    q._log_rule.cache_clear()
     modes = list(range(1, 151))
-    fresh = {kind: _moments.log_series_matrix(kind, modes, modes, 1.0, K)
-             for kind in ("sin", "cos")}
+    fresh = {kind: q.log_part_matrix(kind, modes, modes, 1.0) for kind in ("sin", "cos")}
     before = [_moments.log_trig_moment_mp(p, 1, "sin") for p in range(40)]
     for p in range(166):
         _moments.log_trig_moment_mp(p, 1, "sin")
@@ -428,10 +433,14 @@ def test_tables_do_not_depend_on_call_order():
         _moments.log_trig_moment_mp(165, q_, "cos")
     after = [_moments.log_trig_moment_mp(p, 1, "sin") for p in range(40)]
     assert all(x == y for x, y in zip(before, after))
+    for c in (0.01, 4.0, 40.0):
+        q.log_part_matrix("cos", modes[:40], modes[:40], c)
     for kind, want in fresh.items():
-        got = _moments.log_series_matrix(kind, modes, modes, 1.0, K)
+        got = q.log_part_matrix(kind, modes, modes, 1.0)
         assert np.array_equal(got, want), kind
+    K = _moments.bessel_K_for(1.0)
     assert _moments._table(1, 2 * K + 1) is _moments._table(1, 2 * K + 1)
+    assert q._log_rule(150, 35) is q._log_rule(150, 35)
 
 
 @pytest.mark.parametrize("c", [0.012, 0.5, 1.0, 4.0, 16.0, 64.0])

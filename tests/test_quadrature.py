@@ -230,7 +230,7 @@ def test_slab_contraction_matches_the_dense_product(kind, panels, ppp, slab_pane
 
 def test_singular_block_lays_out_no_full_grid():
     # 96 x 10 points, modes 1..150, c = 1 (the rcs_lossy block): the dense
-    # 960 x 960 complex grid alone is 14.1 MiB; the moment tables are warm
+    # 960 x 960 complex grid alone is 14.1 MiB; the log-part rule is warm
     import tracemalloc
     cfg = QuadratureConfig(panels=96, points_per_panel=10)
     modes = range(1, 151)
