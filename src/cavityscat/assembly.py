@@ -101,25 +101,28 @@ def system_phases(spec: ProblemSpec, alphas) -> np.ndarray:
                            for cav in spec.cavities], axis=1)
 
 
-def _kernel_matrix(spec: ProblemSpec, k0: np.ndarray, cache: SingularBlockCache,
-                   layout: ModeLayout, kind: str) -> np.ndarray:
-    """G[kind]: I I trig_i(x) H0^(1)(kappa0 |x - y|) trig_j(y) dy dx over the
-    apertures for every pair of aperture coefficients i, j in system order,
-    trig_i(x) = trig(n pi (x - a)/w) for the mode n and cavity of i; one
-    matrix per wavenumber k0 of a sweep.  Diagonal blocks are the weakly
+def _kernel_matrices(spec: ProblemSpec, k0: np.ndarray, cache: SingularBlockCache,
+                     layout: ModeLayout, kinds: tuple) -> list:
+    """G[kind] for each of kinds: I I trig_i(x) H0^(1)(kappa0 |x - y|) trig_j(y) dy dx
+    over the apertures for every pair of aperture coefficients i, j in system
+    order, trig_i(x) = trig(n pi (x - a)/w) for the mode n and cavity of i;
+    one matrix per wavenumber k0 of a sweep.  Diagonal blocks are the weakly
     singular blocks scaled by (w/2pi)^2; the kernel is symmetric, so each
-    cavity pair is integrated once: block (j, k) = (k, j)^T."""
+    cavity pair is integrated once: block (j, k) = (k, j)^T.  The kinds share
+    each block's kernel evaluation."""
     modes = np.array(layout.modes)
-    G = np.empty(k0.shape + (layout.size, layout.size), dtype=complex)
+    G = [np.empty(k0.shape + (layout.size, layout.size), dtype=complex) for _ in kinds]
     for k, cav in enumerate(spec.cavities):
         sl = layout.block_slice(k)
-        G[..., sl, sl] = (cav.w / (2.0 * pi)) ** 2 * cache.matrix(kind, modes,
-                                                                  k0 * cav.w / (2.0 * pi))
+        blocks = cache.matrix(kinds, modes, k0 * cav.w / (2.0 * pi))
+        for g, block in zip(G, blocks):
+            g[..., sl, sl] = (cav.w / (2.0 * pi)) ** 2 * block
     for k, j in itertools.combinations(range(spec.K), 2):
-        cross = cross_block_matrix(spec.cavities[k], spec.cavities[j], modes, modes, k0, kind,
+        cross = cross_block_matrix(spec.cavities[k], spec.cavities[j], modes, modes, k0, kinds,
                                    spec.quad)
-        G[..., layout.block_slice(k), layout.block_slice(j)] = cross
-        G[..., layout.block_slice(j), layout.block_slice(k)] = cross.swapaxes(-1, -2)
+        for g, block in zip(G, cross):
+            g[..., layout.block_slice(k), layout.block_slice(j)] = block
+            g[..., layout.block_slice(j), layout.block_slice(k)] = block.swapaxes(-1, -2)
     return G
 
 
@@ -146,9 +149,8 @@ def build_system(spec: ProblemSpec, tables: ModalTables | None = None) -> Apertu
         beta = (k0 * cos(spec.wave.theta))[..., None]
         mu = n * pi / w
         # -0.5j (k0^2 G_sin - mu mu^T G_cos), formed in place on the two kernel matrices
-        lhs = _kernel_matrix(spec, k0, cache, layout, "sin")
+        lhs, g_cos = _kernel_matrices(spec, k0, cache, layout, ("sin", "cos"))
         lhs *= k0[..., None, None] ** 2
-        g_cos = _kernel_matrix(spec, k0, cache, layout, "cos")
         g_cos *= np.outer(mu, mu)
         lhs -= g_cos
         del g_cos
@@ -156,7 +158,8 @@ def build_system(spec: ProblemSpec, tables: ModalTables | None = None) -> Apertu
         lhs[..., diag, diag] += norms * impedance
         rhs = -2j * beta * phases
     else:
-        lhs = 0.5j * _kernel_matrix(spec, k0, cache, layout, "cos") * impedance[..., None, :]
+        (g_cos,) = _kernel_matrices(spec, k0, cache, layout, ("cos",))
+        lhs = 0.5j * g_cos * impedance[..., None, :]
         lhs[..., diag, diag] += norms
         rhs = 2.0 * phases
     if not np.all(np.isfinite(lhs)):

@@ -15,11 +15,14 @@ singularity, in float arithmetic at a cost about linear in c.
 
 The regularized kernel, a function of |s-t| alone, is evaluated once per
 distinct separation of the uniform grid (node of panel P >= 0 against node of
-panel 0).  Its grid matrix is symmetric block-Toeplitz and is never laid out
-whole: the block is contracted in slabs of whole panels of at most
-`GRID_ENTRIES` entries, each a reshape of a sliding window over the panel
-offsets, with real GEMMs on the float view.  An array of scales (a sweep)
-takes the kernel and the log part in one call each.
+panel 0).  Its grid matrix is symmetric block-Toeplitz and is never laid out:
+trig(m s/2) is a sum of e^{+-i m s/2}, geometric in the panel index, so the
+tensor sum folds over the panels into geometric series, and one length-2P
+transform of the P offset blocks per scale gives every mode pair
+(`_PanelFold`).  An
+array of scales (a sweep) takes the kernel and the log part in one call
+each, and TM's sin and cos blocks share the kernel, the transforms and the
+1-D sums of the log part.
 
 Off-diagonal (cross-cavity) blocks have a smooth kernel and use plain tensor
 Gauss with panels graded toward the facing edges when the gap is small.  The
@@ -40,13 +43,6 @@ from .errors import ValidationError
 from .model import MAX_APERTURE_SCALE, Cavity, QuadratureConfig
 
 TWO_PI = 2.0 * pi
-
-# The most grid entries laid out at once.  A singular block is contracted in
-# slabs of whole panels of its grid rows of at most this many entries: one
-# slab for grids of 96 nodes, 7 panels of 10 points at 960 nodes.  `enhance`
-# sweeps in chunks of wavenumbers under the same budget (`cli.cmd_enhance`).
-GRID_ENTRIES = 8 * 96 * 96
-
 
 @dataclass(frozen=True)
 class GaussRule:
@@ -103,14 +99,6 @@ def bessel_truncation(c: float, cfg: QuadratureConfig) -> int:
     return _moments.bessel_K_for(c)
 
 
-def _trig_weights(f, pts, wts, modes) -> np.ndarray:
-    """f(mode s/2) times the weight at every node s (nodes x modes), in place."""
-    T = np.multiply.outer(0.5 * pts, modes.astype(float))
-    f(T, out=T)
-    T *= wts[:, None]
-    return T
-
-
 def _offset_kernel(c, pts: np.ndarray, panels: int) -> np.ndarray:
     """Log-regularized kernel at the distinct separations of the tensor grid,
     |node i of panel P - node j of panel 0| for P >= 0, shape
@@ -120,34 +108,123 @@ def _offset_kernel(c, pts: np.ndarray, panels: int) -> np.ndarray:
     return special.regularized_kernel_abs(D, c)
 
 
-def _contract(per_offset: np.ndarray, Tm: np.ndarray, Tn: np.ndarray) -> np.ndarray:
-    """Tm.T @ G @ Tn for the grid G[P*q + i, Q*q + j] = per_offset[P - Q, i, j],
-    symmetric block-Toeplitz (offset -P is the transposed block of offset P),
-    without laying G out whole.
+# A frequency bin k of the panel fold is summed with its geometric weights
+# where |1 - omega^k| is below this, not divided by it: the division of a
+# difference of two transforms would lose more than four bits there.
+_EXACT_BIN = 1.0 / 16.0
 
-    G is taken in slabs of whole panels of at most GRID_ENTRIES entries, a
-    split that depends on the grid alone.  A slab of columns is one reshape
-    of a sliding window over the 2*panels - 1 offsets, and since G = G.T its
-    columns are also the slab's rows: Tm.T @ G @ Tn is the sum over slabs S
-    of Tm[S].T @ (Tn.T @ G[:, S]).T.  Both products are real GEMMs, on the
-    float view of the complex slab and of its product."""
-    panels, q, _ = per_offset.shape
-    n, modes_n = panels * q, Tn.shape[1]
-    stacked = np.concatenate((per_offset[:0:-1].transpose(0, 2, 1), per_offset))
-    # windows[w, i, j, P] = stacked[P + w]: row panel P against column panel panels - 1 - w
-    windows = np.lib.stride_tricks.sliding_window_view(stacked, panels, axis=0)
-    width = max(1, GRID_ENTRIES // (n * q))  # panels per slab
-    out = np.zeros((Tm.shape[1], 2 * modes_n))
-    for lo in range(0, panels, width):
-        hi = min(lo + width, panels)
-        # cols[P, i, Q - lo, j] = G[P*q + i, Q*q + j] for the column panels Q in [lo, hi)
-        cols = windows[panels - hi:panels - lo][::-1].transpose(3, 1, 0, 2)
-        # Tn.T @ G[:, S] with real and imaginary parts interleaved; the slab's
-        # one copy (the reshape) is freed after the product
-        tg = Tn.T @ np.ascontiguousarray(cols.reshape(n, -1)).view(float)
-        gt = tg.reshape(modes_n, -1, 2).transpose(1, 0, 2).reshape(-1, 2 * modes_n)
-        out += Tm[lo * q:hi * q].T @ gt  # gt is G[S, :] @ Tn, interleaved
-    return out.view(complex)
+
+class _PanelFold:
+    """Tm.T @ G @ Tn for the sin or cos weights of two mode lists on the
+    uniform grid of `panels` panels of q Gauss points, where
+    G[P*q + a, Q*q + b] = K_{P-Q}[a, b] is symmetric block-Toeplitz
+    (K_{-D} = K_D.T), folded over the panel index.  Only the entries with
+    m + n even are formed; the others are the exact parity zeros of the block.
+
+    With omega = e^{i pi/panels} a node is s = P h + x_a, so trig(m s/2)
+    is a sum over the signs sigma = +-1 of e^{i sigma m x_a/2}
+    omega^{sigma m P}: cos cos is 1/4 of the sum over the four sign pairs
+    (sigma, rho) of X[m, n] = sum_{P,Q,a,b} u_a G v_b omega^{sigma m P + rho n Q},
+    u_a = w_a e^{i sigma m x_a/2}, v_b = w_b e^{i rho n x_b/2}, and sin sin
+    is -1/4 of the sum weighted by sigma rho.  For each offset D the sum
+    over the panel pairs is geometric in k = sigma m + rho n, so with the
+    length-2 panels transform R(j) = sum_{D >= 0} K_D omega^{jD} -
+    sum_{D >= 1} K_D.T omega^{-jD},
+
+        X[m, n] = u (R(sigma m) - R(-rho n)) v / (1 - omega^k)
+
+    for m + n even.  A bin k where 1 - omega^k is small (k = 0 always) takes
+    u Z_k(sigma m) v instead, the transform Z_k of g_k(D) K_D and of
+    g_k(D) omega^{kD} K_D.T at -D, g_k(D) = sum_{Q < panels - D} omega^{kQ}.
+
+    The set-up reads no kernel, so one fold serves every scale of a sweep."""
+
+    def __init__(self, panels: int, q: int, modes_m, modes_n):
+        pts, wts = composite_nodes(0.0, TWO_PI, panels, gauss_rule(q))
+        x, w = pts[:q], wts[:q]
+        m, n = np.asarray(modes_m), np.asarray(modes_n)
+        two_p = 2 * panels
+        self.panels, self.shape = panels, (len(m), len(n))
+        k = np.arange(two_p)
+        theta = pi * k / panels
+        one_minus = 2.0 * np.sin(0.5 * theta) ** 2 - 1j * np.sin(theta)  # 1 - omega^k
+        exact = k[(np.abs(one_minus) < _EXACT_BIN) & (k % 2 == 0)]  # m + n even: k even
+        # the weights of the transformed sequences, R's (1 on K_D, -1 on K_D.T
+        # at -D) and each Z_k's, at E = D for the offsets D >= 0 and at
+        # E = 2 panels - D for -D (E = panels is empty);
+        # g_k(D) = sum_{Q < panels - D} omega^{kQ} is panels - D for k = 0
+        powers = np.exp(1j * pi / panels * (np.multiply.outer(exact, k[:panels]) % two_p))
+        geo = np.cumsum(powers, axis=1)[:, ::-1]
+        self.weights = np.zeros((1 + len(exact), two_p), dtype=complex)
+        self.weights[0, :panels], self.weights[0, panels + 1:] = 1.0, -1.0
+        self.weights[1:, :panels] = geo
+        self.weights[1:, panels + 1:] = (geo * powers)[:, :0:-1]
+        # 1/(1 - omega^k) at the even bins k that are not summed exactly; k is
+        # odd exactly for the pairs of odd m + n, whose entries are zero
+        self.inv = np.zeros(two_p, dtype=complex)
+        self.inv[2::2] = 1.0 / one_minus[2::2]
+        self.inv[exact] = 0.0
+        bin_of = np.zeros(two_p, dtype=np.int32)  # 1 + index among the exact bins, 0 elsewhere
+        bin_of[exact] = np.arange(1, len(exact) + 1)
+        # the rows of sigma = +1 over those of -1, the columns of rho = +1
+        # beside those of -1, with half weights: the 1/4 of the sums, exactly
+        E = np.exp(0.5j * np.multiply.outer(m, x)) * (0.5 * w)
+        F = np.exp(0.5j * np.multiply.outer(n, x)) * (0.5 * w)
+        self.U, self.V = np.concatenate((E, E.conj())), np.concatenate((F, F.conj()))
+        # R is read at sigma m and at -rho n
+        self.jm = np.concatenate((m, -m)) % two_p
+        self.jn = np.concatenate((-n, n)) % two_p
+        # the bin k = sigma m + rho n of every entry
+        self.kk = np.subtract.outer(self.jm.astype(np.int32), self.jn.astype(np.int32)) % two_p
+        hi, hj = np.nonzero(np.take(bin_of, self.kk))
+        self.exact = (hi, hj, bin_of[self.kk[hi, hj]])
+
+    def __call__(self, per_offset: np.ndarray, kinds) -> np.ndarray:
+        """The kernel pass of each kind, (kinds, scales, M, N), from the blocks
+        per_offset[scale, D] = K_D, D = 0..panels-1.  No sum mixes scales,
+        so a scale's matrices are bitwise what they are alone."""
+        S, U, V, jm = len(per_offset), self.U, self.V, self.jm
+        panels, (M, N) = self.panels, self.shape
+        # seq[s, i, a, b, E]: K_E[a, b] for E < panels, K_D[b, a] at E = 2 panels - D
+        seq = np.zeros((S, len(self.weights)) + per_offset.shape[2:] + (2 * panels,),
+                       dtype=complex)
+        W = self.weights[:, None, None, :]
+        np.multiply(per_offset.transpose(0, 2, 3, 1)[:, None], W[..., :panels],
+                    out=seq[..., :panels])
+        np.multiply(per_offset[:, :0:-1].transpose(0, 3, 2, 1)[:, None], W[..., panels + 1:],
+                    out=seq[..., panels + 1:])
+        spectra = np.fft.ifft(seq, axis=-1, norm="forward")  # sum_E seq_E omega^{jE}
+        del seq
+        spectra = np.ascontiguousarray(spectra.transpose(0, 1, 4, 2, 3))  # s, i, j, a, b
+        # u R(sigma m) and u Z_k(sigma m) for every row m
+        uR = (U[:, None, :] @ spectra[:, :, jm])[..., 0, :]
+        hi, hj, b = self.exact
+        summed = (uR[:, b, hi] * V[hj]).sum(-1)
+        left = np.concatenate((uR[:, 0], np.broadcast_to(U, (S,) + U.shape)), axis=-1)
+        right = np.concatenate((np.broadcast_to(V, (S,) + V.shape),
+                                -(spectra[:, 0, self.jn] @ V[:, :, None])[..., 0]), axis=-1)
+        del spectra, uR
+        X = left @ right.swapaxes(-1, -2)
+        X *= np.take(self.inv, self.kk)
+        X[:, hi, hj] = summed
+        X = X.reshape(S, 2, M, 2, N)  # scale, sigma, m, rho, n
+        # cos: the sum of the four; sin: minus the sum weighted by sigma rho
+        out = np.empty((len(kinds), S, M, N), dtype=complex)
+        for o, kind in zip(out, kinds):
+            if kind == "cos":
+                np.add(X[:, 0, :, 0], X[:, 1, :, 0], out=o)
+                o += X[:, 0, :, 1]
+                o += X[:, 1, :, 1]
+            else:
+                np.subtract(X[:, 1, :, 0], X[:, 0, :, 0], out=o)
+                o += X[:, 0, :, 1]
+                o -= X[:, 1, :, 1]
+        return out
+
+
+# the fold of two mode lists (tuples) on a grid, memoised: it reads no
+# kernel, so a sweep's chunks and a build's cavities share it
+_panel_fold = lru_cache(maxsize=8)(_PanelFold)
 
 
 @lru_cache(maxsize=8)  # a rule holds nodes x 2 (q_max + 1) floats: 3 MiB at N = 150, c = 1
@@ -171,10 +248,22 @@ def _log_rule(q_max: int, panels: int):
     return tau, W
 
 
-def log_part_matrix(kind: str, modes_m, modes_n, c) -> np.ndarray:
+def _kinds(kind) -> tuple:
+    """A kind, "sin" or "cos", or a tuple of kinds, as a tuple."""
+    return (kind,) if isinstance(kind, str) else tuple(kind)
+
+
+def _as_asked(kind, stack):
+    """A stack with one entry per kind: the entry alone for a single kind."""
+    return stack[0] if isinstance(kind, str) else stack
+
+
+def log_part_matrix(kind, modes_m, modes_n, c) -> np.ndarray:
     """(2i/pi) II trig(n s/2) J0(c|s-t|) ln|s-t| trig(m t/2) ds dt for every
     pair (m, n); an array of scales c gives one matrix per scale, stacked
-    along its leading axes, each bitwise its scale's own.
+    along its leading axes, each bitwise its scale's own.  A tuple of kinds
+    gives one such stack per kind along a new leading axis, from one pass of
+    the 1-D sums.
 
     It folds into A_q = I J0(c tau) ln(tau) sin(q tau/2) dtau and
     D_q = I (2 pi - tau) J0(c tau) ln(tau) cos(q tau/2) dtau over [0, 2 pi],
@@ -198,41 +287,45 @@ def log_part_matrix(kind: str, modes_m, modes_n, c) -> np.ndarray:
     AD = AD.reshape(c.shape + (-1,))
     A, D = AD[..., :q_max + 1], AD[..., q_max + 1:]
     M, N = m[:, None], n[None, :]
-    P, Q, sgn = (M, N, 1.0) if kind == "sin" else (N, M, -1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = 4.0 / (M * M - N * N) * (P * A[..., None, n] - Q * A[..., m, None])
-        diag = D[..., m] + sgn * 2.0 * A[..., m] / m
-    diag[..., m == 0] = 0.0 if kind == "sin" else 2.0 * D[..., :1]
+    with np.errstate(divide="ignore"):
+        off = 4.0 / (M * M - N * N)
     rows, cols = np.nonzero(M == N)
-    out[..., rows, cols] = diag[..., rows]
-    out[..., (M + N) % 2 == 1] = 0.0
-    return (2j / pi) * out
+    odd = (M + N) % 2 == 1
+    kinds = _kinds(kind)
+    out = np.empty((len(kinds),) + c.shape + (len(m), len(n)), dtype=complex)
+    for o, k in zip(out, kinds):
+        P, Q, sgn = (M, N, 1.0) if k == "sin" else (N, M, -1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            part = off * (P * A[..., None, n] - Q * A[..., m, None])
+            diag = D[..., m] + sgn * 2.0 * A[..., m] / m
+        diag[..., m == 0] = 0.0 if k == "sin" else 2.0 * D[..., :1]
+        part[..., rows, cols] = diag[..., rows]
+        part[..., odd] = 0.0
+        np.multiply(2j / pi, part, out=o)
+    return _as_asked(kind, out)
 
 
-def singular_block_matrix(modes_m, modes_n, c, kind: str,
-                          cfg: QuadratureConfig) -> np.ndarray:
+def singular_block_matrix(modes_m, modes_n, c, kind, cfg: QuadratureConfig) -> np.ndarray:
     """All blocks [m, n] for the given mode lists at kernel scale c; an array
-    of scales gives one matrix per scale, stacked along its leading axes.
-    The kernel and the log part take every scale in one call; each scale
-    is contracted on its own, so its matrix does not depend on the others."""
+    of scales gives one matrix per scale, stacked along its leading axes,
+    and a tuple of kinds one such stack per kind along a new leading axis.
+    The kernel, the panel fold and the log part take every scale and kind in
+    one call; no sum mixes scales, so a scale's matrix does not depend on the
+    others, and the kinds share the transforms of the fold."""
     c = np.asarray(c, dtype=float)
     if not np.all((c > 0.0) & (c <= MAX_APERTURE_SCALE)):  # NaN too, before any work
         raise ValidationError("c", f"aperture scale kappa0*w/(2 pi) must be positive and "
                                    f"at most {MAX_APERTURE_SCALE}, got {c}")
-    rule = gauss_rule(cfg.points_per_panel)
-    pts, wts = composite_nodes(0.0, TWO_PI, cfg.panels, rule)
-    f = np.sin if kind == "sin" else np.cos
-    modes_m = np.asarray(list(modes_m), dtype=int)
-    modes_n = np.asarray(list(modes_n), dtype=int)
-    Tm = _trig_weights(f, pts, wts, modes_m)
-    Tn = Tm if np.array_equal(modes_m, modes_n) else _trig_weights(f, pts, wts, modes_n)
+    pts, _ = composite_nodes(0.0, TWO_PI, cfg.panels, gauss_rule(cfg.points_per_panel))
+    modes_m = tuple(int(m) for m in modes_m)
+    modes_n = tuple(int(n) for n in modes_n)
     kern = _offset_kernel(c, pts, cfg.panels)
-    out = np.empty(c.shape + (len(modes_m), len(modes_n)), dtype=complex)
-    for idx in np.ndindex(c.shape):
-        out[idx] = _contract(kern[idx], Tm, Tn)
-    out[..., (modes_m[:, None] + modes_n[None, :]) % 2 == 1] = 0.0  # exact parity zeros
-    out += log_part_matrix(kind, modes_m, modes_n, c)
-    return out
+    kinds = _kinds(kind)
+    fold = _panel_fold(cfg.panels, cfg.points_per_panel, modes_m, modes_n)
+    out = fold(kern.reshape((c.size,) + kern.shape[c.ndim:]), kinds)
+    out = out.reshape((len(kinds),) + c.shape + out.shape[-2:])
+    out += log_part_matrix(kinds, modes_m, modes_n, c)
+    return _as_asked(kind, out)
 
 
 def singular_block(m: int, n: int, c: float, kind: str, cfg: QuadratureConfig) -> complex:
@@ -249,25 +342,28 @@ class SingularBlockCache:
     scale c to 15 significant digits); the same modes index the rows and the
     columns, and an array of scales keys its stack of matrices.
 
-    matrix() returns the stored matrix (read-only), filling it by populate()
-    in one tensor-grid pass on a miss.
+    matrix() returns the stored matrix (read-only), or a tuple of them for a
+    tuple of kinds, filling every kind asked by populate() in one panel fold
+    per scale when any of them is missing.
     """
 
     def __init__(self, cfg: QuadratureConfig):
         self.cfg = cfg
         self._mats: dict[tuple, np.ndarray] = {}
 
-    def populate(self, kind: str, modes, c: float) -> None:
-        key = _cache_key(kind, modes, c)
-        mat = singular_block_matrix(key[1], key[1], c, kind, self.cfg)
-        mat.setflags(write=False)
-        self._mats[key] = mat
+    def populate(self, kind, modes, c: float) -> None:
+        kinds = _kinds(kind)
+        keys = [_cache_key(k, modes, c) for k in kinds]
+        mats = singular_block_matrix(keys[0][1], keys[0][1], c, kinds, self.cfg)
+        for key, mat in zip(keys, mats):
+            mat.setflags(write=False)
+            self._mats[key] = mat
 
-    def matrix(self, kind: str, modes, c: float) -> np.ndarray:
-        key = _cache_key(kind, modes, c)
-        if key not in self._mats:
+    def matrix(self, kind, modes, c: float):
+        keys = [_cache_key(k, modes, c) for k in _kinds(kind)]
+        if any(key not in self._mats for key in keys):
             self.populate(kind, modes, c)
-        return self._mats[key]
+        return _as_asked(kind, tuple(self._mats[key] for key in keys))
 
 
 # ---------------------------------------------------------------------------
@@ -319,22 +415,31 @@ def _cross_grid(a_k: float, b_k: float, a_j: float, b_j: float, panels: int, q: 
 
 
 def cross_block_matrix(cav_k: Cavity, cav_j: Cavity, modes_m, modes_n, kappa0,
-                       kind: str, cfg: QuadratureConfig) -> np.ndarray:
+                       kind, cfg: QuadratureConfig) -> np.ndarray:
     """Smooth cross blocks
     I_0^{w_k} I_0^{w_j} trig(m pi x/w_k) H0^(1)(kappa0|x+a_k-y-a_j|) trig(n pi y/w_j) dy dx
     for disjoint cavities k != j; an array of wavenumbers kappa0 gives one
-    block per wavenumber, stacked along its leading axes.  The kernel is
-    evaluated once per distinct separation of the grid."""
+    block per wavenumber, stacked along its leading axes, and a tuple of
+    kinds one such stack per kind along a new leading axis.  The kernel is
+    evaluated once per distinct separation of the grid, for every kind."""
     xk, wk, yj, wj, seps, inverse = _cross_grid(cav_k.a, cav_k.b, cav_j.a, cav_j.b,
                                                 cfg.panels, cfg.points_per_panel)
     kappa0 = np.asarray(kappa0, dtype=float)
     kern = special.hankel1_0(kappa0[..., None] * seps)
-    f = np.sin if kind == "sin" else np.cos
     modes_m = np.asarray(list(modes_m), dtype=int)
     modes_n = np.asarray(list(modes_n), dtype=int)
-    Tm = f(pi * xk[:, None] * modes_m[None, :] / cav_k.w) * wk[:, None]
-    Tn = f(pi * yj[:, None] * modes_n[None, :] / cav_j.w) * wj[:, None]
+    weights = []
+    for k in _kinds(kind):
+        f = np.sin if k == "sin" else np.cos
+        weights.append((f(pi * xk[:, None] * modes_m[None, :] / cav_k.w) * wk[:, None],
+                        f(pi * yj[:, None] * modes_n[None, :] / cav_j.w) * wj[:, None]))
+    rows = kern.reshape(-1, len(seps))
+    blocks = np.empty((len(weights), len(rows), len(modes_m), len(modes_n)), dtype=complex)
     # laid out on the grid one wavenumber at a time: a stack of full grids
     # would hold wavenumbers x nodes^2 entries at once
-    blocks = [Tm.T @ row[inverse] @ Tn for row in kern.reshape(-1, len(seps))]
-    return np.array(blocks).reshape(kappa0.shape + (len(modes_m), len(modes_n)))
+    for i, row in enumerate(rows):
+        grid = row[inverse]
+        for block, (Tm, Tn) in zip(blocks, weights):
+            block[i] = Tm.T @ grid @ Tn
+    return _as_asked(kind, blocks.reshape((len(weights),) + kappa0.shape
+                                          + (len(modes_m), len(modes_n))))

@@ -316,7 +316,38 @@ def test_cross_pairs_integrated_once(pol, monkeypatch):
     monkeypatch.setattr(assembly, "cross_block_matrix", counted)
     lhs = build_system(spec, tables).lhs
     monkeypatch.undo()
-    per_kind = 2 if pol == "TM" else 1
-    assert len(calls) == 3 * per_kind  # 3 pairs, not 6 ordered pairs
+    assert len(calls) == 3  # 3 pairs, not 6 ordered pairs; TM's two kinds in one call
+    kinds = ("sin", "cos") if pol == "TM" else ("cos",)
+    assert all(tuple(args[5]) == kinds for args in calls)
     ref = _block_reference(spec, tables)
     assert np.linalg.norm(lhs - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("pol", ["TM", "TE"])
+def test_build_evaluates_each_kernel_once_for_every_kind(pol, monkeypatch):
+    # three_cavity_fields at seed 0 (N = 90, 64 panels), warm: three aperture
+    # scales and three cavity pairs.  TM takes its sin and cos blocks from one
+    # regularized-kernel call per scale and one Hankel call per pair (six of
+    # each when every kind had its own pass); TE forms no sin block
+    from cavityscat import quadrature, special
+    spec = example4_spec(pol, N=90, panels=64)
+    tables = build_modal_tables(spec)
+    build_system(spec, tables)
+    calls, kinds = [], set()
+
+    def wrap(module, name, record):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            record(args)
+            return original(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    wrap(special, "regularized_kernel_abs", lambda args: calls.append("kernel"))
+    wrap(special, "hankel1_0", lambda args: calls.append("hankel"))
+    wrap(quadrature, "singular_block_matrix", lambda args: kinds.add(tuple(args[3])))
+    wrap(quadrature, "log_part_matrix", lambda args: kinds.add(tuple(args[0])))
+    wrap(assembly, "cross_block_matrix", lambda args: kinds.add(tuple(args[5])))
+    build_system(spec, tables)
+    assert sorted(calls) == ["hankel"] * 3 + ["kernel"] * 3
+    assert kinds == ({("sin", "cos")} if pol == "TM" else {("cos",)})

@@ -139,15 +139,15 @@ def test_cross_block_requires_disjoint():
         cross_block(1, 1, ck, cj, 2.0, "sin", CFG)
 
 
-def _gather_offsets(per_offset):
+def _gather_offsets(per_offset, rows=slice(None)):
     """The dense grid [P*q + i, Q*q + j] from the blocks per_offset[P - Q, i, j]
     at the non-negative panel offsets (offset -P is the transposed block of
-    offset P): the full-grid layout production contracted before slabs, kept
-    as the reference of `quadrature._contract`."""
+    offset P), or its rows of the row panels P in `rows`: the dense layout,
+    the reference of the panel fold."""
     panels, q, _ = per_offset.shape
     stacked = np.concatenate((per_offset[:0:-1].transpose(0, 2, 1), per_offset))
     windows = np.lib.stride_tricks.sliding_window_view(stacked, panels, axis=0)
-    return windows[..., ::-1].transpose(0, 1, 3, 2).reshape(panels * q, panels * q)
+    return windows[rows][..., ::-1].transpose(0, 1, 3, 2).reshape(-1, panels * q)
 
 
 @pytest.mark.parametrize("panels, ppp, c", [(16, 4, 0.5), (32, 6, 1.0), (24, 6, 4.0), (24, 6, 8.0)])
@@ -205,17 +205,47 @@ def test_grid_kernel_from_distinct_separations_is_bitwise_the_full_offset_layout
 
 
 @pytest.mark.parametrize("kind", ["sin", "cos"])
+@pytest.mark.parametrize("panels", [1, 2, 7, 96, 512])
+@pytest.mark.parametrize("ppp", [4, 10])
+@pytest.mark.parametrize("c", [1.0, 16.0])
+def test_panel_fold_matches_the_dense_product(kind, panels, ppp, c):
+    # modes 0..24 against 0..16 meet the bins k = m +- n = 0 (mod 2 panels),
+    # which are summed with geometric weights: every even pair on 1 panel,
+    # m +- n = 0 (mod 4) on 2, m +- n in {0, 14, 28} on 7, the diagonal on
+    # 96, and on 512 panels also |k| <= 10, where 1 - omega^k is below 1/16.
+    # The reference is Tm.T @ G @ Tn on the dense grid, in row slabs of at
+    # most 2^20 entries (the 5120-node grid is 419 MiB); it is off by up to
+    # 3.2e-15 from an 80-bit evaluation of the same sum on 1 and 2 panels,
+    # where modes to 24 alias on 4 to 20 nodes, and the fold by up to 2.2e-15
+    from cavityscat import quadrature
+    pts, wts = quadrature.composite_nodes(0.0, 2 * pi, panels, quadrature.gauss_rule(ppp))
+    modes_m, modes_n = np.arange(0, 25), np.arange(0, 17)
+    per_offset = quadrature._offset_kernel(c, pts, panels)
+    fold = quadrature._PanelFold(panels, ppp, modes_m, modes_n)
+    block = fold(per_offset[None], (kind,))[0, 0]
+    f = np.sin if kind == "sin" else np.cos
+    Tm = f(0.5 * pts[:, None] * modes_m[None, :]) * wts[:, None]
+    Tn = f(0.5 * pts[:, None] * modes_n[None, :]) * wts[:, None]
+    step = max(1, 2 ** 20 // (panels * ppp * ppp))  # row panels per slab
+    want = sum(Tm[lo * ppp:(lo + step) * ppp].T
+               @ (_gather_offsets(per_offset, slice(lo, lo + step)) @ Tn)
+               for lo in range(0, panels, step))
+    assert np.all(block[(modes_m[:, None] + modes_n[None, :]) % 2 == 1] == 0.0)
+    assert np.linalg.norm(block - want) <= 4e-15 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("kind", ["sin", "cos"])
 @pytest.mark.parametrize("panels", [1, 7, 96])
 @pytest.mark.parametrize("ppp", [4, 10])
-@pytest.mark.parametrize("slab_panels", [None, 5])
-def test_slab_contraction_matches_the_dense_product(kind, panels, ppp, slab_panels, monkeypatch):
-    # the default budget is one slab up to 96 nodes, 2 x 48 panels at 96 x 4
-    # and 13 x 7 + 5 panels at 96 x 10; a budget of 5 panels gives 5 + 2 and
-    # 19 x 5 + 1 panels
+@pytest.mark.parametrize("slab_scales", [None, 5])
+def test_slab_contraction_matches_the_dense_product(kind, panels, ppp, slab_scales):
+    # the c = 1 block contracted alone (None), or as one slab of a stack of
+    # 5 scales folded with both kinds in one call, as a sweep chunk of a TM
+    # build is: the same Tm.T @ G @ Tn, and bitwise the block alone.  The
+    # block keeps the pairs with m + n even and has exact zeros elsewhere,
+    # where the dense product holds roundoff (up to 2.9e-15 of its norm on
+    # 1 x 4 points, from a kernel that is persymmetric only to roundoff)
     from cavityscat import quadrature
-    n = panels * ppp
-    if slab_panels is not None:
-        monkeypatch.setattr(quadrature, "GRID_ENTRIES", slab_panels * n * ppp)
     f = np.sin if kind == "sin" else np.cos
     pts, wts = quadrature.composite_nodes(0.0, 2 * pi, panels, quadrature.gauss_rule(ppp))
     modes_m, modes_n = np.arange(1, 25), np.arange(0, 17)
@@ -223,9 +253,20 @@ def test_slab_contraction_matches_the_dense_product(kind, panels, ppp, slab_pane
     Tn = f(0.5 * pts[:, None] * modes_n[None, :]) * wts[:, None]
     per_offset = quadrature._offset_kernel(1.0, pts, panels)
     want = Tm.T @ _gather_offsets(per_offset) @ Tn
-    got = quadrature._contract(per_offset, Tm, Tn)
+    fold = quadrature._PanelFold(panels, ppp, modes_m, modes_n)
+    alone = fold(per_offset[None], (kind,))[0, 0]
+    if slab_scales is None:
+        got = alone
+    else:
+        scales = np.array([0.5, 1.0, 4.0, 16.0, 64.0])
+        both = fold(quadrature._offset_kernel(scales, pts, panels), ("sin", "cos"))
+        got = both[("sin", "cos").index(kind), 1]
+        assert both.shape == (2, slab_scales, len(modes_m), len(modes_n))
+        assert np.array_equal(got, alone)
     assert got.shape == want.shape
-    assert np.linalg.norm(got - want) <= 2e-15 * np.linalg.norm(want)
+    even = (modes_m[:, None] + modes_n[None, :]) % 2 == 0
+    assert np.all(got[~even] == 0.0)
+    assert np.linalg.norm((got - want)[even]) <= 2e-15 * np.linalg.norm(want)
 
 
 def test_singular_block_lays_out_no_full_grid():
