@@ -68,28 +68,48 @@ class ApertureSolution:
         return complex(self.coefficients[k][n - self.layout.modes.start])
 
 
-def aperture_phases(alphas, cav: Cavity, modes, kind: str) -> np.ndarray:
+def aperture_phases(alphas, cav: Cavity, modes, kind: str, out=None) -> np.ndarray:
     """e^{i alpha a} I_0^w e^{i alpha x} trig(m pi x/w) dx, trig = sin or cos,
-    for every alpha (rows) and mode m (columns), in closed form.
+    for every alpha (rows) and mode m (columns), in closed form; written
+    into out (a complex view of that shape) when given.
 
     With mu = m pi/w the integral is half the difference (sin) or sum (cos)
-    of (e^{i p w} - 1)/(i p) at p = alpha + mu and alpha - mu, taken as w at
-    p = 0: the degenerate directions alpha = +-mu need no separate formula.
-    This is the TM/TE incident vector (times -2 i beta or 2) and the TM
-    far-field weight of every aperture coefficient.
+    of (e^{i p w} - 1)/(i p) = (sin t + 2i sin^2(t/2))/p, t = p w, at
+    p = alpha + mu and alpha - mu, taken as w at p = 0: the degenerate
+    directions alpha = +-mu need no separate formula.  The real sines are
+    summed into the halves of out in place.  This is the TM/TE incident
+    vector (times -2 i beta or 2) and the TM far-field weight of every
+    aperture coefficient.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
     mu = np.asarray(modes, dtype=float) * pi / cav.w
-
-    def phase(p):
+    if out is None:
+        out = np.empty((alphas.size, mu.size), dtype=complex)
+    out[...] = 0.0
+    # S = sin(t)/p and C = 2 sin^2(t/2)/p over p = alpha +- mu: sin takes
+    # (C+ - C-)/2 - i (S+ - S-)/2, cos (S+ + S-)/2 + i (C+ + C-)/2
+    s_half, c_half = (out.imag, out.real) if kind == "sin" else (out.real, out.imag)
+    p, term = np.empty(out.shape), np.empty(out.shape)
+    for sign in (1.0, -1.0):
+        s_add, c_add = (sign < 0, sign > 0) if kind == "sin" else (True, True)
+        np.add(alphas[:, None], sign * mu, out=p)
         zero = p == 0.0
-        ps = np.where(zero, 1.0, p)
-        return np.where(zero, cav.w, np.expm1(1j * ps * cav.w) / (1j * ps))
-
-    ip = phase(alphas[:, None] + mu)
-    im = phase(alphas[:, None] - mu)
-    trig = (ip - im) / 2j if kind == "sin" else (ip + im) / 2.0
-    return np.exp(1j * alphas * cav.a)[:, None] * trig
+        p[zero] = 1.0
+        np.multiply(p, cav.w, out=term)
+        np.sin(term, out=term)
+        term /= p
+        term[zero] = cav.w
+        (np.add if s_add else np.subtract)(s_half, term, out=s_half)
+        np.multiply(p, 0.5 * cav.w, out=term)
+        np.sin(term, out=term)
+        np.square(term, out=term)
+        term *= 2.0
+        term /= p
+        term[zero] = 0.0
+        (np.add if c_add else np.subtract)(c_half, term, out=c_half)
+    out *= 0.5
+    out *= np.exp(1j * alphas * cav.a)[:, None]
+    return out
 
 
 def system_phases(spec: ProblemSpec, alphas) -> np.ndarray:
@@ -97,8 +117,11 @@ def system_phases(spec: ProblemSpec, alphas) -> np.ndarray:
     one row per alpha, one column per aperture coefficient in system order."""
     kind = "sin" if spec.polarization == "TM" else "cos"
     modes = mode_numbers(spec.polarization, spec.N)
-    return np.concatenate([aperture_phases(alphas, cav, modes, kind)
-                           for cav in spec.cavities], axis=1)
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=float))
+    out = np.empty((alphas.size, spec.K * len(modes)), dtype=complex)
+    for k, cav in enumerate(spec.cavities):
+        aperture_phases(alphas, cav, modes, kind, out[:, k * len(modes):(k + 1) * len(modes)])
+    return out
 
 
 def _kernel_matrices(spec: ProblemSpec, k0: np.ndarray, cache: SingularBlockCache,
@@ -188,7 +211,7 @@ class SystemFactorization:
         then every coefficient array keeps that column axis."""
         x = np.linalg.solve(self._lhs, rhs)
         lay = self.layout
-        coeffs = tuple(x[lay.block_slice(k)].copy() for k in range(lay.K))
+        coeffs = tuple(x[lay.block_slice(k)] for k in range(lay.K))  # row blocks of x
         diags = []
         if self.rcond < RCOND_WARN:
             diags.append(f"ill-conditioned system: rcond = {self.rcond:.3e}")
@@ -199,7 +222,9 @@ class SystemFactorization:
         """Normwise backward error ||b - A x||_inf / (||A||_inf ||x||_inf + ||b||_inf)
         of a solution x, the largest over the columns of a matrix right-hand
         side; 0 where b and x are both zero."""
-        resid = np.abs(rhs - self._lhs @ x).max(axis=0)
+        resid = self._lhs @ x
+        np.subtract(rhs, resid, out=resid)
+        resid = np.abs(resid).max(axis=0)
         scale = self._norm_inf * np.abs(x).max(axis=0) + np.abs(rhs).max(axis=0)
         return float(np.max(np.divide(resid, scale, out=np.zeros_like(resid),
                                       where=scale > 0)))

@@ -11,7 +11,10 @@ log part (2i/pi) II J0(c|s-t|) ln|s-t| trig trig ds dt.  The paper's exact
 Bessel series for (ii) over 2-D log moments stays in `_moments` as the
 reference; (ii) folds into two 1-D integrals per frequency
 (`log_part_matrix`), Gauss sums on one node set graded toward the log
-singularity, in float arithmetic at a cost about linear in c.
+singularity, in float arithmetic at a cost about linear in c.  Their uniform
+panels fold over the panel index as the kernel pass does (one length-2P
+transform per scale), and the graded nodes' phases split into two small
+factors (`_LogRule`), so no nodes x modes weight matrix is formed.
 
 The regularized kernel, a function of |s-t| alone, is evaluated once per
 distinct separation of the uniform grid (node of panel P >= 0 against node of
@@ -205,7 +208,11 @@ class _PanelFold:
                                 -(spectra[:, 0, self.jn] @ V[:, :, None])[..., 0]), axis=-1)
         del spectra, uR
         X = left @ right.swapaxes(-1, -2)
-        X *= np.take(self.inv, self.kk)
+        # the divisor one sign-pair quadrant at a time: its gather is a
+        # quarter of X
+        for rows in (slice(None, M), slice(M, None)):
+            for cols in (slice(None, N), slice(N, None)):
+                X[:, rows, cols] *= np.take(self.inv, self.kk[rows, cols])
         X[:, hi, hj] = summed
         X = X.reshape(S, 2, M, 2, N)  # scale, sigma, m, rho, n
         # cos: the sum of the four; sin: minus the sum weighted by sigma rho
@@ -227,25 +234,93 @@ class _PanelFold:
 _panel_fold = lru_cache(maxsize=8)(_PanelFold)
 
 
-@lru_cache(maxsize=8)  # a rule holds nodes x 2 (q_max + 1) floats: 3 MiB at N = 150, c = 1
-def _log_rule(q_max: int, panels: int):
-    """Nodes tau on [0, 2 pi] of the log part and the weights ln(tau) w
-    sin(q tau/2) | (2 pi - tau) ln(tau) w cos(q tau/2), q = 0..q_max, side by
-    side.  The first of `panels` uniform panels (24 points) is graded toward
-    tau = 0 (ratio 1/4, 16 points, down to 1e-17 of its width).  Memoised:
-    the arrays are read-only."""
-    h = TWO_PI / panels
-    geo = np.concatenate(([0.0], h * 0.25 ** np.arange(29, -1, -1)))
-    tg, wg = composite_nodes_edges(geo, gauss_rule(16))
-    tu, wu = composite_nodes_edges(h * np.arange(1, panels + 1), gauss_rule(24))
-    tau, wts = np.concatenate((tg, tu)), np.concatenate((wg, wu))
-    half = np.multiply.outer(0.5 * tau, np.arange(q_max + 1.0))
-    lw = np.log(tau) * wts
-    W = np.concatenate((np.sin(half) * lw[:, None],
-                        np.cos(half) * ((TWO_PI - tau) * lw)[:, None]), axis=1)
-    tau.setflags(write=False)
-    W.setflags(write=False)
-    return tau, W
+# the log part's rule: 30 panels of 16 points graded toward tau = 0 fill its
+# first uniform panel, and each other uniform panel takes 24 points
+_GRADED_NODES = 480
+_UNIFORM_POINTS = 24
+
+
+def _split_phases(t: np.ndarray, base: int, q_max: int):
+    """e^{i q t/2} at the nodes t for q = base q1 + q0 = 0..q_max as two
+    factors, lo[node, q0] = e^{i q0 t/2} (q0 < base) and
+    hi[q1, node] = e^{i base q1 t/2}: each phase is then a product of two
+    correctly rounded exponentials."""
+    lo = np.exp(0.5j * np.multiply.outer(t, np.arange(min(base, q_max + 1))))
+    hi = np.exp((0.5j * base) * np.multiply.outer(np.arange(q_max // base + 1), t))
+    return lo, hi
+
+
+def _by_frequency(split: np.ndarray, count: int) -> np.ndarray:
+    """split[..., q1, q0] at q = base q1 + q0 as [..., q], q < count."""
+    return split.reshape(split.shape[:-2] + (-1,))[..., :count]
+
+
+class _LogRule:
+    """The 1-D rule of the log part for the modes up to q_max on `panels`
+    uniform panels of [0, 2 pi] (24 points each), the first graded toward
+    tau = 0 (ratio 1/4, 16 points, down to 1e-17 of its width): the nodes
+    tau, their log-weights ln(tau) w, and the phase factors
+    (`_split_phases`) of the graded nodes in base 16 and of the nodes x_a of
+    the first uniform panel in base 2 panels.  It holds no nodes x modes
+    table: `sums` folds the uniform panels and splits the graded nodes'
+    phases.  The arrays are read-only."""
+
+    def __init__(self, q_max: int, panels: int):
+        h = TWO_PI / panels
+        geo = np.concatenate(([0.0], h * 0.25 ** np.arange(29, -1, -1)))
+        tg, wg = composite_nodes_edges(geo, gauss_rule(16))
+        tu, wu = composite_nodes_edges(h * np.arange(1, panels + 1),
+                                       gauss_rule(_UNIFORM_POINTS))
+        # the uniform nodes point-major, node a of every panel in a row
+        tu, wu = (v.reshape(-1, _UNIFORM_POINTS).T.ravel() for v in (tu, wu))
+        local = h + 0.5 * h * (gauss_rule(_UNIFORM_POINTS).nodes + 1.0)  # panel 1
+        self.q_max, self.panels = q_max, panels
+        self.tau = np.concatenate((tg, tu))
+        self.lw = np.log(self.tau) * np.concatenate((wg, wu))
+        self.graded = _split_phases(tg, 16, q_max)
+        self.uniform = _split_phases(local, 2 * panels, q_max)
+        for arr in (self.tau, self.lw) + self.graded + self.uniform:
+            arr.setflags(write=False)
+
+    def sums(self, j0: np.ndarray) -> np.ndarray:
+        """A_q = sum_tau f sin(q tau/2) and D_q = sum_tau g cos(q tau/2) for
+        f = J0 ln(tau) w and g = (2 pi - tau) f, q = 0..q_max, as
+        (rows, 2, q_max + 1), from rows of J0(c tau), one per scale: the
+        imaginary part of sum f e^{i q tau/2} and the real part of sum g
+        e^{i q tau/2}.
+
+        On the graded nodes the split phases make that one complex product
+        per row.  A node of uniform panel P is P h + x_a, so e^{i q tau/2} =
+        omega^{qP} e^{i q x_a/2} with omega = e^{i pi/panels}: one length-2
+        panels transform over P gives F_a(j) = sum_P f omega^{jP}, read at
+        j = q mod 2 panels, and the split phases of x_a sum it over a.
+        Every product and transform runs per row, so no sum mixes scales."""
+        rows, panels, count = len(j0), self.panels, self.q_max + 1
+        terms = np.empty((rows, 2, len(self.tau)))  # f and g
+        np.multiply(j0, self.lw, out=terms[:, 0])
+        np.multiply(terms[:, 0], TWO_PI - self.tau, out=terms[:, 1])
+        lo, hi = self.graded
+        # f and g times the phase factors of each q1, cast and then multiplied
+        # in place (a mixed float-complex product lays out casting buffers)
+        product = np.empty((rows, 2) + hi.shape, dtype=complex)
+        product[...] = terms[:, :, None, :_GRADED_NODES]
+        product *= hi
+        split = product.reshape(rows, -1, _GRADED_NODES) @ lo
+        total = _by_frequency(split.reshape(rows, 2, len(hi), -1), count)
+        # the uniform nodes are stored point-major: seq[row, kind, a, P - 1],
+        # zero-padded to 2 panels (complex, as the panel fold's transforms)
+        seq = np.zeros((rows, 2, _UNIFORM_POINTS, 2 * panels), dtype=complex)
+        seq[..., :panels - 1] = terms[..., _GRADED_NODES:].reshape(
+            rows, 2, _UNIFORM_POINTS, panels - 1)
+        spectra = np.fft.ifft(seq, axis=-1, norm="forward")
+        lo, hi = self.uniform
+        total += _by_frequency(hi @ (spectra[..., :lo.shape[1]] * lo), count)
+        return np.stack((total[:, 0].imag, total[:, 1].real), axis=1)
+
+
+# the rule of a largest mode and a panel count, memoised: 0.24 MiB at
+# N = 150, c = 1 (1,296 nodes)
+_log_rule = lru_cache(maxsize=8)(_LogRule)
 
 
 def _kinds(kind) -> tuple:
@@ -277,31 +352,52 @@ def log_part_matrix(kind, modes_m, modes_n, c) -> np.ndarray:
     scales = c.ravel()
     q_max = int(max(m.max(), n.max()))
     panels = np.ceil((0.5 * q_max + scales) * (TWO_PI / 14.0)).astype(int)
-    AD = np.empty((scales.size, 2 * (q_max + 1)))
+    AD = np.empty((scales.size, 2, q_max + 1))
     # the scales of one panel count share a rule and one J0 call, a row each
     for p in set(panels.tolist()):
-        tau, W = _log_rule(q_max, p)
+        rule = _log_rule(q_max, p)
         sel = np.flatnonzero(panels == p)
-        for i, row in zip(sel.tolist(), special.bessel_j0_rows(scales[sel, None] * tau)):
-            AD[i] = row @ W
-    AD = AD.reshape(c.shape + (-1,))
-    A, D = AD[..., :q_max + 1], AD[..., q_max + 1:]
-    M, N = m[:, None], n[None, :]
-    with np.errstate(divide="ignore"):
-        off = 4.0 / (M * M - N * N)
-    rows, cols = np.nonzero(M == N)
-    odd = (M + N) % 2 == 1
+        AD[sel] = rule.sums(special.bessel_j0_rows(scales[sel, None] * rule.tau))
+    A = AD[:, 0].reshape(c.shape + (-1,))
+    D = AD[:, 1].reshape(c.shape + (-1,))
+    rows, cols = np.nonzero(m[:, None] == n)
+    mf, nf = m.astype(float), n.astype(float)
+    Am, An = A[..., m], A[..., n]
+    # Off the diagonal an entry is 4/(m^2 - n^2) (a_m b_n - c_m d_n).  One
+    # complex rank-6 product puts the numerator in the real half of the
+    # output and m^2 - n^2 in the imaginary half, with no full-size
+    # temporary (broadcasting ufuncs would lay out buffers), on the complex
+    # GEMM of the panel fold.  Each numerator term is split by the parity of
+    # the modes, so the pairs of odd m + n are exact zeros.
+    parity_m, parity_n = m[:, None] % 2 == (0, 1), n % 2 == [[0], [1]]
+    left = np.empty(c.shape + (len(m), 6), dtype=complex)
+    right = np.empty(c.shape + (6, len(n)), dtype=complex)
+    left[..., 4], left[..., 5] = 1j * (mf * mf), 1j
+    right[..., 4, :], right[..., 5, :] = 1.0, -(nf * nf)
     kinds = _kinds(kind)
     out = np.empty((len(kinds),) + c.shape + (len(m), len(n)), dtype=complex)
     for o, k in zip(out, kinds):
-        P, Q, sgn = (M, N, 1.0) if k == "sin" else (N, M, -1.0)
+        # a_m b_n - c_m d_n: m A_n - n A_m (sin) or n A_n - m A_m (cos)
+        if k == "sin":
+            a, b, c_, d = mf, An, Am, nf
+        else:
+            a, b, c_, d = np.ones_like(mf), nf * An, mf * Am, np.ones_like(nf)
+        np.multiply(a[..., None], parity_m, out=left[..., 0:2])
+        np.multiply(c_[..., None], parity_m, out=left[..., 2:4])
+        np.multiply(b[..., None, :], parity_n, out=right[..., 0:2, :])
+        np.multiply(d[..., None, :], -1.0 * parity_n, out=right[..., 2:4, :])
+        np.matmul(left, right, out=o)
+        # part = 4/(m^2 - n^2) (a_m b_n - c_m d_n), formed in the imaginary half
+        scratch, part = o.real, o.imag
+        sgn = 1.0 if k == "sin" else -1.0
         with np.errstate(divide="ignore", invalid="ignore"):
-            part = off * (P * A[..., None, n] - Q * A[..., m, None])
-            diag = D[..., m] + sgn * 2.0 * A[..., m] / m
+            np.divide(4.0, part, out=part)
+            part *= scratch
+            diag = D[..., m] + sgn * 2.0 * Am / mf
         diag[..., m == 0] = 0.0 if k == "sin" else 2.0 * D[..., :1]
         part[..., rows, cols] = diag[..., rows]
-        part[..., odd] = 0.0
-        np.multiply(2j / pi, part, out=o)
+        part *= 2.0 / pi
+        scratch[...] = 0.0
     return _as_asked(kind, out)
 
 

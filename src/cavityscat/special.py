@@ -70,6 +70,18 @@ def _j0_ysum(x):
     return j0, ysum
 
 
+def _series_terms(q: float) -> int:
+    """The last index k of the ascending J0 series at (x/2)^2 = q that
+    `_j0_ysum` adds: the first whose term times (H_k + 1) is below 1e-18."""
+    term, hk = 1.0, 0.0
+    for k in range(1, 40):
+        term *= q / (k * k)
+        hk += 1.0 / k
+        if term * (hk + 1.0) <= 1e-18:
+            break
+    return k
+
+
 def _series_j0_y0(x):
     """Ascending series for J0 and Y0, x in [0, 5]."""
     x = np.asarray(x, dtype=float)
@@ -105,12 +117,21 @@ def _j0_y0(x):
 
 
 def bessel_j0_rows(x):
-    """J0(x) for x >= 0.  The ascending series runs one row (index into the
-    leading axes) at a time with its own stop rule, as `_j0_ysum` does, so
-    each row's values are bitwise those of a call with that row alone."""
+    """J0(x) for x >= 0.  Below the series cutoff the ascending series runs
+    by Horner's rule to the terms `_j0_ysum` adds at the largest entry of a
+    row (index into the leading axes), so each row's values are bitwise
+    those of a call with that row alone."""
     x = np.asarray(x, dtype=float)
     small = x < _SERIES_CUTOFF
-    j0 = _j0_ysum(np.where(small, x, 0.0))[0]  # entries past the cutoff enter as zeros
+    quarter = (np.where(small, x, 0.0) / 2.0) ** 2  # entries past the cutoff enter as zeros
+    terms = np.array([_series_terms(q) for q in
+                      quarter.max(axis=-1, initial=0.0).ravel().tolist()]).reshape(x.shape[:-1])
+    j0 = np.ones_like(quarter)
+    for k in range(int(terms.max(initial=0)), 0, -1):
+        j0 *= quarter
+        j0 /= k * k
+        np.subtract(1.0, j0, out=j0)
+        j0[terms < k] = 1.0  # a row starts at its own last term
     big = ~small
     if np.any(big):
         j0[big] = _asym_j0_y0(x[big])[0]

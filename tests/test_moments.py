@@ -254,6 +254,30 @@ def test_folded_log_series_matches_per_pair(N, c):
         assert np.linalg.norm(diag - ref) <= 1e-14 * np.linalg.norm(ref), (kind, N, c)
 
 
+def _dense_sums(rule, j0):
+    """A_q and D_q as the former dense weight matrix of the rule's nodes:
+    ln(tau) w sin(q tau/2) | (2 pi - tau) ln(tau) w cos(q tau/2), side by side,
+    one product per J0 row."""
+    half = np.multiply.outer(0.5 * rule.tau, np.arange(rule.q_max + 1.0))
+    W = np.concatenate((np.sin(half) * rule.lw[:, None],
+                        np.cos(half) * ((2 * pi - rule.tau) * rule.lw)[:, None]), axis=1)
+    return np.stack([(row @ W).reshape(2, -1) for row in j0])
+
+
+@pytest.mark.parametrize("N, c", LOG_PART_SET)
+def test_log_part_matches_the_dense_rule(N, c, monkeypatch):
+    # the panel fold and the split phases sum the same rule as the dense
+    # weight matrix did; both feed the same combination into the blocks
+    for kind, lo in (("sin", 1), ("cos", 0)):
+        modes = list(range(lo, N + 1))
+        got = q.log_part_matrix(kind, modes, modes, c)
+        with monkeypatch.context() as patch:
+            patch.setattr(q._LogRule, "sums", _dense_sums)
+            want = q.log_part_matrix(kind, modes, modes, c)
+        assert np.array_equal(got == 0, want == 0), (kind, N, c)
+        assert np.linalg.norm(got - want) <= 4e-15 * np.linalg.norm(want), (kind, N, c)
+
+
 def test_folded_log_series_over_an_array_of_scales():
     # one matrix per scale, each bitwise its scale's own; at 8 modes 0.24 and
     # 0.3 share a rule of two uniform panels, 1.0 and 4.0 take others

@@ -285,6 +285,28 @@ def test_singular_block_lays_out_no_full_grid():
     assert peak < 6 * 2 ** 20, peak / 2 ** 20
 
 
+def test_log_part_builds_its_rule_in_under_a_mebibyte():
+    # modes 1..150 at c = 1 (the rcs_lossy log part, 1,296 nodes on 35
+    # panels) from a cleared rule memo: the returned sin and cos matrices are
+    # 0.69 MiB of the peak; the former dense rule alone held 3 MiB
+    import tracemalloc
+    from cavityscat import quadrature
+    modes = range(1, 151)
+    quadrature.log_part_matrix(("sin", "cos"), range(1, 5), range(1, 5), 1.0)  # imports
+    quadrature._log_rule.cache_clear()
+    tracemalloc.start()
+    try:
+        quadrature.log_part_matrix(("sin", "cos"), modes, modes, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak / 2 ** 20
+    rule = quadrature._log_rule(150, 35)
+    assert quadrature._log_rule.cache_info().hits >= 1
+    held = sum(a.nbytes for a in (rule.tau, rule.lw) + rule.graded + rule.uniform)
+    assert held < 2 ** 19, held / 2 ** 20
+
+
 def test_cache_stores_whole_matrices():
     cache = SingularBlockCache(CFG)
     modes = range(1, 7)
