@@ -1,20 +1,29 @@
 """Real-argument Bessel and Hankel functions of order 0.
 
-Evaluation strategy: ascending power series for x < 5, Hankel asymptotic
-expansion with Cephes-style rational amplitude/phase functions for x >= 5.
-The crossover at 5 keeps the series free of cancellation (largest term
-~10) while the asymptotic side is well inside its validity range; both
-sides agree to ~1e-15 at the joint.
+Evaluation strategy: ascending power series (Abramowitz & Stegun 9.1.12-13)
+for x < 5, Hankel asymptotic expansion with Cephes-style rational
+amplitude/phase functions for x >= 5.  The crossover at 5 keeps the series
+free of cancellation (largest term ~10) while the asymptotic side is well
+inside its validity range; both sides agree to ~1e-15 at the joint.
 
-Also provides the log-regularized Hankel kernel and J0 by rows, used by the
-aperture quadrature, and the truncated Bessel power-series remainder, which
-only the tests call (to check the truncation K of `_moments.bessel_K_for`).
+One routine, `_series`, sums the ascending series for every evaluator: by
+Horner's rule along the last axis, over a coefficient sequence (ones give
+J0, the harmonic numbers the log-free part of Y0).  Its row rule: each row
+(index into the leading axes) starts at the term that `_series_terms` gives
+at that row's largest entry, so a row's values are bitwise those of a call
+with that row alone.  Each caller sets a cutoff, and the entries past it
+enter as zeros: the series takes x < 5 for J0 by rows and H0, and c*d <= 8
+for the log-regularized Hankel kernel.
+
+Also provides the truncated Bessel power-series remainder, which only the
+tests call (to check the truncation K of `_moments.bessel_K_for`).
 
 All functions accept floats or numpy arrays and are pure.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import lgamma, pi
 
 import numpy as np
@@ -48,48 +57,43 @@ _QQ0 = np.array([  # monic: Cephes' p1evl leaves the leading 1.0 implicit
     2.42005740240291393179e2])
 
 
-def _j0_ysum(x):
-    """Ascending series of J0(x) and of ysum = sum_k (-1)^{k+1} H_k q^k/(k!)^2,
-    q = (x/2)^2, the log-free part of Y0, along the last axis of x.  Each row
-    (index into the leading axes) stops on its own once all of its terms are
-    below 1e-18, so no row's values depend on another row."""
-    q = (x / 2.0) ** 2
-    term = np.ones_like(x)
-    j0 = np.ones_like(x)
-    ysum = np.zeros_like(x)
-    hk = 0.0
-    for k in range(1, 40):
-        term = term * (-q) / (k * k)
-        j0 = j0 + term
-        hk += 1.0 / k
-        ysum = ysum - term * hk  # (-1)^{k+1} H_k q^k/(k!)^2
-        done = np.all(np.abs(term) * (hk + 1.0) <= 1e-18, axis=-1)
-        if np.all(done):
-            break
-        term[done] = 0.0  # a stopped row adds signed zeros from here on: its sums stay put
-    return j0, ysum
+# Coefficients a_k of the ascending series sum_k a_k (-q)^k/(k!)^2, q = (x/2)^2:
+# ones give J0, the harmonic numbers H_k = 1 + 1/2 + ... + 1/k give minus the
+# log-free part of Y0.
+_ONES = (1.0,) * 40
+_HARMONIC = (0.0, *accumulate(1.0 / k for k in range(1, 40)))
 
 
 def _series_terms(q: float) -> int:
-    """The last index k of the ascending J0 series at (x/2)^2 = q that
-    `_j0_ysum` adds: the first whose term times (H_k + 1) is below 1e-18."""
-    term, hk = 1.0, 0.0
+    """The last index k of the ascending series at (x/2)^2 = q that `_series`
+    adds: the first whose J0 term times (H_k + 1) is below 1e-18."""
+    term = 1.0
     for k in range(1, 40):
         term *= q / (k * k)
-        hk += 1.0 / k
-        if term * (hk + 1.0) <= 1e-18:
+        if term * (_HARMONIC[k] + 1.0) <= 1e-18:
             break
     return k
 
 
-def _series_j0_y0(x):
-    """Ascending series for J0 and Y0, x in [0, 5]."""
-    x = np.asarray(x, dtype=float)
-    j0, ysum = _j0_ysum(x)
-    with np.errstate(divide="ignore"):
-        lx = np.log(np.where(x > 0, x, 1.0) / 2.0)
-    y0 = (2.0 / pi) * ((lx + EULER_GAMMA) * j0 + ysum)
-    return j0, y0
+def _series(x, small, *coefs):
+    """The ascending series sum_k a_k (-q)^k/(k!)^2, q = (x/2)^2, for each
+    coefficient sequence a, by Horner's rule along the last axis of x; the
+    entries outside `small` enter as zeros.  Each row (index into the leading
+    axes) starts at the term that `_series_terms` gives at its largest entry."""
+    quarter = (np.where(small, x, 0.0) / 2.0) ** 2
+    terms = np.array([_series_terms(q) for q in
+                      quarter.max(axis=-1, initial=0.0).ravel().tolist()]).reshape(x.shape[:-1])
+    top = int(terms.max(initial=0))
+    sums = []
+    for a in coefs:
+        acc = np.full_like(quarter, a[top])
+        for k in range(top, 0, -1):
+            acc *= quarter
+            acc /= k * k
+            np.subtract(a[k - 1], acc, out=acc)
+            acc[terms < k] = a[k - 1]  # a row starts at its own last term
+        sums.append(acc)
+    return sums
 
 
 def _asym_j0_y0(x):
@@ -103,35 +107,12 @@ def _asym_j0_y0(x):
     return amp * (p * cn - w * q * sn), amp * (p * sn + w * q * cn)
 
 
-def _j0_y0(x):
-    x = np.asarray(x, dtype=float)
-    j = np.empty_like(x)
-    y = np.empty_like(x)
-    lo = x < _SERIES_CUTOFF
-    if np.any(lo):
-        j[lo], y[lo] = _series_j0_y0(x[lo])
-    hi = ~lo
-    if np.any(hi):
-        j[hi], y[hi] = _asym_j0_y0(x[hi])
-    return j, y
-
-
 def bessel_j0_rows(x):
-    """J0(x) for x >= 0.  Below the series cutoff the ascending series runs
-    by Horner's rule to the terms `_j0_ysum` adds at the largest entry of a
-    row (index into the leading axes), so each row's values are bitwise
-    those of a call with that row alone."""
+    """J0(x) for x >= 0; each row's values are bitwise those of a call with
+    that row alone."""
     x = np.asarray(x, dtype=float)
     small = x < _SERIES_CUTOFF
-    quarter = (np.where(small, x, 0.0) / 2.0) ** 2  # entries past the cutoff enter as zeros
-    terms = np.array([_series_terms(q) for q in
-                      quarter.max(axis=-1, initial=0.0).ravel().tolist()]).reshape(x.shape[:-1])
-    j0 = np.ones_like(quarter)
-    for k in range(int(terms.max(initial=0)), 0, -1):
-        j0 *= quarter
-        j0 /= k * k
-        np.subtract(1.0, j0, out=j0)
-        j0[terms < k] = 1.0  # a row starts at its own last term
+    j0, = _series(x, small, _ONES)
     big = ~small
     if np.any(big):
         j0[big] = _asym_j0_y0(x[big])[0]
@@ -143,11 +124,17 @@ def _scalar_like(value, x):
 
 
 def hankel1_0(x):
-    """H0^(1)(x) = J0(x) + i Y0(x) for x > 0 (NaN is rejected too)."""
-    xa = np.asarray(x, dtype=float)
+    """H0^(1)(x) = J0(x) + i Y0(x) for x > 0 (NaN is rejected too), by rows
+    as in `bessel_j0_rows`: its real part is bitwise that function's J0."""
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(xa > 0.0):
         raise ValidationError("hankel1_0", "argument must be > 0")
-    j, y = _j0_y0(xa)
+    small = xa < _SERIES_CUTOFF
+    j, h = _series(xa, small, _ONES, _HARMONIC)
+    y = (2.0 / pi) * ((np.log(xa / 2.0) + EULER_GAMMA) * j - h)
+    big = ~small
+    if np.any(big):
+        j[big], y[big] = _asym_j0_y0(xa[big])
     return _scalar_like(j + 1j * y, x)
 
 
@@ -161,8 +148,8 @@ def regularized_kernel_abs(d, c):
     ascending series (no cancellation against the log; at d = 0 the series
     is the closed-form limit 1 + (2i/pi)(gamma + ln(c/2))), above that the
     two terms are evaluated separately, which is safe since ln d is O(1) there.
-    The series runs one row per scale with its own stop rule, so the values
-    of each scale are bitwise those of a call with that scale alone.
+    The series runs one row per scale, so the values of each scale are
+    bitwise those of a call with that scale alone.
     """
     c = np.asarray(c, dtype=float)
     if not np.all(c > 0.0):
@@ -175,12 +162,10 @@ def regularized_kernel_abs(d, c):
     out = np.empty(z.shape, dtype=complex)
     small = z <= 8.0
     if np.any(small):
-        # the entries past 8 enter the series as zeros, whose terms vanish, so
-        # each scale's stop rule reads its own entries up to 8 only
-        j0, hsum = _j0_ysum(np.where(small, z, 0.0).reshape(c.size, -1))
-        j0, hsum = j0.reshape(z.shape), hsum.reshape(z.shape)
+        j0, h = (s.reshape(z.shape) for s in _series(z.reshape(c.size, -1),
+                                                     small.reshape(c.size, -1), _ONES, _HARMONIC))
         lim = 1.0 + (2j / pi) * (EULER_GAMMA + np.log(cs / 2.0))
-        out[small] = (j0 * lim + (2j / pi) * hsum)[small]
+        out[small] = (j0 * lim - (2j / pi) * h)[small]
     big = ~small
     if np.any(big):
         j, y = _asym_j0_y0(z[big])

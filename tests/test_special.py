@@ -13,7 +13,8 @@ import mpmath as mp
 
 from cavityscat import special
 from cavityscat.errors import ValidationError
-from cavityscat.special import hankel1_0, j0_series_remainder, regularized_kernel_abs
+from cavityscat.special import (bessel_j0_rows, hankel1_0, j0_series_remainder,
+                                regularized_kernel_abs)
 
 # mpmath dps=30
 H10_AT_1 = 0.765197686557966551449717526103 + 0.0882569642156769579829267660235j
@@ -59,6 +60,41 @@ def test_accuracy_against_mpmath_sweep():
                 else:
                     # near a zero: absolute accuracy at the envelope scale
                     assert abs(got - want) <= 1e-13 * amp, (name, x, got, want)
+
+
+# rows whose largest entries below the series cutoff need different term
+# counts: 0.01, 0.7, the first zero of J0 (where a term added after the row's
+# own stop would show in the last bits), 4.99, and a row that crosses x = 5
+_ROWS = np.array([np.linspace(1e-3, 0.01, 9), np.linspace(0.1, 0.7, 9),
+                  np.linspace(0.5, J0_ZERO1, 9), np.linspace(1.0, 4.99, 9),
+                  np.linspace(3.0, 12.0, 9)])
+
+
+def test_hankel_real_part_is_j0_by_rows():
+    # one ascending series: H0's J0 is the J0 of the log part's rows, bitwise
+    assert np.array_equal(hankel1_0(_ROWS).real, bessel_j0_rows(_ROWS))
+    assert np.array_equal(hankel1_0(_ROWS[2]).real, bessel_j0_rows(_ROWS[2]))
+
+
+def test_hankel_rows_are_their_own_calls():
+    stack = hankel1_0(_ROWS)
+    assert stack.shape == _ROWS.shape
+    for row, got in zip(_ROWS, stack):
+        assert np.array_equal(got, hankel1_0(row))
+    assert np.array_equal(hankel1_0(_ROWS.reshape(5, 3, 3)).reshape(_ROWS.shape), stack)
+
+
+@pytest.mark.parametrize("c,d", [(1.0, 8.0), (2.0, 4.0)])
+def test_regularized_kernel_at_the_series_edge(c, d):
+    # the series branch includes c*d = 8; it and the branch above agree with
+    # mpmath at 8 and one ulp either side (c*d is exact for these c), to an
+    # absolute 1e-13: at 8 the series' largest terms are ~2e2, the value ~0.2
+    with mp.workdps(30):
+        for dd in (np.nextafter(d, 0.0), d, np.nextafter(d, np.inf)):
+            z = mp.mpf(c) * mp.mpf(dd)
+            want = complex(mp.hankel1(0, z) - 2j / mp.pi * mp.besselj(0, z) * mp.log(dd))
+            got = complex(regularized_kernel_abs(dd, c))
+            assert abs(got - want) <= 1e-13, (c, dd, got, want)
 
 
 def test_kernel_scale_validation():
