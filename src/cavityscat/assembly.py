@@ -17,7 +17,7 @@ import numpy as np
 from .errors import SingularSystemError, ValidationError
 from .modal import ModalTables, build_modal_tables, mode_norms, mode_numbers
 from .model import Cavity, ProblemSpec
-from .quadrature import SingularBlockCache, cross_block_matrix
+from .quadrature import SingularBlockCache, _cross_grid, cross_block_matrix
 
 RCOND_WARN = 1e-14
 
@@ -241,6 +241,21 @@ def solve(spec: ProblemSpec):
     tables = build_modal_tables(spec)
     solution = solve_system(build_system(spec, tables))
     return tables, solution
+
+
+def sweep_entries(spec: ProblemSpec) -> int:
+    """The complex entries one wavenumber of `solve_sweep` stacks: the cross
+    kernel at the distinct separations of each cavity pair, the offset
+    kernel of each distinct singular block (one per aperture width, to the
+    15 digits the block cache keys) and the kernel matrices of the system,
+    one per kind."""
+    q = spec.quad
+    seps = sum(len(_cross_grid(a.a, a.b, b.a, b.b, q.panels, q.points_per_panel)[4])
+               for a, b in itertools.combinations(spec.cavities, 2))
+    widths = {f"{cav.w:.15g}" for cav in spec.cavities}
+    size = ModeLayout(spec.polarization, spec.N, spec.K).size
+    kinds = 2 if spec.polarization == "TM" else 1
+    return seps + len(widths) * q.panels * q.points_per_panel ** 2 + kinds * size * size
 
 
 def solve_sweep(spec: ProblemSpec, kappa0):

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import assembly, postprocess
+from . import assembly, postprocess, quadrature
 from .errors import (CavityScatError, ConnectionResonanceError, ModalResonanceError,
                      SingularSystemError, ValidationError)
 from .model import load_spec, spec_to_dict, validate
@@ -126,13 +126,6 @@ def cmd_rcs(spec, args, out: Path) -> Run:
 # the failures that leave one wavenumber's row NaN instead of ending the sweep
 _WAVENUMBER_FAILURES = (ModalResonanceError, ConnectionResonanceError, SingularSystemError)
 
-# The most kernel entries a chunk of `enhance` wavenumbers stacks, counting
-# nodes^2 per wavenumber (the most distinct separations a cross block can
-# have): eight wavenumbers for grids of 96 nodes (24 panels of 4 points), one
-# from 193 nodes on.
-GRID_ENTRIES = 8 * 96 * 96
-
-
 def _enhance_rows(spec, kappa0, cavs) -> np.ndarray:
     """rcond, backward error, then Q_E per cavity: one row per wavenumber kappa0."""
     tables, sols = assembly.solve_sweep(spec, kappa0)
@@ -151,9 +144,12 @@ def cmd_enhance(spec, args, out: Path) -> Run:
     failed = []
     # the spec at the sweep's largest kappa0: past the aperture bound, exit before any solve
     validate(replace(spec, wave=replace(spec.wave, kappa0=float(kappas.max()))))
-    # chunks of wavenumbers whose stacked kernel values fit GRID_ENTRIES
-    nodes = spec.quad.panels * spec.quad.points_per_panel
-    chunk = max(1, GRID_ENTRIES // (nodes * nodes))
+    # chunks of wavenumbers whose stacked values fit quadrature.STACK_ENTRIES,
+    # cut to a multiple of eight where eight fit: the last product of Q_E runs
+    # over the rows of a chunk, and BLAS may round a row by its place in a
+    # group of four, so every multiple of eight gives a row the same bits
+    chunk = quadrature.stack_length(assembly.sweep_entries(spec))
+    chunk -= chunk % 8 if chunk >= 8 else 0
     for start in range(0, len(kappas), chunk):
         parts = [range(start, min(start + chunk, len(kappas)))]
         while parts:

@@ -192,7 +192,8 @@ def dense_tridiag_check(cavity, polarization: str, n, kappa0: float | None = Non
 def fd_interior_check(spec: ProblemSpec, tables, solution,
                       steps=(1e-2, 5e-3, 2.5e-3), points_per_layer: int = 20) -> OracleReport:
     """Central-difference Helmholtz residual of the reconstructed field at
-    random interior points; reports the observed order across the step ladder."""
+    random interior points; reports the order observed across the step ladder
+    (from the production field) against the stencil's order 2."""
     from .postprocess import _field_points
     rng = np.random.default_rng(7)
     margin = 2.05 * max(steps)
@@ -229,7 +230,7 @@ def fd_interior_check(spec: ProblemSpec, tables, solution,
         return OracleReport(f"fd/{spec.polarization}", complex(2.0), complex(2.0), 0.0, 0.0,
                             grid=grid, extra={"norms": norms, "exact": True})
     order = float(np.polyfit(np.log(hs[pos]), np.log(res[pos]), 1)[0])
-    return OracleReport(f"fd/{spec.polarization}", complex(order), complex(2.0),
+    return OracleReport(f"fd/{spec.polarization}", complex(2.0), complex(order),
                         abs(order - 2.0), abs(order - 2.0) / 2.0,
                         grid=grid, extra={"norms": norms})
 
@@ -431,6 +432,6 @@ def validation_reports(profile: dict) -> list[OracleReport]:
             N=10, quad=QuadratureConfig(panels=32)))
         tables, sol = assembly.solve(spec)
         rep = fd_interior_check(spec, tables, sol, points_per_layer=8)
-        rep.converged = rep.oracle_value.real >= profile["fd_order_min"]
+        rep.converged = rep.production_value.real >= profile["fd_order_min"]
         reports.append(rep)
     return reports

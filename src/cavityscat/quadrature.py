@@ -23,9 +23,9 @@ trig(m s/2) is a sum of e^{+-i m s/2}, geometric in the panel index, so the
 tensor sum folds over the panels into geometric series, and one length-2P
 transform of the P offset blocks per scale gives every mode pair
 (`_PanelFold`).  An
-array of scales (a sweep) takes the kernel and the log part in one call
-each, and TM's sin and cos blocks share the kernel, the transforms and the
-1-D sums of the log part.
+array of scales (a sweep) takes the kernel, the fold and the log part in
+one call each per slab of scales (`STACK_ENTRIES`), and TM's sin and cos
+blocks share the kernel, the transforms and the 1-D sums of the log part.
 
 Off-diagonal (cross-cavity) blocks have a smooth kernel and use plain tensor
 Gauss with panels graded toward the facing edges when the gap is small.  The
@@ -46,6 +46,23 @@ from .errors import ValidationError
 from .model import MAX_APERTURE_SCALE, Cavity, QuadratureConfig
 
 TWO_PI = 2.0 * pi
+
+# The most complex entries (0.75 MiB) a stack of sweep values lays out at
+# once.  A chunk of `enhance` wavenumbers counts `assembly.sweep_entries` per
+# wavenumber: 1,336 for two equal apertures of 24 x 4 points and N = 8 (628
+# cross separations, one 384-entry offset kernel, an 18 x 18 system), so 36
+# fit.  A slab of a singular block's scales counts its fold's transform
+# sequences and transforms per scale (3,072 there).  Unequal, graded
+# apertures have about nodes^2 separations, so their chunks hold fewer
+# wavenumbers than the 8 x 96^2 / nodes^2 of a count of full grids.
+STACK_ENTRIES = 48 * 1024
+
+
+def stack_length(per_item: int) -> int:
+    """The items of per_item complex entries each that fit STACK_ENTRIES
+    (at least one)."""
+    return max(1, STACK_ENTRIES // per_item)
+
 
 @dataclass(frozen=True)
 class GaussRule:
@@ -182,10 +199,11 @@ class _PanelFold:
         hi, hj = np.nonzero(np.take(bin_of, self.kk))
         self.exact = (hi, hj, bin_of[self.kk[hi, hj]])
 
-    def __call__(self, per_offset: np.ndarray, kinds) -> np.ndarray:
+    def __call__(self, per_offset: np.ndarray, kinds, out=None) -> np.ndarray:
         """The kernel pass of each kind, (kinds, scales, M, N), from the blocks
-        per_offset[scale, D] = K_D, D = 0..panels-1.  No sum mixes scales,
-        so a scale's matrices are bitwise what they are alone."""
+        per_offset[scale, D] = K_D, D = 0..panels-1, written into out when
+        given.  No sum mixes scales, so a scale's matrices are bitwise what
+        they are alone."""
         S, U, V, jm = len(per_offset), self.U, self.V, self.jm
         panels, (M, N) = self.panels, self.shape
         # seq[s, i, a, b, E]: K_E[a, b] for E < panels, K_D[b, a] at E = 2 panels - D
@@ -216,7 +234,8 @@ class _PanelFold:
         X[:, hi, hj] = summed
         X = X.reshape(S, 2, M, 2, N)  # scale, sigma, m, rho, n
         # cos: the sum of the four; sin: minus the sum weighted by sigma rho
-        out = np.empty((len(kinds), S, M, N), dtype=complex)
+        if out is None:
+            out = np.empty((len(kinds), S, M, N), dtype=complex)
         for o, kind in zip(out, kinds):
             if kind == "cos":
                 np.add(X[:, 0, :, 0], X[:, 1, :, 0], out=o)
@@ -405,9 +424,11 @@ def singular_block_matrix(modes_m, modes_n, c, kind, cfg: QuadratureConfig) -> n
     """All blocks [m, n] for the given mode lists at kernel scale c; an array
     of scales gives one matrix per scale, stacked along its leading axes,
     and a tuple of kinds one such stack per kind along a new leading axis.
-    The kernel, the panel fold and the log part take every scale and kind in
-    one call; no sum mixes scales, so a scale's matrix does not depend on the
-    others, and the kinds share the transforms of the fold."""
+    The kernel, the panel fold and the log part take a slab of scales and
+    every kind in one call, the slabs as many scales as their fold's
+    transforms fit STACK_ENTRIES; no sum mixes scales, so a scale's matrix
+    does not depend on the others, and the kinds share the transforms of
+    the fold."""
     c = np.asarray(c, dtype=float)
     if not np.all((c > 0.0) & (c <= MAX_APERTURE_SCALE)):  # NaN too, before any work
         raise ValidationError("c", f"aperture scale kappa0*w/(2 pi) must be positive and "
@@ -415,13 +436,23 @@ def singular_block_matrix(modes_m, modes_n, c, kind, cfg: QuadratureConfig) -> n
     pts, _ = composite_nodes(0.0, TWO_PI, cfg.panels, gauss_rule(cfg.points_per_panel))
     modes_m = tuple(int(m) for m in modes_m)
     modes_n = tuple(int(n) for n in modes_n)
-    kern = _offset_kernel(c, pts, cfg.panels)
     kinds = _kinds(kind)
     fold = _panel_fold(cfg.panels, cfg.points_per_panel, modes_m, modes_n)
-    out = fold(kern.reshape((c.size,) + kern.shape[c.ndim:]), kinds)
-    out = out.reshape((len(kinds),) + c.shape + out.shape[-2:])
-    out += log_part_matrix(kinds, modes_m, modes_n, c)
-    return _as_asked(kind, out)
+    scales = c.ravel()
+    # the fold lays out (1 + exact bins) q x q sequences of length 2 panels
+    # per scale, and their transforms
+    step = stack_length(2 * fold.weights.size * cfg.points_per_panel ** 2)
+    # slabs write into one output; a single slab takes the fold's own, laid
+    # out once its transforms are freed
+    out = (np.empty((len(kinds), scales.size) + fold.shape, dtype=complex)
+           if scales.size > step else None)
+    for start in range(0, scales.size, step):
+        part = slice(start, start + step)
+        block = fold(_offset_kernel(scales[part], pts, cfg.panels), kinds,
+                     None if out is None else out[:, part])
+        block += log_part_matrix(kinds, modes_m, modes_n, scales[part])
+    out = block if out is None else out
+    return _as_asked(kind, out.reshape((len(kinds),) + c.shape + fold.shape))
 
 
 def singular_block(m: int, n: int, c: float, kind: str, cfg: QuadratureConfig) -> complex:

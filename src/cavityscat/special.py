@@ -80,7 +80,9 @@ def _series(x, small, *coefs):
     coefficient sequence a, by Horner's rule along the last axis of x; the
     entries outside `small` enter as zeros.  Each row (index into the leading
     axes) starts at the term that `_series_terms` gives at its largest entry."""
-    quarter = (np.where(small, x, 0.0) / 2.0) ** 2
+    quarter = np.where(small, x, 0.0)
+    quarter /= 2.0
+    quarter *= quarter
     terms = np.array([_series_terms(q) for q in
                       quarter.max(axis=-1, initial=0.0).ravel().tolist()]).reshape(x.shape[:-1])
     top = int(terms.max(initial=0))
@@ -131,11 +133,18 @@ def hankel1_0(x):
         raise ValidationError("hankel1_0", "argument must be > 0")
     small = xa < _SERIES_CUTOFF
     j, h = _series(xa, small, _ONES, _HARMONIC)
-    y = (2.0 / pi) * ((np.log(xa / 2.0) + EULER_GAMMA) * j - h)
+    # Y0 = (2/pi) ((ln(x/2) + gamma) J0 - h), formed in place
+    y = np.log(xa / 2.0)
+    y += EULER_GAMMA
+    y *= j
+    y -= h
+    y *= 2.0 / pi
     big = ~small
     if np.any(big):
         j[big], y[big] = _asym_j0_y0(xa[big])
-    return _scalar_like(j + 1j * y, x)
+    out = np.empty(xa.shape, dtype=complex)
+    out.real, out.imag = j, y
+    return _scalar_like(out, x)
 
 
 def regularized_kernel_abs(d, c):
@@ -162,14 +171,20 @@ def regularized_kernel_abs(d, c):
     out = np.empty(z.shape, dtype=complex)
     small = z <= 8.0
     if np.any(small):
+        # J0 lim - (2i/pi) h with lim = 1 + (2i/pi)(gamma + ln(c/2)), one
+        # half at a time (the other entries are set below); the halves take
+        # only products and differences, rounded alike at any stride
         j0, h = (s.reshape(z.shape) for s in _series(z.reshape(c.size, -1),
                                                      small.reshape(c.size, -1), _ONES, _HARMONIC))
-        lim = 1.0 + (2j / pi) * (EULER_GAMMA + np.log(cs / 2.0))
-        out[small] = (j0 * lim - (2j / pi) * h)[small]
+        out.real = j0
+        np.multiply(j0, (2.0 / pi) * (EULER_GAMMA + np.log(cs / 2.0)), out=out.imag)
+        h *= 2.0 / pi
+        out.imag -= h
     big = ~small
     if np.any(big):
         j, y = _asym_j0_y0(z[big])
-        out[big] = j + 1j * y - (2j / pi) * j * np.log(np.broadcast_to(d, z.shape)[big])
+        y -= (2.0 / pi) * j * np.log(np.broadcast_to(d, z.shape)[big])
+        out.real[big], out.imag[big] = j, y
     return out
 
 

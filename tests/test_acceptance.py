@@ -198,7 +198,7 @@ def test_criterion_6_pde_and_boundary_fidelity(tm_two_layer, te_two_layer):
         spec = two_layer_spec(pol, N=10)
         tab, sol = cs.solve(spec)
         orders.append(oracle.fd_interior_check(spec, tab, sol, points_per_layer=8)
-                      .oracle_value.real)
+                      .production_value.real)
 
     xs = np.linspace(-0.45, 0.45, 9)
     scale = max(abs(field_at(spec_tm, tab_tm, sol_tm, float(x), -0.4)) for x in xs)

@@ -124,6 +124,60 @@ def test_regularized_kernel_over_an_array_of_scales():
     assert exc.value.field == "c"
 
 
+def _former_hankel1_0(x):
+    """H0 as J0 + 1j Y0 of the series and asymptotic pieces, the expression
+    that formed the complex output before it was written in place."""
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    small = xa < 5.0
+    j, h = special._series(xa, small, special._ONES, special._HARMONIC)
+    y = (2.0 / pi) * ((np.log(xa / 2.0) + special.EULER_GAMMA) * j - h)
+    big = ~small
+    if np.any(big):
+        j[big], y[big] = special._asym_j0_y0(xa[big])
+    return (j + 1j * y).reshape(np.shape(x))
+
+
+def _former_regularized_kernel_abs(d, c):
+    """The kernel as J0 lim - (2i/pi) h below c d = 8 and J0 + i Y0 -
+    (2i/pi) J0 ln d above, complex expressions then masked."""
+    c, d = np.asarray(c, dtype=float), np.asarray(d, dtype=float)
+    cs = c.reshape(c.shape + (1,) * d.ndim)
+    z = cs * d
+    out = np.empty(z.shape, dtype=complex)
+    small = z <= 8.0
+    j0, h = (s.reshape(z.shape) for s in special._series(
+        z.reshape(c.size, -1), small.reshape(c.size, -1), special._ONES, special._HARMONIC))
+    lim = 1.0 + (2j / pi) * (special.EULER_GAMMA + np.log(cs / 2.0))
+    out[small] = (j0 * lim - (2j / pi) * h)[small]
+    big = ~small
+    if np.any(big):
+        j, y = special._asym_j0_y0(z[big])
+        out[big] = j + 1j * y - (2j / pi) * j * np.log(np.broadcast_to(d, z.shape)[big])
+    return out
+
+
+def _bitwise(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_in_place_kernels_are_bitwise_the_complex_expressions():
+    # the real and imaginary halves written in place hold the bits of the
+    # complex expressions, on both sides of x = 5 (H0) and c d = 8 (kernel):
+    # 0-d and 1-d arguments, and a stack of scales
+    x = np.concatenate((np.linspace(1e-3, 12.0, 397), np.nextafter(5.0, [0.0, 9.0]), [5.0]))
+    for arg in (x, x.reshape(4, -1)[:, :99], np.float64(4.9), np.float64(5.0), 7.5):
+        got = hankel1_0(arg)
+        assert _bitwise(np.asarray(got), _former_hankel1_0(arg)), arg
+    assert isinstance(hankel1_0(7.5), complex)
+    d = np.concatenate(([0.0], np.linspace(0.0, 2 * pi, 300)[1:], np.nextafter(8.0, [0.0, 9.0]),
+                        [8.0]))
+    for dd, c in ((d, 1.0), (d, np.array([0.01, 1.0, 1.3, 2.0, 40.0])),
+                  (d[:-3].reshape(3, 4, -1), np.array([[0.5, 1.4], [3.0, 7.0]])),
+                  (np.float64(8.0), 1.0), (np.float64(3.1), np.array([1.0, 2.0, 3.0]))):
+        assert _bitwise(regularized_kernel_abs(dd, c), _former_regularized_kernel_abs(dd, c)), c
+
+
 def test_regularized_kernel_diagonal_limit():
     # limit 1 + (2i/pi) gamma + (2i/pi) ln(c/2) with c = kappa0 w/(2 pi)
     for c in (0.25, 1.0, 4.0):

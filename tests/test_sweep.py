@@ -2,7 +2,9 @@
 kernel matrices and Q_E against the single-spec path, the cross kernel from
 its distinct separations, and the resonance checks over a leading axis."""
 
+import json
 import math
+import tracemalloc
 from dataclasses import replace
 from math import pi
 
@@ -220,11 +222,8 @@ def test_connection_resonance_over_a_leading_axis_names_smallest_mode():
     assert (exc.value.mode, exc.value.cavity) == (2, 1)
 
 
-def test_enhance_sweep_chunks_of_the_grid_budget(tmp_path, monkeypatch):
-    # 24 panels of 4 points: eight wavenumbers per stacked solve, the last
-    # chunk holds the remainder; every wavenumber is solved exactly once
-    spec_path = tmp_path / "spec.json"
-    cs.save_spec(_enhance_pair_spec(), spec_path)
+def _recorded_chunks(monkeypatch) -> list:
+    """The wavenumbers of every `solve_sweep` call, in order."""
     solve_sweep, chunks = assembly.solve_sweep, []
 
     def recorded(spec, kappa0):
@@ -232,7 +231,143 @@ def test_enhance_sweep_chunks_of_the_grid_budget(tmp_path, monkeypatch):
         return solve_sweep(spec, kappa0)
 
     monkeypatch.setattr(assembly, "solve_sweep", recorded)
-    assert cli.main(["enhance", "--spec", str(spec_path), "--out", str(tmp_path / "out"),
-                     "--kappa-min", "1.35", "--kappa-max", "1.62", "--kappa-steps", "10"]) == 0
-    assert [len(c) for c in chunks] == [8, 2]
-    assert [k for c in chunks for k in c] == list(np.linspace(1.35, 1.62, 10))
+    return chunks
+
+
+def _enhance(tmp_path, spec_path, name: str, kappa_min: float, kappa_max: float, steps: int):
+    """The CSV bytes and the manifest, without its wall time, of a CLI sweep."""
+    out = tmp_path / name
+    assert cli.main(["enhance", "--spec", str(spec_path), "--out", str(out),
+                     "--kappa-min", repr(kappa_min), "--kappa-max", repr(kappa_max),
+                     "--kappa-steps", str(steps)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest.pop("wall_time_s") > 0.0
+    return (out / "enhancement.csv").read_bytes(), manifest
+
+
+def test_enhance_sweep_chunks_of_the_grid_budget(tmp_path, monkeypatch):
+    # 24 panels of 4 points on two equal apertures: a wavenumber stacks the
+    # 628 distinct cross separations, one 384-entry offset kernel (the second
+    # cavity's block is the first one's) and the 18 x 18 system, so 36 fit
+    # STACK_ENTRIES and a chunk takes 32, a multiple of eight; the last chunk
+    # holds the remainder, and every wavenumber is solved exactly once
+    spec = _enhance_pair_spec()
+    a, b = spec.cavities
+    seps = quadrature._cross_grid(a.a, a.b, b.a, b.b, 24, 4)[4]
+    assert len(seps) == 628
+    assert assembly.sweep_entries(spec) == 628 + 24 * 4 * 4 + 18 * 18
+    assert quadrature.stack_length(assembly.sweep_entries(spec)) == 36
+    spec_path = tmp_path / "spec.json"
+    cs.save_spec(spec, spec_path)
+    chunks = _recorded_chunks(monkeypatch)
+    _enhance(tmp_path, spec_path, "out", 1.35, 1.62, 40)
+    assert [len(c) for c in chunks] == [32, 8]
+    assert [k for c in chunks for k in c] == list(np.linspace(1.35, 1.62, 40))
+
+
+def _graded_three_cavities():
+    """Three TE cavities of unequal widths, 64 panels of 4 points, gaps of
+    0.001 and 0.002: the facing panels are graded down to the gaps."""
+    lay = (cs.Layer(0.0, -0.5, 1.0 + 0j),)
+    return cs.validate(cs.ProblemSpec(
+        wave=cs.IncidentWave(2.0, pi / 7), polarization="TE",
+        cavities=(cs.Cavity(-0.6, -0.1, lay), cs.Cavity(-0.099, 0.2, lay),
+                  cs.Cavity(0.202, 0.6, lay)),
+        N=4, quad=QuadratureConfig(panels=64)))
+
+
+def test_graded_unequal_grids_stack_one_wavenumber(tmp_path, monkeypatch):
+    # the separations of unequal apertures are all distinct: the 256^2 of a
+    # uniform pair of grids, more where the facing panels are graded, so
+    # one wavenumber fills STACK_ENTRIES, no more than the 8 x 96^2 / nodes^2
+    # of a count of full grids: the sweep runs one wavenumber per chunk
+    spec = _graded_three_cavities()
+    for (a, b), nodes in (((0, 1), 264), ((0, 2), 256), ((1, 2), 260)):
+        ca, cb = spec.cavities[a], spec.cavities[b]
+        xk, _, yj, _, seps, _ = quadrature._cross_grid(ca.a, ca.b, cb.a, cb.b, 64, 4)
+        assert len(xk) == len(yj) == nodes and len(seps) == nodes * nodes
+    assert assembly.sweep_entries(spec) > quadrature.STACK_ENTRIES
+    spec_path = tmp_path / "spec.json"
+    cs.save_spec(spec, spec_path)
+    chunks = _recorded_chunks(monkeypatch)
+    _enhance(tmp_path, spec_path, "out", 1.5, 1.6, 3)
+    assert [len(c) for c in chunks] == [1, 1, 1]
+
+
+def test_enhance_chunk_memory_is_bounded():
+    # one chunk of enhance_pair's sweep, after a first chunk has filled the
+    # memoised rules: 32 wavenumbers stack 1.23 MiB with the singular blocks
+    # in two slabs of 16 scales, whose fold transforms take 0.75 MiB, and
+    # 2.0 MiB in one slab (numpy 2.4); a chunk of eight took 0.58 MiB when
+    # chunks counted nodes^2 entries per wavenumber
+    spec = _enhance_pair_spec()
+    kappas = np.linspace(1.35, 1.62, 361)
+    chunk = quadrature.stack_length(assembly.sweep_entries(spec)) // 8 * 8
+    assert chunk == 32
+    cli._enhance_rows(spec, kappas[:chunk], [0, 1])
+    tracemalloc.start()
+    try:
+        rows = cli._enhance_rows(spec, kappas[96:96 + chunk], [0, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (chunk, 4) and np.all(np.isfinite(rows))
+    assert peak <= 1.4 * 2 ** 20, peak / 2 ** 20
+
+
+def test_enhance_outputs_do_not_depend_on_the_chunk_length(tmp_path, monkeypatch):
+    # enhance_pair's grid over 40 wavenumbers: the default chunks (32 and 8)
+    # and chunks of 8 or 16 write the same bytes, and the same manifest but
+    # for the wall time.  One wavenumber per chunk gives the same manifest,
+    # each row's rcond and backward error being its own factorization's, but
+    # Q_E only to roundoff: its last product, a matrix-vector product over a
+    # chunk's rows, is rounded by BLAS per group of four rows
+    spec_path = tmp_path / "spec.json"
+    cs.save_spec(_enhance_pair_spec(), spec_path)
+    entries = assembly.sweep_entries(_enhance_pair_spec())
+    csv, manifest = _enhance(tmp_path, spec_path, "default", 1.35, 1.62, 40)
+    for length in (8, 16):
+        monkeypatch.setattr(quadrature, "STACK_ENTRIES", length * entries)
+        assert _enhance(tmp_path, spec_path, f"chunks{length}", 1.35, 1.62, 40) == (csv,
+                                                                                    manifest)
+    monkeypatch.setattr(quadrature, "STACK_ENTRIES", 1)
+    chunks = _recorded_chunks(monkeypatch)
+    one_csv, one_manifest = _enhance(tmp_path, spec_path, "one", 1.35, 1.62, 40)
+    assert [len(c) for c in chunks] == [1] * 40
+    assert one_manifest == manifest
+    rows = np.loadtxt(csv.decode().splitlines()[1:], delimiter=",")
+    one_rows = np.loadtxt(one_csv.decode().splitlines()[1:], delimiter=",")
+    assert np.array_equal(rows[:, 0], one_rows[:, 0])
+    assert np.max(np.abs(one_rows - rows) / np.abs(rows)) <= 1e-15
+
+
+def _resonant_single_cavity():
+    """One TE cavity of depth 1 filled with kappa = kappa0: swept, mode 0
+    resonates at kappa0 = pi (beta = pi)."""
+    return cs.validate(cs.ProblemSpec(
+        wave=cs.IncidentWave(1.5, 0.0), polarization="TE",
+        cavities=(cs.Cavity(-0.025, 0.025, (cs.Layer(0.0, -1.0, 1.5 + 0j),)),),
+        N=4, quad=QuadratureConfig(panels=12)))
+
+
+def test_resonance_inside_a_large_chunk_costs_only_its_row(tmp_path, monkeypatch):
+    # 41 wavenumbers in one chunk with kappa0 = pi at the middle: the chunk
+    # fails and is solved again one wavenumber at a time, so only the
+    # resonant row is NaN, and the CSV is byte for byte that of one
+    # wavenumber per chunk
+    spec = _resonant_single_cavity()
+    assert quadrature.stack_length(assembly.sweep_entries(spec)) >= 41
+    spec_path = tmp_path / "spec.json"
+    cs.save_spec(spec, spec_path)
+    kappa_max = 2 * pi - 3.0
+    assert np.linspace(3.0, kappa_max, 41)[20] == pi
+    chunks = _recorded_chunks(monkeypatch)
+    csv, manifest = _enhance(tmp_path, spec_path, "chunk", 3.0, kappa_max, 41)
+    assert [len(c) for c in chunks] == [41] + [1] * 41
+    rows = [line.split(",") for line in csv.decode().splitlines()[1:]]
+    assert [r[1] == "nan" for r in rows] == [i == 20 for i in range(41)]
+    assert all(np.isfinite(float(r[1])) for i, r in enumerate(rows) if i != 20)
+    assert manifest["diagnostics"]["failed"] == [
+        {"kappa": pi, "error": "modal resonance: mode n=0, layer 0, cavity 0"}]
+    monkeypatch.setattr(quadrature, "STACK_ENTRIES", 1)
+    assert _enhance(tmp_path, spec_path, "one", 3.0, kappa_max, 41) == (csv, manifest)
