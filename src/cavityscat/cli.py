@@ -145,23 +145,21 @@ def cmd_enhance(spec, args, out: Path) -> Run:
     # the spec at the sweep's largest kappa0: past the aperture bound, exit before any solve
     validate(replace(spec, wave=replace(spec.wave, kappa0=float(kappas.max()))))
     # chunks of wavenumbers whose stacked values fit quadrature.STACK_ENTRIES,
-    # cut to a multiple of eight where eight fit: the last product of Q_E runs
-    # over the rows of a chunk, and BLAS may round a row by its place in a
-    # group of four, so every multiple of eight gives a row the same bits
+    # kept as a stack (first chunk on top); a row is the same in any chunk,
+    # so a chunk that fails is solved again as its two halves
     chunk = quadrature.stack_length(assembly.sweep_entries(spec))
-    chunk -= chunk % 8 if chunk >= 8 else 0
-    for start in range(0, len(kappas), chunk):
-        parts = [range(start, min(start + chunk, len(kappas)))]
-        while parts:
-            part = parts.pop(0)
-            try:
-                rows[part.start:part.stop] = _enhance_rows(
-                    spec, kappas[part.start:part.stop], cavs)
-            except _WAVENUMBER_FAILURES as exc:
-                if len(part) > 1:  # the chunk again, one wavenumber at a time
-                    parts = [range(i, i + 1) for i in part]
-                else:  # a NaN row and a record in the manifest
-                    failed.append({"kappa": float(kappas[part.start]), "error": str(exc)})
+    parts = [range(start, min(start + chunk, len(kappas)))
+             for start in range(0, len(kappas), chunk)][::-1]
+    while parts:
+        part = parts.pop()
+        try:
+            rows[part.start:part.stop] = _enhance_rows(spec, kappas[part.start:part.stop], cavs)
+        except _WAVENUMBER_FAILURES as exc:
+            if len(part) > 1:
+                half = part.start + len(part) // 2
+                parts += [range(half, part.stop), range(part.start, half)]
+            else:  # a NaN row and a record in the manifest
+                failed.append({"kappa": float(kappas[part.start]), "error": str(exc)})
     rconds = rows[:, 0]
     path = _output(out, "enhancement.csv")
     postprocess.export_enhancement(kappas, dict(zip(cavs, rows[:, 2:].T)), path)

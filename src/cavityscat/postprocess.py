@@ -226,7 +226,8 @@ def enhancement(spec: ProblemSpec, tables: ModalTables, solution, k: int):
     wy = np.concatenate([n[1] for n in nodes])
     layers = np.repeat(np.arange(cav.L), _ENHANCE_PANELS * _ENHANCE_RULE.q)
     modes, prof, _ = _mode_profiles(spec, tables, solution, k, ys, layers)
-    q = np.sqrt((np.abs(prof) ** 2 @ wy) @ mode_norms(modes, cav.w) / (cav.w * cav.depth))
+    # summed over the modes row by row: a wavenumber's Q_E is the same in any chunk
+    q = np.sqrt(((np.abs(prof) ** 2 @ wy) * mode_norms(modes, cav.w)).sum(-1) / (cav.w * cav.depth))
     return float(q) if np.ndim(q) == 0 else q
 
 

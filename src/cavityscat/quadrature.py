@@ -50,11 +50,11 @@ TWO_PI = 2.0 * pi
 # The most complex entries (0.75 MiB) a stack of sweep values lays out at
 # once.  A chunk of `enhance` wavenumbers counts `assembly.sweep_entries` per
 # wavenumber: 1,336 for two equal apertures of 24 x 4 points and N = 8 (628
-# cross separations, one 384-entry offset kernel, an 18 x 18 system), so 36
-# fit.  A slab of a singular block's scales counts its fold's transform
-# sequences and transforms per scale (3,072 there).  Unequal, graded
-# apertures have about nodes^2 separations, so their chunks hold fewer
-# wavenumbers than the 8 x 96^2 / nodes^2 of a count of full grids.
+# cross separations, one 384-entry offset kernel, an 18 x 18 system), so a
+# chunk takes 36.  A slab of a singular block's scales counts its fold's
+# transform sequences and transforms per scale (3,072 there).  Unequal,
+# graded apertures have about nodes^2 separations, so their chunks hold
+# fewer wavenumbers than the 8 x 96^2 / nodes^2 of a count of full grids.
 STACK_ENTRIES = 48 * 1024
 
 

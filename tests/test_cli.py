@@ -164,9 +164,9 @@ def test_enhance_survives_a_failed_wavenumber(tmp_path, monkeypatch, error):
 def test_enhance_resonant_wavenumber_fails_alone(tmp_path, kappa_max, resonant):
     # no injected failure: at kappa0 = pi the layer kappa is pi, so mode 0
     # (beta = pi, depth 1) resonates.  All five wavenumbers form one stacked
-    # chunk; that chunk fails and is solved again one wavenumber at a time,
-    # so only the resonant row is NaN, at the end of the sweep or between
-    # solved neighbours
+    # chunk; that chunk fails and is solved again by halves down to single
+    # wavenumbers, so only the resonant row is NaN, at the end of the sweep
+    # or between solved neighbours
     spec = cs.validate(cs.ProblemSpec(
         wave=cs.IncidentWave(1.5, 0.0), polarization="TE",
         cavities=(cs.Cavity(-0.025, 0.025, (cs.Layer(0.0, -1.0, 1.5 + 0j),)),),

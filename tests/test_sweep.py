@@ -248,9 +248,9 @@ def _enhance(tmp_path, spec_path, name: str, kappa_min: float, kappa_max: float,
 def test_enhance_sweep_chunks_of_the_grid_budget(tmp_path, monkeypatch):
     # 24 panels of 4 points on two equal apertures: a wavenumber stacks the
     # 628 distinct cross separations, one 384-entry offset kernel (the second
-    # cavity's block is the first one's) and the 18 x 18 system, so 36 fit
-    # STACK_ENTRIES and a chunk takes 32, a multiple of eight; the last chunk
-    # holds the remainder, and every wavenumber is solved exactly once
+    # cavity's block is the first one's) and the 18 x 18 system, so a chunk
+    # takes the 36 that fit STACK_ENTRIES; the last chunk holds the
+    # remainder, and every wavenumber is solved exactly once
     spec = _enhance_pair_spec()
     a, b = spec.cavities
     seps = quadrature._cross_grid(a.a, a.b, b.a, b.b, 24, 4)[4]
@@ -261,7 +261,7 @@ def test_enhance_sweep_chunks_of_the_grid_budget(tmp_path, monkeypatch):
     cs.save_spec(spec, spec_path)
     chunks = _recorded_chunks(monkeypatch)
     _enhance(tmp_path, spec_path, "out", 1.35, 1.62, 40)
-    assert [len(c) for c in chunks] == [32, 8]
+    assert [len(c) for c in chunks] == [36, 4]
     assert [k for c in chunks for k in c] == list(np.linspace(1.35, 1.62, 40))
 
 
@@ -296,14 +296,12 @@ def test_graded_unequal_grids_stack_one_wavenumber(tmp_path, monkeypatch):
 
 def test_enhance_chunk_memory_is_bounded():
     # one chunk of enhance_pair's sweep, after a first chunk has filled the
-    # memoised rules: 32 wavenumbers stack 1.23 MiB with the singular blocks
-    # in two slabs of 16 scales, whose fold transforms take 0.75 MiB, and
-    # 2.0 MiB in one slab (numpy 2.4); a chunk of eight took 0.58 MiB when
-    # chunks counted nodes^2 entries per wavenumber
+    # memoised rules: 36 wavenumbers stack 1.38 MiB with the singular blocks
+    # in slabs of 16 scales, whose fold transforms take 0.75 MiB (numpy 2.4)
     spec = _enhance_pair_spec()
     kappas = np.linspace(1.35, 1.62, 361)
-    chunk = quadrature.stack_length(assembly.sweep_entries(spec)) // 8 * 8
-    assert chunk == 32
+    chunk = quadrature.stack_length(assembly.sweep_entries(spec))
+    assert chunk == 36
     cli._enhance_rows(spec, kappas[:chunk], [0, 1])
     tracemalloc.start()
     try:
@@ -316,29 +314,37 @@ def test_enhance_chunk_memory_is_bounded():
 
 
 def test_enhance_outputs_do_not_depend_on_the_chunk_length(tmp_path, monkeypatch):
-    # enhance_pair's grid over 40 wavenumbers: the default chunks (32 and 8)
-    # and chunks of 8 or 16 write the same bytes, and the same manifest but
-    # for the wall time.  One wavenumber per chunk gives the same manifest,
-    # each row's rcond and backward error being its own factorization's, but
-    # Q_E only to roundoff: its last product, a matrix-vector product over a
-    # chunk's rows, is rounded by BLAS per group of four rows
+    # enhance_pair's grid over 40 wavenumbers: the default chunks (36 and 4),
+    # chunks of 8 or 16 and one wavenumber per chunk write the same bytes,
+    # and the same manifest but for the wall time
     spec_path = tmp_path / "spec.json"
     cs.save_spec(_enhance_pair_spec(), spec_path)
     entries = assembly.sweep_entries(_enhance_pair_spec())
     csv, manifest = _enhance(tmp_path, spec_path, "default", 1.35, 1.62, 40)
-    for length in (8, 16):
+    chunks = _recorded_chunks(monkeypatch)
+    for length in (8, 16, 1):
         monkeypatch.setattr(quadrature, "STACK_ENTRIES", length * entries)
+        chunks.clear()
         assert _enhance(tmp_path, spec_path, f"chunks{length}", 1.35, 1.62, 40) == (csv,
                                                                                     manifest)
-    monkeypatch.setattr(quadrature, "STACK_ENTRIES", 1)
-    chunks = _recorded_chunks(monkeypatch)
-    one_csv, one_manifest = _enhance(tmp_path, spec_path, "one", 1.35, 1.62, 40)
-    assert [len(c) for c in chunks] == [1] * 40
-    assert one_manifest == manifest
-    rows = np.loadtxt(csv.decode().splitlines()[1:], delimiter=",")
-    one_rows = np.loadtxt(one_csv.decode().splitlines()[1:], delimiter=",")
-    assert np.array_equal(rows[:, 0], one_rows[:, 0])
-    assert np.max(np.abs(one_rows - rows) / np.abs(rows)) <= 1e-15
+        assert {len(c) for c in chunks[:-1]} == {length}
+
+
+def test_enhance_rows_are_their_own_in_any_chunk():
+    # enhance_pair's 361 wavenumbers in chunks of 1, 3, 8, 32 and 361: every
+    # row, rcond, backward error and Q_E, is bitwise the same, so no chunk
+    # length is special, whatever BLAS kernels sum the modes
+    spec = _enhance_pair_spec()
+    kappas = np.linspace(1.35, 1.62, 361)
+
+    def swept(length):
+        return np.concatenate([cli._enhance_rows(spec, kappas[s:s + length], [0, 1])
+                               for s in range(0, len(kappas), length)])
+
+    rows = swept(1)
+    assert np.all(np.isfinite(rows))
+    for length in (3, 8, 32, 361):
+        assert np.array_equal(swept(length), rows), length
 
 
 def _resonant_single_cavity():
@@ -352,9 +358,9 @@ def _resonant_single_cavity():
 
 def test_resonance_inside_a_large_chunk_costs_only_its_row(tmp_path, monkeypatch):
     # 41 wavenumbers in one chunk with kappa0 = pi at the middle: the chunk
-    # fails and is solved again one wavenumber at a time, so only the
-    # resonant row is NaN, and the CSV is byte for byte that of one
-    # wavenumber per chunk
+    # fails and is solved again by halves down to the resonant wavenumber
+    # (11 stacked solves, not 42), so only its row is NaN, and the CSV is
+    # byte for byte that of one wavenumber per chunk
     spec = _resonant_single_cavity()
     assert quadrature.stack_length(assembly.sweep_entries(spec)) >= 41
     spec_path = tmp_path / "spec.json"
@@ -363,7 +369,7 @@ def test_resonance_inside_a_large_chunk_costs_only_its_row(tmp_path, monkeypatch
     assert np.linspace(3.0, kappa_max, 41)[20] == pi
     chunks = _recorded_chunks(monkeypatch)
     csv, manifest = _enhance(tmp_path, spec_path, "chunk", 3.0, kappa_max, 41)
-    assert [len(c) for c in chunks] == [41] + [1] * 41
+    assert [len(c) for c in chunks] == [41, 20, 21, 10, 5, 2, 1, 1, 3, 5, 11]
     rows = [line.split(",") for line in csv.decode().splitlines()[1:]]
     assert [r[1] == "nan" for r in rows] == [i == 20 for i in range(41)]
     assert all(np.isfinite(float(r[1])) for i, r in enumerate(rows) if i != 20)
