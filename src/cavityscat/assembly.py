@@ -245,17 +245,19 @@ def solve(spec: ProblemSpec):
 
 def sweep_entries(spec: ProblemSpec) -> int:
     """The complex entries one wavenumber of `solve_sweep` stacks: the cross
-    kernel at the distinct separations of each cavity pair, the offset
-    kernel of each distinct singular block (one per aperture width, to the
-    15 digits the block cache keys) and the kernel matrices of the system,
-    one per kind."""
+    kernel at the distinct separations of each cavity pair, the 1-D sums of
+    each distinct singular block (one per aperture width, to the 15 digits
+    the block cache keys: the f and g sequences of the kernel rule, of
+    length 2 panels per point) and the kernel matrices of the system, one
+    per kind."""
     q = spec.quad
     seps = sum(len(_cross_grid(a.a, a.b, b.a, b.b, q.panels, q.points_per_panel)[4])
                for a, b in itertools.combinations(spec.cavities, 2))
     widths = {f"{cav.w:.15g}" for cav in spec.cavities}
     size = ModeLayout(spec.polarization, spec.N, spec.K).size
     kinds = 2 if spec.polarization == "TM" else 1
-    return seps + len(widths) * q.panels * q.points_per_panel ** 2 + kinds * size * size
+    return (seps + len(widths) * 2 * (2 * q.panels) * q.points_per_panel
+            + kinds * size * size)
 
 
 def solve_sweep(spec: ProblemSpec, kappa0):

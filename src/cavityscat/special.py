@@ -12,8 +12,8 @@ J0, the harmonic numbers the log-free part of Y0).  Its row rule: each row
 (index into the leading axes) starts at the term that `_series_terms` gives
 at that row's largest entry, so a row's values are bitwise those of a call
 with that row alone.  Each caller sets a cutoff, and the entries past it
-enter as zeros: the series takes x < 5 for J0 by rows and H0, and c*d <= 8
-for the log-regularized Hankel kernel.
+enter as zeros: the series takes x < 5 for J0 by rows, H0 and the
+log-regularized Hankel kernel (at z = c*d there).
 
 Also provides the truncated Bessel power-series remainder, which only the
 tests call (to check the truncation K of `_moments.bessel_K_for`).
@@ -153,10 +153,11 @@ def regularized_kernel_abs(d, c):
     the result has shape c.shape + d.shape.
 
     The subtraction removes the logarithmic singularity: the result is an
-    entire function of d^2.  For c*d <= 8 it is summed directly from the
-    ascending series (no cancellation against the log; at d = 0 the series
-    is the closed-form limit 1 + (2i/pi)(gamma + ln(c/2))), above that the
-    two terms are evaluated separately, which is safe since ln d is O(1) there.
+    entire function of d^2.  For c*d < 5, as for J0 and H0, it is summed
+    directly from the ascending series (no cancellation against the log; at
+    d = 0 the series is the closed-form limit 1 + (2i/pi)(gamma + ln(c/2))),
+    and from 5 on the two terms are evaluated separately, which is safe since
+    ln d is O(1) there.
     The series runs one row per scale, so the values of each scale are
     bitwise those of a call with that scale alone.
     """
@@ -169,7 +170,7 @@ def regularized_kernel_abs(d, c):
     cs = c.reshape(c.shape + (1,) * d.ndim)
     z = cs * d
     out = np.empty(z.shape, dtype=complex)
-    small = z <= 8.0
+    small = z < _SERIES_CUTOFF
     if np.any(small):
         # J0 lim - (2i/pi) h with lim = 1 + (2i/pi)(gamma + ln(c/2)), one
         # half at a time (the other entries are set below); the halves take

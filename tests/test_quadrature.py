@@ -139,139 +139,80 @@ def test_cross_block_requires_disjoint():
         cross_block(1, 1, ck, cj, 2.0, "sin", CFG)
 
 
-def _gather_offsets(per_offset, rows=slice(None)):
-    """The dense grid [P*q + i, Q*q + j] from the blocks per_offset[P - Q, i, j]
-    at the non-negative panel offsets (offset -P is the transposed block of
-    offset P), or its rows of the row panels P in `rows`: the dense layout,
-    the reference of the panel fold."""
-    panels, q, _ = per_offset.shape
-    stacked = np.concatenate((per_offset[:0:-1].transpose(0, 2, 1), per_offset))
-    windows = np.lib.stride_tricks.sliding_window_view(stacked, panels, axis=0)
-    return windows[rows][..., ::-1].transpose(0, 1, 3, 2).reshape(-1, panels * q)
-
-
-@pytest.mark.parametrize("panels, ppp, c", [(16, 4, 0.5), (32, 6, 1.0), (24, 6, 4.0), (24, 6, 8.0)])
-def test_panel_offset_kernel_matches_direct_grid(panels, ppp, c):
-    from cavityscat import special
-    from cavityscat.quadrature import (_offset_kernel, bessel_truncation, composite_nodes,
-                                       gauss_rule)
-    rule = gauss_rule(ppp)
-    K = bessel_truncation(c, CFG)
-    pts, _ = composite_nodes(0.0, 2 * pi, panels, rule)
-    D = np.abs(pts[:, None] - pts[None, :])
-    blocks = pts.reshape(panels, ppp)
-    offsets = np.abs(blocks[:, :, None] - blocks[0][None, None, :])
-    assert offsets.shape == (panels, ppp, ppp)
-    gathered = _gather_offsets(offsets)
-    assert np.array_equal(gathered == 0, D == 0)
-    assert np.max(np.abs(gathered - D)) <= 8 * np.finfo(float).eps * 2 * pi
-    with np.errstate(divide="ignore"):
-        lnD = np.where(D > 0, np.log(np.where(D > 0, D, 1.0)), 0.0)
-    direct = (special.regularized_kernel_abs(D, c)
-              + (2j / pi) * special.j0_series_remainder(c * D, K) * lnD)
-    got = _gather_offsets(_offset_kernel(c, pts, panels))
-    assert np.linalg.norm(got - direct) <= 3e-15 * max(1.0, c) * np.linalg.norm(direct)
-
-
-def test_grid_kernel_from_distinct_separations_is_bitwise_the_full_offset_layout(monkeypatch):
+@pytest.mark.parametrize("panels", [1, 7, 24, 96, 512])
+@pytest.mark.parametrize("ppp", [4, 10])
+def test_uniform_panel_fold_matches_the_direct_sums(panels, ppp):
+    # the folds of the kernel rule, sum w f e^{+-i q tau/2} for q = 0..24 over
+    # its f = R and g = (2 pi - tau) R, against the direct sums over the same
+    # nodes at c = 0.012, 1 and 16; modes to 24 alias on 1 panel.  Its A_q
+    # and D_q are the sin and cos sums, and an array of the three scales
+    # gives each scale's own bits
     from cavityscat import quadrature, special
-    kernel, seen = special.regularized_kernel_abs, []
+    q_max, scales = 24, np.array([0.012, 1.0, 16.0])
+    rule = quadrature._kernel_rule(panels, ppp, q_max)
+    pts, _ = quadrature.composite_nodes(0.0, 2 * pi, panels, quadrature.gauss_rule(ppp))
+    assert np.array_equal(rule.tau.T.ravel(), pts)
+    f = special.regularized_kernel_abs(rule.tau, scales) * rule.w
+    terms = np.stack((f, (2 * pi - rule.tau) * f), axis=1)
+    half = 0.5 * np.multiply.outer(rule.tau.ravel(), np.arange(q_max + 1))
+    flat = terms.reshape(len(scales), 2, -1)
+    folds = quadrature._fold_panels(terms, panels, rule.phases, q_max + 1, (1, -1))
+    AD = rule.sums(scales)
+    direct = np.stack((flat[:, 0] @ np.sin(half), flat[:, 1] @ np.cos(half)), axis=1)
+    for i, c in enumerate(scales):
+        for sign, got in zip((1, -1), folds):
+            want = flat[i] @ np.exp(sign * 1j * half)
+            assert np.linalg.norm(got[i] - want) <= 2e-15 * np.linalg.norm(want), (c, sign)
+        assert np.linalg.norm(AD[i] - direct[i]) <= 2e-15 * np.linalg.norm(direct[i]), c
+        assert np.array_equal(AD[i], rule.sums(scales[i:i + 1])[0]), c
 
-    def counting(d, c):
-        seen.append(np.size(d))
+
+def _fine(cfg):
+    """The same rule at 4x the panels and 10 points per panel."""
+    return QuadratureConfig(panels=4 * cfg.panels, points_per_panel=10)
+
+
+@pytest.mark.parametrize("modes, c, kinds, cfg, bound", [
+    # enhance_pair: two apertures of width 0.05 swept over kappa0 1.35..1.62
+    (range(0, 9), np.linspace(0.0107, 0.0129, 12), ("cos",),
+     QuadratureConfig(panels=24, points_per_panel=4), 5e-11),
+    # rcs_lossy: one large aperture at c = 1, TM
+    (range(1, 151), 1.0, ("sin", "cos"), QuadratureConfig(panels=96, points_per_panel=10), 1e-14),
+])
+def test_singular_blocks_at_the_benchmark_settings_are_converged(modes, c, kinds, cfg, bound):
+    got = singular_block_matrix(modes, modes, c, kinds, cfg)
+    want = singular_block_matrix(modes, modes, c, kinds, _fine(cfg))
+    got, want = (b.reshape((-1,) + b.shape[-2:]) for b in (got, want))
+    for g, w in zip(got, want):
+        assert np.linalg.norm(g - w) <= bound * np.linalg.norm(w)
+
+
+def test_singular_block_slabs_do_not_change_the_bits(monkeypatch):
+    # enhance_pair's 36 scales of a chunk: in equal slabs of the default
+    # stack (18) and of smaller ones (12, 1), or in one slab, every matrix
+    # is bitwise the same
+    from cavityscat import quadrature, special
+    kernel, slabs = special.regularized_kernel_abs, []
+
+    def recorded(d, c):
+        slabs.append(np.size(c))
         return kernel(d, c)
 
-    monkeypatch.setattr(special, "regularized_kernel_abs", counting)
-    for c, panels, ppp in [(1, 96, 10), (0.0123, 24, 4), (4, 64, 4), (16, 96, 10),
-                           (0.5, 8, 4), (64, 64, 6), (2, 1, 4)]:
-        pts, _ = quadrature.composite_nodes(0.0, 2 * pi, panels, quadrature.gauss_rule(ppp))
-        # reference: the kernel at all 2*panels - 1 offsets, gathered by index
-        blocks = pts.reshape(panels, ppp)
-        off = np.arange(1 - panels, panels)
-        D = np.abs(blocks[np.maximum(off, 0)][:, :, None]
-                   - blocks[np.maximum(-off, 0)][:, None, :])
-        per_offset = kernel(D, c)
-        idx = np.arange(panels)[:, None] - np.arange(panels)[None, :] + panels - 1
-        ref = per_offset[idx].transpose(0, 2, 1, 3).reshape(panels * ppp, panels * ppp)
-        seen.clear()
-        got = _gather_offsets(quadrature._offset_kernel(c, pts, panels))
-        # the negative offsets are exact negations of the non-negative ones
-        # before abs, so the kernel sees the same set of values; the stop
-        # rule of its ascending series then runs the same number of terms,
-        # and every value is bitwise the reference's
-        assert seen == [panels * ppp * ppp], (c, panels, ppp)
-        assert np.array_equal(got, ref), (c, panels, ppp)
-        assert np.array_equal(got, got.T), (c, panels, ppp)
-
-
-@pytest.mark.parametrize("kind", ["sin", "cos"])
-@pytest.mark.parametrize("panels", [1, 2, 7, 96, 512])
-@pytest.mark.parametrize("ppp", [4, 10])
-@pytest.mark.parametrize("c", [1.0, 16.0])
-def test_panel_fold_matches_the_dense_product(kind, panels, ppp, c):
-    # modes 0..24 against 0..16 meet the bins k = m +- n = 0 (mod 2 panels),
-    # which are summed with geometric weights: every even pair on 1 panel,
-    # m +- n = 0 (mod 4) on 2, m +- n in {0, 14, 28} on 7, the diagonal on
-    # 96, and on 512 panels also |k| <= 10, where 1 - omega^k is below 1/16.
-    # The reference is Tm.T @ G @ Tn on the dense grid, in row slabs of at
-    # most 2^20 entries (the 5120-node grid is 419 MiB); it is off by up to
-    # 3.2e-15 from an 80-bit evaluation of the same sum on 1 and 2 panels,
-    # where modes to 24 alias on 4 to 20 nodes, and the fold by up to 2.2e-15
-    from cavityscat import quadrature
-    pts, wts = quadrature.composite_nodes(0.0, 2 * pi, panels, quadrature.gauss_rule(ppp))
-    modes_m, modes_n = np.arange(0, 25), np.arange(0, 17)
-    per_offset = quadrature._offset_kernel(c, pts, panels)
-    fold = quadrature._PanelFold(panels, ppp, modes_m, modes_n)
-    block = fold(per_offset[None], (kind,))[0, 0]
-    f = np.sin if kind == "sin" else np.cos
-    Tm = f(0.5 * pts[:, None] * modes_m[None, :]) * wts[:, None]
-    Tn = f(0.5 * pts[:, None] * modes_n[None, :]) * wts[:, None]
-    step = max(1, 2 ** 20 // (panels * ppp * ppp))  # row panels per slab
-    want = sum(Tm[lo * ppp:(lo + step) * ppp].T
-               @ (_gather_offsets(per_offset, slice(lo, lo + step)) @ Tn)
-               for lo in range(0, panels, step))
-    assert np.all(block[(modes_m[:, None] + modes_n[None, :]) % 2 == 1] == 0.0)
-    assert np.linalg.norm(block - want) <= 4e-15 * np.linalg.norm(want)
-
-
-@pytest.mark.parametrize("kind", ["sin", "cos"])
-@pytest.mark.parametrize("panels", [1, 7, 96])
-@pytest.mark.parametrize("ppp", [4, 10])
-@pytest.mark.parametrize("slab_scales", [None, 5])
-def test_slab_contraction_matches_the_dense_product(kind, panels, ppp, slab_scales):
-    # the c = 1 block contracted alone (None), or as one slab of a stack of
-    # 5 scales folded with both kinds in one call, as a sweep chunk of a TM
-    # build is: the same Tm.T @ G @ Tn, and bitwise the block alone.  The
-    # block keeps the pairs with m + n even and has exact zeros elsewhere,
-    # where the dense product holds roundoff (up to 2.9e-15 of its norm on
-    # 1 x 4 points, from a kernel that is persymmetric only to roundoff)
-    from cavityscat import quadrature
-    f = np.sin if kind == "sin" else np.cos
-    pts, wts = quadrature.composite_nodes(0.0, 2 * pi, panels, quadrature.gauss_rule(ppp))
-    modes_m, modes_n = np.arange(1, 25), np.arange(0, 17)
-    Tm = f(0.5 * pts[:, None] * modes_m[None, :]) * wts[:, None]
-    Tn = f(0.5 * pts[:, None] * modes_n[None, :]) * wts[:, None]
-    per_offset = quadrature._offset_kernel(1.0, pts, panels)
-    want = Tm.T @ _gather_offsets(per_offset) @ Tn
-    fold = quadrature._PanelFold(panels, ppp, modes_m, modes_n)
-    alone = fold(per_offset[None], (kind,))[0, 0]
-    if slab_scales is None:
-        got = alone
-    else:
-        scales = np.array([0.5, 1.0, 4.0, 16.0, 64.0])
-        both = fold(quadrature._offset_kernel(scales, pts, panels), ("sin", "cos"))
-        got = both[("sin", "cos").index(kind), 1]
-        assert both.shape == (2, slab_scales, len(modes_m), len(modes_n))
-        assert np.array_equal(got, alone)
-    assert got.shape == want.shape
-    even = (modes_m[:, None] + modes_n[None, :]) % 2 == 0
-    assert np.all(got[~even] == 0.0)
-    assert np.linalg.norm((got - want)[even]) <= 2e-15 * np.linalg.norm(want)
+    monkeypatch.setattr(special, "regularized_kernel_abs", recorded)
+    cfg, modes = QuadratureConfig(panels=24, points_per_panel=4), range(0, 9)
+    scales = np.linspace(0.0107, 0.0129, 36)
+    base = singular_block_matrix(modes, modes, scales, ("cos",), cfg)
+    assert slabs == [18, 18]
+    for entries, lengths in ((10 ** 6, [36]), (30_000, [12] * 3), (1, [1] * 36)):
+        monkeypatch.setattr(quadrature, "STACK_ENTRIES", entries)
+        slabs.clear()
+        assert np.array_equal(singular_block_matrix(modes, modes, scales, ("cos",), cfg), base)
+        assert slabs == lengths, entries
 
 
 def test_singular_block_lays_out_no_full_grid():
     # 96 x 10 points, modes 1..150, c = 1 (the rcs_lossy block): the dense
-    # 960 x 960 complex grid alone is 14.1 MiB; the log-part rule is warm
+    # 960 x 960 complex grid alone is 14.1 MiB; the rules are warm
     import tracemalloc
     cfg = QuadratureConfig(panels=96, points_per_panel=10)
     modes = range(1, 151)

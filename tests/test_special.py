@@ -84,17 +84,35 @@ def test_hankel_rows_are_their_own_calls():
     assert np.array_equal(hankel1_0(_ROWS.reshape(5, 3, 3)).reshape(_ROWS.shape), stack)
 
 
-@pytest.mark.parametrize("c,d", [(1.0, 8.0), (2.0, 4.0)])
+@pytest.mark.parametrize("c,d", [(1.0, 5.0), (2.0, 2.5), (1.0, 8.0), (2.0, 4.0)])
 def test_regularized_kernel_at_the_series_edge(c, d):
-    # the series branch includes c*d = 8; it and the branch above agree with
-    # mpmath at 8 and one ulp either side (c*d is exact for these c), to an
-    # absolute 1e-13: at 8 the series' largest terms are ~2e2, the value ~0.2
+    # the series branch stops below c*d = 5, as for J0 and H0; it and the
+    # branch from 5 agree with mpmath at 5 and one ulp either side (c*d is
+    # exact for these c), to an absolute 1e-13: at 5 the series' largest
+    # terms are ~10, the value ~0.3.  c*d = 8, the former edge, is now inside
+    # the branch from 5
     with mp.workdps(30):
         for dd in (np.nextafter(d, 0.0), d, np.nextafter(d, np.inf)):
             z = mp.mpf(c) * mp.mpf(dd)
             want = complex(mp.hankel1(0, z) - 2j / mp.pi * mp.besselj(0, z) * mp.log(dd))
             got = complex(regularized_kernel_abs(dd, c))
             assert abs(got - want) <= 1e-13, (c, dd, got, want)
+
+
+def test_regularized_kernel_against_mpmath_over_the_aperture():
+    # 2000 separations in (0, 2 pi] at the scales 0.25 to 64: within an
+    # absolute 5e-15 of 30-digit mpmath (1.96e-15 with the series below
+    # c*d = 5; summed up to c*d = 8 the series was off by 3.3e-14 near 8)
+    d = np.linspace(0.0, 2 * pi, 2001)[1:]
+    with mp.workdps(30):
+        for c in (0.25, 1.0, 4.0, 16.0, 64.0):
+            want = []
+            for dd in d.tolist():
+                z = mp.mpf(c) * mp.mpf(dd)
+                j, y = mp.besselj(0, z), mp.bessely(0, z)
+                want.append(complex(j, y - 2 / mp.pi * j * mp.log(dd)))
+            err = np.abs(regularized_kernel_abs(d, c) - np.array(want))
+            assert err.max() <= 5e-15, (c, d[err.argmax()], err.max())
 
 
 def test_kernel_scale_validation():
@@ -106,7 +124,7 @@ def test_kernel_scale_validation():
 
 def test_regularized_kernel_over_an_array_of_scales():
     # each row is bitwise its scale's own call: c = 0.01 and 0.7 stay below
-    # the z = 8 branch with series of different lengths, c = 3 and 40 cross it;
+    # the z = 5 branch with series of different lengths, c = 3 and 40 cross it;
     # at z = 0.7 d = 2.4048..., the first zero of J0, a term added after the
     # row's own stop would show in the last bits
     d = np.concatenate(([0.0, 1e-12, 2.404825557695773 / 0.7],
@@ -138,13 +156,13 @@ def _former_hankel1_0(x):
 
 
 def _former_regularized_kernel_abs(d, c):
-    """The kernel as J0 lim - (2i/pi) h below c d = 8 and J0 + i Y0 -
-    (2i/pi) J0 ln d above, complex expressions then masked."""
+    """The kernel as J0 lim - (2i/pi) h below c d = 5 and J0 + i Y0 -
+    (2i/pi) J0 ln d from there, complex expressions then masked."""
     c, d = np.asarray(c, dtype=float), np.asarray(d, dtype=float)
     cs = c.reshape(c.shape + (1,) * d.ndim)
     z = cs * d
     out = np.empty(z.shape, dtype=complex)
-    small = z <= 8.0
+    small = z < 5.0
     j0, h = (s.reshape(z.shape) for s in special._series(
         z.reshape(c.size, -1), small.reshape(c.size, -1), special._ONES, special._HARMONIC))
     lim = 1.0 + (2j / pi) * (special.EULER_GAMMA + np.log(cs / 2.0))
@@ -163,18 +181,18 @@ def _bitwise(a, b) -> bool:
 
 def test_in_place_kernels_are_bitwise_the_complex_expressions():
     # the real and imaginary halves written in place hold the bits of the
-    # complex expressions, on both sides of x = 5 (H0) and c d = 8 (kernel):
+    # complex expressions, on both sides of x = 5 (H0) and c d = 5 (kernel):
     # 0-d and 1-d arguments, and a stack of scales
     x = np.concatenate((np.linspace(1e-3, 12.0, 397), np.nextafter(5.0, [0.0, 9.0]), [5.0]))
     for arg in (x, x.reshape(4, -1)[:, :99], np.float64(4.9), np.float64(5.0), 7.5):
         got = hankel1_0(arg)
         assert _bitwise(np.asarray(got), _former_hankel1_0(arg)), arg
     assert isinstance(hankel1_0(7.5), complex)
-    d = np.concatenate(([0.0], np.linspace(0.0, 2 * pi, 300)[1:], np.nextafter(8.0, [0.0, 9.0]),
-                        [8.0]))
+    d = np.concatenate(([0.0], np.linspace(0.0, 2 * pi, 300)[1:], np.nextafter(5.0, [0.0, 9.0]),
+                        [5.0]))
     for dd, c in ((d, 1.0), (d, np.array([0.01, 1.0, 1.3, 2.0, 40.0])),
                   (d[:-3].reshape(3, 4, -1), np.array([[0.5, 1.4], [3.0, 7.0]])),
-                  (np.float64(8.0), 1.0), (np.float64(3.1), np.array([1.0, 2.0, 3.0]))):
+                  (np.float64(5.0), 1.0), (np.float64(3.1), np.array([1.0, 2.0, 3.0]))):
         assert _bitwise(regularized_kernel_abs(dd, c), _former_regularized_kernel_abs(dd, c)), c
 
 

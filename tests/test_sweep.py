@@ -247,15 +247,16 @@ def _enhance(tmp_path, spec_path, name: str, kappa_min: float, kappa_max: float,
 
 def test_enhance_sweep_chunks_of_the_grid_budget(tmp_path, monkeypatch):
     # 24 panels of 4 points on two equal apertures: a wavenumber stacks the
-    # 628 distinct cross separations, one 384-entry offset kernel (the second
-    # cavity's block is the first one's) and the 18 x 18 system, so a chunk
+    # 628 distinct cross separations, the 384 entries of one singular block's
+    # 1-D sums (f and g, 2 x 24 long per point; the second cavity's block is
+    # the first one's) and the 18 x 18 system, so a chunk
     # takes the 36 that fit STACK_ENTRIES; the last chunk holds the
     # remainder, and every wavenumber is solved exactly once
     spec = _enhance_pair_spec()
     a, b = spec.cavities
     seps = quadrature._cross_grid(a.a, a.b, b.a, b.b, 24, 4)[4]
     assert len(seps) == 628
-    assert assembly.sweep_entries(spec) == 628 + 24 * 4 * 4 + 18 * 18
+    assert assembly.sweep_entries(spec) == 628 + 2 * (2 * 24) * 4 + 18 * 18
     assert quadrature.stack_length(assembly.sweep_entries(spec)) == 36
     spec_path = tmp_path / "spec.json"
     cs.save_spec(spec, spec_path)
@@ -297,7 +298,7 @@ def test_graded_unequal_grids_stack_one_wavenumber(tmp_path, monkeypatch):
 def test_enhance_chunk_memory_is_bounded():
     # one chunk of enhance_pair's sweep, after a first chunk has filled the
     # memoised rules: 36 wavenumbers stack 1.38 MiB with the singular blocks
-    # in slabs of 16 scales, whose fold transforms take 0.75 MiB (numpy 2.4)
+    # in two slabs of 18 scales (1.48 MiB in one slab of 36; numpy 2.4)
     spec = _enhance_pair_spec()
     kappas = np.linspace(1.35, 1.62, 361)
     chunk = quadrature.stack_length(assembly.sweep_entries(spec))
