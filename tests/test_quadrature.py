@@ -167,6 +167,96 @@ def test_uniform_panel_fold_matches_the_direct_sums(panels, ppp):
         assert np.array_equal(AD[i], rule.sums(scales[i:i + 1])[0]), c
 
 
+def _block_from_sums(kind, m, n, A, D):
+    """The block [m, n] of a kernel from its integrals A_q and D_q, one entry
+    at a time: 4/(m^2-n^2) (m A_n - n A_m) (sin) or (n A_n - m A_m) (cos) off
+    the diagonal, D_m +- 2 A_m/m on it, 2 D_0 for the cos zero mode, and
+    zero for odd m + n and the sin mode 0."""
+    out = np.zeros((len(m), len(n)), dtype=complex)
+    for i, mi in enumerate(m):
+        for j, nj in enumerate(n):
+            if (mi + nj) % 2 or (kind == "sin" and 0 in (mi, nj)):
+                continue
+            if mi != nj:
+                num = mi * A[nj] - nj * A[mi] if kind == "sin" else nj * A[nj] - mi * A[mi]
+                out[i, j] = 4.0 / (mi * mi - nj * nj) * num
+            elif mi == 0:
+                out[i, j] = 2.0 * D[0]
+            else:
+                out[i, j] = D[mi] + (2.0 if kind == "sin" else -2.0) * A[mi] / mi
+    return out
+
+
+def _dense_sums(f, tau, q_max):
+    """sum f sin(q tau/2) and sum (2 pi - tau) f cos(q tau/2), q = 0..q_max,
+    as dense products with the nodes x frequencies tables."""
+    f, tau = np.ravel(f), np.ravel(tau)
+    half = 0.5 * np.multiply.outer(tau, np.arange(q_max + 1))
+    return f @ np.sin(half), ((2 * pi - tau) * f) @ np.cos(half)
+
+
+def _dense_kernel_sums(c, panels, ppp, q_max):
+    """A_q, D_q of the log-regularized kernel over the kernel rule's nodes."""
+    from cavityscat import quadrature, special
+    rule = quadrature._kernel_rule(panels, ppp, q_max)
+    f = special.regularized_kernel_abs(rule.tau, np.array([c]))[0] * rule.w
+    return _dense_sums(f, rule.tau, q_max)
+
+
+@pytest.mark.parametrize("kind", ["sin", "cos"])
+@pytest.mark.parametrize("panels", [1, 2, 7, 96, 512])
+@pytest.mark.parametrize("ppp", [4, 10])
+@pytest.mark.parametrize("c", [1.0, 16.0])
+def test_panel_fold_matches_the_dense_product(kind, panels, ppp, c):
+    # the log-regularized kernel's block of one kind, modes 0..24 against
+    # 0..16, from the kernel rule's sums folded over the panel index and
+    # combined as a singular block combines them (real and imaginary halves
+    # as rows of their own), against the block built entry by entry from the
+    # dense products of the same terms with the sin and cos tables; modes to
+    # 24 alias on 1 and 2 panels.  Pairs of odd m + n are exact zeros
+    from cavityscat import quadrature
+    modes_m, modes_n = np.arange(0, 25), np.arange(0, 17)
+    AD = quadrature._kernel_rule(panels, ppp, 24).sums(np.array([c]))
+    halves = np.empty((1, 2, len(modes_m), len(modes_n)), dtype=complex)
+    quadrature._combine((kind,), modes_m, modes_n, np.concatenate((AD.real, AD.imag)), halves)
+    block = halves[0, 0].imag + 1j * halves[0, 1].imag
+    want = _block_from_sums(kind, modes_m, modes_n, *_dense_kernel_sums(c, panels, ppp, 24))
+    assert np.all(block[(modes_m[:, None] + modes_n[None, :]) % 2 == 1] == 0.0)
+    assert np.linalg.norm(block - want) <= 4e-15 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("kind", ["sin", "cos"])
+@pytest.mark.parametrize("panels", [1, 7, 96])
+@pytest.mark.parametrize("ppp", [4, 10])
+@pytest.mark.parametrize("slab_scales", [None, 5])
+def test_slab_contraction_matches_the_dense_product(kind, panels, ppp, slab_scales):
+    # the whole c = 1 singular block computed alone (None), or within a stack
+    # of 5 scales of both kinds in one call, as a sweep chunk of a TM build
+    # is (one slab of 5 on 1 and 7 panels, slabs of 3 and 2 on 96):
+    # bitwise the block alone, and the block built entry by entry from dense
+    # products, the kernel rule's sums of R plus (2i/pi) the log rule's sums
+    # of J0 ln over its own nodes.  Pairs of odd m + n are exact zeros
+    from cavityscat import quadrature, special
+    modes_m, modes_n, q_max = np.arange(1, 25), np.arange(0, 17), 24
+    cfg = QuadratureConfig(panels=panels, points_per_panel=ppp)
+    log = quadrature._log_rule(q_max, int(quadrature._log_panels(q_max, np.array([1.0]))[0]))
+    LA, LD = _dense_sums(special.bessel_j0_rows(log.tau[None])[0] * log.lw, log.tau, q_max)
+    A, D = _dense_kernel_sums(1.0, panels, ppp, q_max)
+    want = _block_from_sums(kind, modes_m, modes_n, A + (2j / pi) * LA, D + (2j / pi) * LD)
+    alone = singular_block_matrix(modes_m, modes_n, 1.0, kind, cfg)
+    if slab_scales is None:
+        got = alone
+    else:
+        scales = np.array([0.5, 1.0, 4.0, 16.0, 64.0])
+        both = singular_block_matrix(modes_m, modes_n, scales, ("sin", "cos"), cfg)
+        assert both.shape == (2, slab_scales, len(modes_m), len(modes_n))
+        got = both[("sin", "cos").index(kind), 1]
+        assert np.array_equal(got, alone)
+    even = (modes_m[:, None] + modes_n[None, :]) % 2 == 0
+    assert np.all(got[~even] == 0.0)
+    assert np.linalg.norm(got - want) <= 2e-15 * np.linalg.norm(want)
+
+
 def _fine(cfg):
     """The same rule at 4x the panels and 10 points per panel."""
     return QuadratureConfig(panels=4 * cfg.panels, points_per_panel=10)
