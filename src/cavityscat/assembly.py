@@ -3,8 +3,10 @@ aperture phases behind the incident vectors, and the dense solve (numpy
 only).
 
 A wavenumber sweep (one spec and an array of kappa0, read from its modal
-tables) is assembled as one stack of systems, (wavenumbers x size x size);
-each of its systems is then factored and solved on its own."""
+tables) is assembled as one stack of systems, (wavenumbers x size x size).
+Each system gets its own factorization (its rcond and singular check); the
+stack is then solved, and its backward errors taken, in one stacked call
+each, by the same helper that solves a single system."""
 
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import numpy as np
 from .errors import SingularSystemError, ValidationError
 from .modal import ModalTables, build_modal_tables, mode_norms, mode_numbers
 from .model import Cavity, ProblemSpec
-from .quadrature import SingularBlockCache, _cross_grid, cross_block_matrix
+from .quadrature import SingularBlockCache, cross_block_matrix, cross_entries
 
 RCOND_WARN = 1e-14
 
@@ -201,7 +203,6 @@ class SystemFactorization:
     def __init__(self, sys: ApertureSystem):
         self.layout = sys.layout
         self._lhs = sys.lhs
-        self._norm_inf = float(np.linalg.norm(sys.lhs, np.inf))
         self.rcond = 1.0 / float(np.linalg.cond(sys.lhs, 1))
         if not self.rcond > 0.0:
             raise SingularSystemError(f"system singular (rcond = {self.rcond:g})")
@@ -209,25 +210,51 @@ class SystemFactorization:
     def solve(self, rhs: np.ndarray) -> ApertureSolution:
         """Solve for one right-hand side, or for one per column of a matrix;
         then every coefficient array keeps that column axis."""
-        x = np.linalg.solve(self._lhs, rhs)
+        x, err = _solve_stack(self._lhs, rhs)
+        return self._solution(x, float(err))
+
+    def _solution(self, x: np.ndarray, backward_error: float) -> ApertureSolution:
         lay = self.layout
         coeffs = tuple(x[lay.block_slice(k)] for k in range(lay.K))  # row blocks of x
         diags = []
         if self.rcond < RCOND_WARN:
             diags.append(f"ill-conditioned system: rcond = {self.rcond:.3e}")
         return ApertureSolution(coefficients=coeffs, layout=lay, rcond=self.rcond,
-                                diagnostics=diags, backward_error=self.backward_error(x, rhs))
+                                diagnostics=diags, backward_error=backward_error)
 
     def backward_error(self, x: np.ndarray, rhs: np.ndarray) -> float:
         """Normwise backward error ||b - A x||_inf / (||A||_inf ||x||_inf + ||b||_inf)
         of a solution x, the largest over the columns of a matrix right-hand
         side; 0 where b and x are both zero."""
-        resid = self._lhs @ x
-        np.subtract(rhs, resid, out=resid)
-        resid = np.abs(resid).max(axis=0)
-        scale = self._norm_inf * np.abs(x).max(axis=0) + np.abs(rhs).max(axis=0)
-        return float(np.max(np.divide(resid, scale, out=np.zeros_like(resid),
-                                      where=scale > 0)))
+        if rhs.ndim == 1:
+            x, rhs = x[:, None], rhs[:, None]
+        return float(_backward_errors(self._lhs, x, rhs))
+
+
+def _backward_errors(lhs: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`SystemFactorization.backward_error` of the solutions x (..., n, k) of
+    a stack of systems lhs (..., n, n) and right-hand sides b (..., n, k):
+    one norm and one residual product over the stack, system by system."""
+    norm_inf = np.asarray(np.linalg.norm(lhs, np.inf, axis=(-2, -1)))
+    resid = lhs @ x
+    np.subtract(b, resid, out=resid)
+    resid = np.abs(resid).max(axis=-2)
+    scale = norm_inf[..., None] * np.abs(x).max(axis=-2) + np.abs(b).max(axis=-2)
+    return np.divide(resid, scale, out=np.zeros_like(resid), where=scale > 0).max(axis=-1)
+
+
+def _solve_stack(lhs: np.ndarray, rhs: np.ndarray):
+    """x and the backward error of A x = b for a stack of systems lhs
+    (..., n, n), rhs one vector per system (..., n) or one matrix
+    (..., n, k).  One solve and one residual product
+    run over the stack, system by system, so a system's x and error do not
+    depend on the others.  Vectors are solved as (..., n, 1), which means
+    the same at every numpy version."""
+    vectors = rhs.ndim == lhs.ndim - 1
+    b = rhs[..., None] if vectors else rhs
+    x = np.linalg.solve(lhs, b)
+    err = _backward_errors(lhs, x, b)
+    return (x[..., 0] if vectors else x), err
 
 
 def solve_system(sys: ApertureSystem) -> ApertureSolution:
@@ -244,28 +271,34 @@ def solve(spec: ProblemSpec):
 
 
 def sweep_entries(spec: ProblemSpec) -> int:
-    """The complex entries one wavenumber of `solve_sweep` stacks: the cross
-    kernel at the distinct separations of each cavity pair, the 1-D sums of
-    each distinct singular block (one per aperture width, to the 15 digits
-    the block cache keys: the f and g sequences of the kernel rule, of
-    length 2 panels per point) and the kernel matrices of the system, one
-    per kind."""
+    """The complex entries one wavenumber of `solve_sweep` stacks, at the
+    spec's kappa0: what the cross rule of each cavity pair lays out at once
+    (`quadrature.cross_entries`: the H0 row at its nodes, the longest
+    segment's product and the fold), the 1-D sums of each distinct singular
+    block (one per aperture width, to the 15 digits the block cache keys:
+    the f and g sequences of the kernel rule, of length 2 panels per point)
+    and the kernel matrices of the system, one per kind."""
     q = spec.quad
-    seps = sum(len(_cross_grid(a.a, a.b, b.a, b.b, q.panels, q.points_per_panel)[4])
-               for a, b in itertools.combinations(spec.cavities, 2))
+    modes = mode_numbers(spec.polarization, spec.N)
+    cross = sum(cross_entries(a, b, modes, modes, spec.wave.kappa0)
+                for a, b in itertools.combinations(spec.cavities, 2))
     widths = {f"{cav.w:.15g}" for cav in spec.cavities}
     size = ModeLayout(spec.polarization, spec.N, spec.K).size
     kinds = 2 if spec.polarization == "TM" else 1
-    return (seps + len(widths) * 2 * (2 * q.panels) * q.points_per_panel
+    return (cross + len(widths) * 2 * (2 * q.panels) * q.points_per_panel
             + kinds * size * size)
 
 
 def solve_sweep(spec: ProblemSpec, kappa0):
     """Solve spec at every wavenumber of the array kappa0 (layer kappa scaled
     by kappa0/spec.wave.kappa0) from one stacked assembly.  Returns the tables,
-    with a leading wavenumber axis, and one solution per wavenumber in order,
-    each from its own factorization."""
+    with a leading wavenumber axis, and one solution per wavenumber in order.
+    Each wavenumber gets its own factorization, for its rcond and singular
+    check; the stack is then solved in one call (`_solve_stack`), and each
+    row is bitwise its wavenumber's solve in any chunk."""
     tables = build_modal_tables(spec, kappa0)
     stack = build_system(spec, tables)
-    return tables, [solve_system(ApertureSystem(lhs, rhs, stack.layout))
-                    for lhs, rhs in zip(stack.lhs, stack.rhs)]
+    facts = [SystemFactorization(ApertureSystem(lhs, rhs, stack.layout))
+             for lhs, rhs in zip(stack.lhs, stack.rhs)]
+    x, errs = _solve_stack(stack.lhs, stack.rhs)
+    return tables, [f._solution(row, float(e)) for f, row, e in zip(facts, x, errs)]

@@ -143,11 +143,12 @@ def cmd_enhance(spec, args, out: Path) -> Run:
     rows = np.full((len(kappas), 2 + len(cavs)), np.nan)
     failed = []
     # the spec at the sweep's largest kappa0: past the aperture bound, exit before any solve
-    validate(replace(spec, wave=replace(spec.wave, kappa0=float(kappas.max()))))
-    # chunks of wavenumbers whose stacked values fit quadrature.STACK_ENTRIES,
-    # kept as a stack (first chunk on top); a row is the same in any chunk,
-    # so a chunk that fails is solved again as its two halves
-    chunk = quadrature.stack_length(assembly.sweep_entries(spec))
+    top = validate(replace(spec, wave=replace(spec.wave, kappa0=float(kappas.max()))))
+    # chunks of wavenumbers whose stacked values, counted at the largest
+    # kappa0 (the largest cross rule), fit quadrature.STACK_ENTRIES, kept as a
+    # stack (first chunk on top); a row is the same in any chunk, so a chunk
+    # that fails is solved again as its two halves
+    chunk = quadrature.stack_length(assembly.sweep_entries(top))
     parts = [range(start, min(start + chunk, len(kappas)))
              for start in range(0, len(kappas), chunk)][::-1]
     while parts:

@@ -25,17 +25,23 @@ rules use), and the phases of the nodes split into two small factors
 rows and the sums in one call each per slab of scales (`STACK_ENTRIES`), and
 TM's sin and cos blocks share the sums.
 
-Off-diagonal (cross-cavity) blocks have a smooth kernel and use plain tensor
-Gauss with panels graded toward the facing edges when the gap is small.  The
-grid repeats separations, so the kernel is evaluated once per distinct
-separation, for every wavenumber of a sweep in one call.
+Off-diagonal (cross-cavity) blocks have a smooth kernel, a function of the
+separation tau = x - y + a_k - a_j alone, which never reaches 0.  Written
+with e^{+-i mu x} and e^{+-i nu y} and integrated over x in closed form,
+every mode pair becomes a sum of H0 against sines over four segments of
+the separation range, folded with tables 1/(mu +- nu) that no wavenumber
+enters (`_CrossRule`); the few pairs with mu close to nu take the x-integral
+in its stable per-node form.  The rule is 16-point Gauss panels graded
+toward the near end, sized by the wavenumber alone, so the wavenumbers of
+a sweep that share a rule take H0 in one call, a row each, and every other
+sum runs per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import pi
+from math import isqrt, pi
 
 import numpy as np
 
@@ -47,13 +53,14 @@ TWO_PI = 2.0 * pi
 
 # The most complex entries (0.75 MiB) a stack of sweep values lays out at
 # once.  A chunk of `enhance` wavenumbers counts `assembly.sweep_entries` per
-# wavenumber: 1,336 for two equal apertures of 24 x 4 points and N = 8 (628
-# cross separations, a singular block's 384 kernel-rule sequence entries, an
-# 18 x 18 system), so a chunk takes 36.  A singular block splits its scales
-# into equal slabs by what a scale lays out at once (`_slab_entries`, 2,112
-# there: two slabs of 18).  Unequal, graded apertures have about nodes^2
-# separations, so their chunks hold fewer wavenumbers than the
-# 8 x 96^2 / nodes^2 of a count of full grids.
+# wavenumber: 1,108 for two equal apertures of 24 x 4 points and N = 8 (400
+# of the cross rule's, `cross_entries`: its 160 H0 nodes and their planes or
+# a product half of 240; a singular block's 384 kernel-rule sequence
+# entries; an 18 x 18 system), so a chunk takes 44.  A singular block splits
+# its scales into equal slabs by what a scale lays out at once
+# (`_slab_entries`, 2,112 there: two slabs of 22).  A cross rule's nodes grow
+# with the modes and the wavenumber, not with the spec's panels, so unequal,
+# graded apertures stack many wavenumbers too.
 STACK_ENTRIES = 48 * 1024
 
 
@@ -451,49 +458,206 @@ class SingularBlockCache:
 # ---------------------------------------------------------------------------
 # Cross-cavity (smooth) blocks
 
-
-def _graded_interval_edges(w: float, panels: int, facing_right: bool, gap: float):
-    """Uniform panels on [0, w], geometrically refined toward the facing end
-    until panel sizes reach the cavity gap."""
-    edges = list(np.linspace(0.0, w, panels + 1))
-    base = w / panels
-    if gap >= base:
-        return np.asarray(edges)
-    extra = []
-    h = base / 2.0
-    while h > gap and len(extra) < 40:
-        extra.append(h)
-        h /= 2.0
-    if facing_right:
-        edges.extend(w - np.asarray(extra))
-    else:
-        edges.extend(extra)
-    # sorted(set(...)) rather than np.unique, which imports numpy.ma (about 16 ms)
-    return np.array(sorted(set(edges)))
+# a cross rule's uniform panels hold at most 12 rad of the largest frequency
+# (mu_max + nu_max + kappa0) tau of its integrands, 16 Gauss points each
+_CROSS_RADIANS = 12.0
+_CROSS_POINTS = 16
+# entries with |mu - nu| max(w) below this take the per-node form: at 1 the
+# three-cavity cos blocks at kappa0 = 1.5 lose 1.0e-13 normwise to the
+# division by mu - nu, at 1.5 8e-14
+_NEAR = 1.5
 
 
-@lru_cache(maxsize=64)
-def _cross_grid(a_k: float, b_k: float, a_j: float, b_j: float, panels: int, q: int):
-    """The quadrature of a cavity pair, which no wavenumber enters: the
-    graded nodes and weights on either aperture, the distinct separations
-    |x + a_k - y - a_j| of the tensor grid and the index of each grid entry
-    among them.  Memoised: the arrays are shared and read-only."""
-    gap = max(a_j - b_k, a_k - b_j)
-    if gap <= 0:
-        raise ValidationError("cavities", "cross blocks require disjoint cavities")
-    k_right_of_j = a_k > b_j
-    rule = gauss_rule(q)
-    xk, wk = composite_nodes_edges(_graded_interval_edges(b_k - a_k, panels, not k_right_of_j,
-                                                          gap), rule)
-    yj, wj = composite_nodes_edges(_graded_interval_edges(b_j - a_j, panels, k_right_of_j,
-                                                          gap), rule)
-    dist = np.abs(xk[:, None] + a_k - yj[None, :] - a_j)
-    seps, inverse = np.unique(dist, return_inverse=True)
-    # the inverse is flat in numpy 1.x and shaped like dist in some 2.x releases
-    grid = (xk, wk, yj, wj, seps, inverse.reshape(dist.shape))
-    for arr in grid:
-        arr.setflags(write=False)
-    return grid
+def _cross_panels(cav_k: Cavity, cav_j: Cavity, q_m: int, q_n: int,
+                  kappa0: np.ndarray) -> np.ndarray:
+    """The uniform panel count of the cross rule of cavities k and j at each
+    wavenumber kappa0: panels of [0, w_k + w_j] of at most 12 rad of
+    (mu_max + nu_max + kappa0) tau.  A function of the wavenumber alone, so
+    a wavenumber takes the same rule in any chunk."""
+    top = pi * (q_m / cav_k.w + q_n / cav_j.w)
+    return np.ceil((top + kappa0) * ((cav_k.w + cav_j.w) / _CROSS_RADIANS)).astype(int)
+
+
+def _cross_edges(gap: float, cuts: tuple, total: float, h: float) -> np.ndarray:
+    """Panel edges on [0, total], the distance v from the end of the
+    separation range nearest tau = 0, with every cut an edge: panels of at
+    most h, each no longer than its distance gap + v to tau = 0, so the
+    distance doubles per panel until a panel reaches h."""
+    edges = [0.0]
+    for lo, hi in zip((0.0,) + cuts, cuts + (total,)):
+        e = lo
+        while e < hi and gap + e < h:
+            e = min(2.0 * e + gap, hi)
+            edges.append(e)
+        if e < hi:
+            edges.extend(np.linspace(e, hi, int(np.ceil((hi - e) / h)) + 1)[1:].tolist())
+    return np.array(edges)
+
+
+def _sine_factors(x: np.ndarray, width: float, q_max: int):
+    """sin(m pi x/width) at the nodes x for m = base m1 + m0 = 0..q_max as two
+    real factors, outer[m1, :, node] = (sin, cos)(base m1 theta) and
+    inner[:, m0] = (cos, sin)(m0 theta) stacked over the nodes, theta =
+    pi x/width: the sine is outer @ inner, summed over both halves.  Each
+    argument is one product with theta (the complex factors of
+    `_split_phases` round theirs twice, which costs the three-cavity cos
+    blocks up to 2e-14 normwise)."""
+    base = isqrt(q_max) + 1
+    theta = (pi / width) * x
+    lo = np.multiply.outer(np.arange(base), theta)
+    hi = np.multiply.outer(base * np.arange(q_max // base + 1), theta)
+    outer = np.stack((np.sin(hi), np.cos(hi)), axis=1)
+    return outer, np.concatenate((np.cos(lo), np.sin(lo)), axis=1).T.copy()
+
+
+class _CrossRule:
+    """The 1-D rule of the cross blocks of cavities k and j for the modes up
+    to q_m (on k) and q_n (on j), with `panels` uniform panels.
+
+    A block entry is II trig(mu x) H0(kappa0 |tau|) trig(nu y) dy dx, tau =
+    x - y + delta, delta = a_k - a_j, mu = m pi/w_k, nu = n pi/w_j.  Written
+    with e^{ipx}, e^{iqy} (p = +-mu, q = +-nu, s = p + q) and integrated over
+    x at fixed tau, each sign pair is a 1-D integral of H0 over the
+    separations [delta - w_j, delta + w_k], which never reach tau = 0: the
+    x-integral (e^{is hi(tau)} - e^{is lo(tau)})/(is) has breakpoints at
+    tau = delta and delta + w_k - w_j.  The four sign pairs then fold into
+    sine sums of H0 over four segments of that range, each in its own local
+    coordinate x in [0, w] (A, D on cavity k's modes, B, C on cavity j's),
+    times the tables 1/(2(mu +- nu)), which no wavenumber enters.  Where
+    |mu - nu| max(w) < 1.5 (`_NEAR`) the division would cancel, and the near
+    entry is a sum of H0 against the x-integral in its stable per-node form.
+
+    The nodes are 16-point Gauss panels in the distance v from the range's
+    end nearest tau = 0 (`_cross_edges`).  No nodes x modes table is held:
+    the sines split into two small factors per segment (`_sine_factors`).
+    The arrays are read-only."""
+
+    def __init__(self, a_k: float, b_k: float, a_j: float, b_j: float, q_m: int, q_n: int,
+                 panels: int):
+        w_k, w_j = b_k - a_k, b_j - a_j
+        right = a_k > b_j  # cavity k right of j: tau > 0, nearest 0 where x = 0, y = w_j
+        gap = a_k - b_j if right else a_j - b_k
+        if not gap > 0.0:
+            raise ValidationError("cavities", "cross blocks require disjoint cavities")
+        total = w_k + w_j
+        cuts = tuple(sorted({w_k, w_j}))
+        v, wts = composite_nodes_edges(_cross_edges(gap, cuts, total, total / panels),
+                                       gauss_rule(_CROSS_POINTS))
+        self.dist, self.w = gap + v, wts
+        # the segments A, D (modes of k) and B, C (modes of j), each as (first
+        # node, last node + 1, local coordinate at every node, width)
+        below_k, below_j = (int(np.searchsorted(v, w)) for w in (w_k, w_j))
+        if right:
+            local = ((0, below_k, v, w_k), (below_j, len(v), v - w_j, w_k),
+                     (below_k, len(v), total - v, w_j), (0, below_j, w_j - v, w_j))
+        else:
+            local = ((below_j, len(v), total - v, w_k), (0, below_k, w_k - v, w_k),
+                     (0, below_j, v, w_j), (below_k, len(v), v - w_k, w_j))
+        self.segments = []
+        for (start, stop, x, width), q in zip(local, (q_m, q_m, q_n, q_n)):
+            self.segments.append((slice(start, stop),) + _sine_factors(x[start:stop], width, q))
+        # 1/(2(mu + nu)) and 1/(2(mu - nu)), zero where near
+        mu = (pi / w_k) * np.arange(q_m + 1)
+        nu = (pi / w_j) * np.arange(q_n + 1)
+        reach = _NEAR / max(w_k, w_j)
+        tables = []
+        for s in (np.add.outer(mu, nu), np.subtract.outer(mu, nu)):
+            tables.append(np.divide(0.5, s, out=np.zeros_like(s), where=np.abs(s) >= reach))
+        self.plus, self.minus = tables
+        # the near entries: the real part of e^{i q x_C} (e^{is hi} - e^{is lo})/(is)
+        # at p = mu, q = -nu, which with its conjugate (the sign pair -p, -q)
+        # gives both near sign pairs, over 4 for the coefficients 1/4; the
+        # x-integral as (sin(s l) + 2i sin^2(s l/2))/s, l = hi - lo, l at s = 0
+        m_e, n_e = np.nonzero(np.abs(np.subtract.outer(mu, nu)) < reach)
+        self.index = np.full((q_m + 1, q_n + 1), -1)
+        self.index[m_e, n_e] = np.arange(len(m_e))
+        u = v if right else total - v
+        lo = np.maximum(u - w_j, 0.0) if right else np.maximum(w_k - v, 0.0)
+        span = np.minimum(u, w_k) - lo
+        x_c = w_j - v if right else v - w_k
+        s = (mu[m_e] - nu[n_e])[:, None]
+        arg = s * span
+        with np.errstate(divide="ignore", invalid="ignore"):
+            re = np.where(s == 0.0, span, np.sin(arg) / s)
+            im = np.where(s == 0.0, 0.0, 2.0 * np.sin(0.5 * arg) ** 2 / s)
+        phase = s * lo - nu[n_e][:, None] * x_c
+        self.near = 0.5 * (np.cos(phase) * re - np.sin(phase) * im)  # [entry, node]
+        # the (0, 0) entry is near in all four sign pairs: twice for cos, none for sin
+        zero = (m_e == 0) & (n_e == 0)
+        self.weights = {"cos": np.where(zero, 2.0, 1.0), "sin": np.where(zero, 0.0, 1.0)}
+        for arr in (self.dist, self.w, self.plus, self.minus, self.index, self.near,
+                    *self.weights.values()):
+            arr.setflags(write=False)
+        for seg in self.segments:
+            for arr in seg[1:]:
+                arr.setflags(write=False)
+
+    def entries(self, size_m: int, size_n: int) -> int:
+        """The complex entries a wavenumber lays out at once in `blocks` for
+        size_m x size_n blocks: the real and imaginary planes of the H0 row,
+        with the row itself, one half of the longest segment's product or
+        the fold's two block-sized arrays."""
+        longest = max(len(outer) * (part.stop - part.start)
+                      for part, outer, _ in self.segments)
+        return len(self.dist) + max(len(self.dist), longest, 2 * size_m * size_n)
+
+    def blocks(self, kappa0: np.ndarray, m: np.ndarray, n: np.ndarray, kinds, out) -> None:
+        """The blocks [kind, wavenumber, m, n] into out for the wavenumbers
+        kappa0 of this rule.  H0 at the nodes is one call, a row per
+        wavenumber; the sine sums, the near sums and the fold over the sign
+        pairs run per row of that stack, so no sum mixes wavenumbers."""
+        rows = len(kappa0)
+        h = special.hankel1_0(kappa0[:, None] * self.dist)
+        h *= self.w
+        near = np.matmul(self.near, h.view(float).reshape(rows, -1, 2)).view(complex)[..., 0]
+        planes = np.stack((h.real, h.imag), axis=1)  # [row, re/im, node]
+        del h
+        sums = []
+        for part, outer, inner in self.segments:
+            # sum over both halves of the sines' split, one half at a time
+            nodes = part.stop - part.start
+            folded = 0.0
+            for half in range(2):
+                prod = outer[None, :, half, None] * planes[:, None, :, part]
+                folded = folded + prod.reshape(rows, 2 * len(outer), nodes) @ inner[
+                    half * nodes:(half + 1) * nodes]
+            folded = folded.reshape(rows, len(outer), 2, -1)
+            sums.append((folded[:, :, 0] + 1j * folded[:, :, 1]).reshape(rows, -1))
+        a, d = (s[:, m] for s in sums[:2])
+        b, c = (s[:, n] for s in sums[2:])
+        del planes, sums
+        # Y = (-1)^n a - d and Z = (-1)^m b - c; then cos = U + V and
+        # sin = V - U for U = (Y + Z)/(2(mu + nu)), V = (Y - Z)/(2(mu - nu)),
+        # U formed in the first kind's block and written last
+        y = a[:, :, None] * np.where(n % 2, -1.0, 1.0)
+        y -= d[:, :, None]
+        z = b[:, None, :] * np.where(m % 2, -1.0, 1.0)[:, None]
+        z -= c[:, None, :]
+        plus = np.add(y, z, out=out[0])
+        plus *= self.plus[np.ix_(m, n)]
+        minus = np.subtract(y, z, out=y)
+        minus *= self.minus[np.ix_(m, n)]
+        del z
+        sel = self.index[np.ix_(m, n)]
+        i, j = np.nonzero(sel >= 0)
+        e = sel[i, j]
+        for o, k in reversed(list(zip(out, kinds))):
+            (np.add if k == "cos" else np.subtract)(minus, plus, out=o)
+            o[:, i, j] += near[:, e] * self.weights[k][e]
+
+
+# the rule of a cavity pair, largest modes and panel count, memoised: 1.6 to
+# 1.9 MiB for a pair of three_cavity_fields (N = 90, 1,600 to 1,888 nodes)
+_cross_rule = lru_cache(maxsize=16)(_CrossRule)
+
+
+def cross_entries(cav_k: Cavity, cav_j: Cavity, modes_m, modes_n, kappa0: float) -> int:
+    """The complex entries one wavenumber kappa0 lays out at once in
+    `cross_block_matrix` (`_CrossRule.entries`)."""
+    q_m, q_n = max(modes_m), max(modes_n)
+    (panels,) = _cross_panels(cav_k, cav_j, q_m, q_n, np.array([float(kappa0)]))
+    rule = _cross_rule(cav_k.a, cav_k.b, cav_j.a, cav_j.b, q_m, q_n, int(panels))
+    return rule.entries(len(modes_m), len(modes_n))
 
 
 def cross_block_matrix(cav_k: Cavity, cav_j: Cavity, modes_m, modes_n, kappa0,
@@ -502,26 +666,27 @@ def cross_block_matrix(cav_k: Cavity, cav_j: Cavity, modes_m, modes_n, kappa0,
     I_0^{w_k} I_0^{w_j} trig(m pi x/w_k) H0^(1)(kappa0|x+a_k-y-a_j|) trig(n pi y/w_j) dy dx
     for disjoint cavities k != j; an array of wavenumbers kappa0 gives one
     block per wavenumber, stacked along its leading axes, and a tuple of
-    kinds one such stack per kind along a new leading axis.  The kernel is
-    evaluated once per distinct separation of the grid, for every kind."""
-    xk, wk, yj, wj, seps, inverse = _cross_grid(cav_k.a, cav_k.b, cav_j.a, cav_j.b,
-                                                cfg.panels, cfg.points_per_panel)
+    kinds one such stack per kind along a new leading axis.  The blocks are
+    1-D sums over the separation on `_cross_rule` (cfg is not read); the
+    wavenumbers of one panel count share a rule and one H0 call, a row
+    each, and the kinds share the sums."""
+    m = np.asarray(list(modes_m), dtype=int)
+    n = np.asarray(list(modes_n), dtype=int)
+    kinds = _kinds(kind)
     kappa0 = np.asarray(kappa0, dtype=float)
-    kern = special.hankel1_0(kappa0[..., None] * seps)
-    modes_m = np.asarray(list(modes_m), dtype=int)
-    modes_n = np.asarray(list(modes_n), dtype=int)
-    weights = []
-    for k in _kinds(kind):
-        f = np.sin if k == "sin" else np.cos
-        weights.append((f(pi * xk[:, None] * modes_m[None, :] / cav_k.w) * wk[:, None],
-                        f(pi * yj[:, None] * modes_n[None, :] / cav_j.w) * wj[:, None]))
-    rows = kern.reshape(-1, len(seps))
-    blocks = np.empty((len(weights), len(rows), len(modes_m), len(modes_n)), dtype=complex)
-    # laid out on the grid one wavenumber at a time: a stack of full grids
-    # would hold wavenumbers x nodes^2 entries at once
-    for i, row in enumerate(rows):
-        grid = row[inverse]
-        for block, (Tm, Tn) in zip(blocks, weights):
-            block[i] = Tm.T @ grid @ Tn
-    return _as_asked(kind, blocks.reshape((len(weights),) + kappa0.shape
-                                          + (len(modes_m), len(modes_n))))
+    waves = kappa0.ravel()
+    if not np.all(waves > 0.0):  # NaN too
+        raise ValidationError("kappa0", f"wavenumber must be positive, got {kappa0}")
+    q_m, q_n = int(m.max()), int(n.max())
+    panels = _cross_panels(cav_k, cav_j, q_m, q_n, waves)
+    out = np.empty((len(kinds), waves.size, len(m), len(n)), dtype=complex)
+    for p in sorted(set(panels.tolist())):
+        rule = _cross_rule(cav_k.a, cav_k.b, cav_j.a, cav_j.b, q_m, q_n, p)
+        sel = np.flatnonzero(panels == p)
+        if len(sel) == waves.size:
+            rule.blocks(waves, m, n, kinds, out)
+        else:
+            part = np.empty((len(kinds), len(sel), len(m), len(n)), dtype=complex)
+            rule.blocks(waves[sel], m, n, kinds, part)
+            out[:, sel] = part
+    return _as_asked(kind, out.reshape((len(kinds),) + kappa0.shape + (len(m), len(n))))

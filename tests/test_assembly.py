@@ -194,6 +194,92 @@ def test_backward_error_of_every_solve(pol):
         fact.backward_error(cols[:, 1], rhs[:, 1]), rel=1e-6)
 
 
+@pytest.mark.parametrize("pol", ["TM", "TE"])
+def test_sweep_rows_are_the_single_solves_of_their_rows(pol):
+    # one stacked solve over the chunk: each row's x is bitwise solve_system
+    # on that row's system, its backward error the same to 1e-13
+    from cavityscat.assembly import ApertureSystem
+    spec, kappas = example4_spec(pol, N=6, panels=16), np.linspace(5.0, 7.0, 5)
+    tables, sols = assembly.solve_sweep(spec, kappas)
+    stack = build_system(spec, build_modal_tables(spec, kappas))
+    for i, sol in enumerate(sols):
+        single = solve_system(ApertureSystem(stack.lhs[i], stack.rhs[i], stack.layout))
+        for a, b in zip(sol.coefficients, single.coefficients):
+            assert np.array_equal(a, b)
+        assert sol.rcond == single.rcond
+        assert abs(sol.backward_error - single.backward_error) <= 1e-13 * single.backward_error
+
+
+def test_sweep_factors_each_wavenumber_once(monkeypatch):
+    # every wavenumber keeps its own factorization (its rcond and singular
+    # check), which the benchmark harness counts; the stack is solved once
+    inits, solves = [], []
+    init, solve_stack = SystemFactorization.__init__, assembly._solve_stack
+
+    def counted(self, system):
+        init(self, system)
+        inits.append(self.rcond)
+
+    def stacked(lhs, rhs):
+        solves.append(lhs.shape)
+        return solve_stack(lhs, rhs)
+
+    monkeypatch.setattr(SystemFactorization, "__init__", counted)
+    monkeypatch.setattr(assembly, "_solve_stack", stacked)
+    spec = example4_spec("TE", N=4, panels=16)
+    _, sols = assembly.solve_sweep(spec, np.linspace(5.0, 7.0, 7))
+    assert inits == [sol.rcond for sol in sols] and len(inits) == 7
+    assert solves == [(7, 15, 15)]
+
+
+def test_singular_row_fails_its_chunk_and_is_isolated_by_halves(tmp_path, monkeypatch):
+    # a singular system at the third of five wavenumbers fails the stacked
+    # chunk before any solve; the chunk is solved again by halves, so only
+    # that row is NaN, with the single solve's error
+    from cavityscat import cli
+    spec = cs.validate(cs.ProblemSpec(
+        wave=cs.IncidentWave(1.5, 0.0), polarization="TE",
+        cavities=(cs.Cavity(-0.025, 0.025, (cs.Layer(0.0, -1.0, 1.5 + 0j),)),),
+        N=4, quad=cs.QuadratureConfig(panels=12)))
+    spec_path = tmp_path / "spec.json"
+    cs.save_spec(spec, spec_path)
+    kappas = np.linspace(1.4, 1.6, 5)
+    build, chunks = assembly.build_system, []
+
+    def singular_at_third(spec, tables=None):
+        system = build(spec, tables)
+        k0 = np.atleast_1d(tables.kappa0)
+        chunks.append(len(k0))
+        system.lhs[k0 == kappas[2]] = 0.0
+        return system
+
+    monkeypatch.setattr(assembly, "build_system", singular_at_third)
+    out = tmp_path / "out"
+    assert cli.main(["enhance", "--spec", str(spec_path), "--out", str(out),
+                     "--kappa-min", "1.4", "--kappa-max", "1.6", "--kappa-steps", "5"]) == 0
+    assert chunks == [5, 2, 3, 1, 2]
+    rows = [line.split(",") for line in (out / "enhancement.csv").read_text().splitlines()[1:]]
+    assert [r[1] == "nan" for r in rows] == [False, False, True, False, False]
+    import json
+    failed = json.loads((out / "manifest.json").read_text())["diagnostics"]["failed"]
+    assert failed == [{"kappa": kappas[2], "error": "system singular (rcond = 0)"}]
+
+
+def test_matrix_right_hand_side_is_one_plain_solve():
+    # backscatter_sweep's path: a matrix of right-hand sides is solved by one
+    # np.linalg.solve and its backward error is the worst column's, in the
+    # same operations as before the stacked solve, so rcs outputs keep their bits
+    sys = build_system(example1_spec("TM", N=12, panels=16))
+    fact = SystemFactorization(sys)
+    rhs = np.stack([sys.rhs * (1.0 + 0.1j * k) for k in range(5)], axis=1)
+    sol = fact.solve(rhs)
+    x = np.linalg.solve(sys.lhs, rhs)
+    assert np.array_equal(np.concatenate(sol.coefficients), x)
+    resid = np.abs(rhs - sys.lhs @ x).max(axis=0)
+    scale = np.linalg.norm(sys.lhs, np.inf) * np.abs(x).max(axis=0) + np.abs(rhs).max(axis=0)
+    assert sol.backward_error == float(np.max(resid / scale))
+
+
 def test_rcond_warning_attached():
     from cavityscat.assembly import ApertureSystem, ModeLayout
     A = np.diag([1.0, 1.0, 1.0, 1e-16]).astype(complex)

@@ -7,8 +7,10 @@ from math import pi
 import cavityscat as cs
 from cavityscat import oracle
 from cavityscat.model import QuadratureConfig
-from cavityscat.quadrature import (SingularBlockCache, cross_block_matrix, singular_block,
+from cavityscat.quadrature import (SingularBlockCache, composite_nodes_edges,
+                                   cross_block_matrix, gauss_rule, singular_block,
                                    singular_block_matrix)
+from cavityscat.special import hankel1_0
 
 CFG = QuadratureConfig(panels=64, points_per_panel=6)
 
@@ -137,6 +139,91 @@ def test_cross_block_requires_disjoint():
     cj = cs.Cavity(0.5, 1.5, lay)
     with pytest.raises(cs.ValidationError):
         cross_block(1, 1, ck, cj, 2.0, "sin", CFG)
+
+
+def _layers():
+    return (cs.Layer(0.0, -1.0, 1.0 + 0j),)
+
+
+def _tensor_cross(cav_k, cav_j, modes, kappa0):
+    """The sin and cos cross blocks by tensor Gauss over both apertures: 128
+    panels of 16 points each, halved toward the facing ends down to the gap,
+    summed 256 rows at a time."""
+    gap = max(cav_j.a - cav_k.b, cav_k.a - cav_j.b)
+    right = cav_k.a > cav_j.b
+
+    def nodes(w, facing_right):
+        edges, h = list(np.linspace(0.0, w, 129)), w / 256
+        while h > gap:
+            edges.append(w - h if facing_right else h)
+            h /= 2
+        return composite_nodes_edges(np.array(sorted(edges)), gauss_rule(16))
+
+    (x, wx), (y, wy) = nodes(cav_k.w, not right), nodes(cav_j.w, right)
+    out = []
+    for f in (np.sin, np.cos):
+        tm = f(pi * np.outer(x, modes) / cav_k.w) * wx[:, None]
+        tn = f(pi * np.outer(y, modes) / cav_j.w) * wy[:, None]
+        out.append(sum(tm[r:r + 256].T @ hankel1_0(kappa0 * np.abs(
+            x[r:r + 256, None] + cav_k.a - y - cav_j.a)) @ tn for r in range(0, len(x), 256)))
+    return out
+
+
+_THREE = (cs.Cavity(-0.6, -0.1, _layers()), cs.Cavity(0.0, 0.2, _layers()),
+          cs.Cavity(0.3, 0.6, _layers()))
+
+
+@pytest.mark.parametrize("cav_k,cav_j,modes", [
+    (cs.Cavity(-0.075, -0.025, _layers()), cs.Cavity(0.025, 0.075, _layers()), range(1, 9)),
+    (cs.Cavity(-0.6, -0.1, _layers()), cs.Cavity(0.0, 0.2, _layers()), range(1, 9)),
+    (cs.Cavity(0.0, 0.5, _layers()), cs.Cavity(0.501, 0.8, _layers()), range(1, 9)),
+    (_THREE[0], _THREE[1], range(1, 91)),
+    (_THREE[0], _THREE[2], range(1, 91)),
+    (_THREE[1], _THREE[2], range(1, 91)),
+], ids=["equal", "unequal", "gap-0.001", "three-01", "three-02", "three-12"])
+def test_cross_blocks_against_a_tensor_reference(cav_k, cav_j, modes):
+    # the 1-D rule over the separation against 128 x 16-point tensor Gauss:
+    # the sin blocks agree to 5e-15, the cos blocks without mode 0 (small
+    # entries, formed from sums up to 100 times larger) to 8e-14
+    modes = np.array(modes)
+    for kappa0 in (1.5, 2 * pi):
+        got = cross_block_matrix(cav_k, cav_j, modes, modes, kappa0, ("sin", "cos"), CFG)
+        for block, ref in zip(got, _tensor_cross(cav_k, cav_j, modes, kappa0)):
+            assert np.linalg.norm(block - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("cav_k,cav_j,modes", [
+    (cs.Cavity(-0.075, -0.025, _layers()), cs.Cavity(0.025, 0.075, _layers()), range(0, 9)),
+    (cs.Cavity(0.0, 0.5, _layers()), cs.Cavity(0.501, 0.8, _layers()), range(0, 5)),
+    (cs.Cavity(0.0, 0.5, _layers()), cs.Cavity(0.501, 0.8, _layers()), range(0, 41)),
+    (_THREE[0], _THREE[2], range(0, 91)),
+])
+def test_cross_block_of_the_swapped_pair_is_the_transpose(cav_k, cav_j, modes):
+    # the rule of (j, k) is the rule of (k, j) read from the other end, its
+    # local coordinates rounded apart (modes 1..90 of the three-cavity cos
+    # block, small entries from large sums, agree to 1.1e-14 of the largest)
+    for kappa0 in (1.5, 2 * pi):
+        for kind in ("sin", "cos"):
+            a = cross_block_matrix(cav_k, cav_j, modes, modes, kappa0, kind, CFG)
+            b = cross_block_matrix(cav_j, cav_k, modes, modes, kappa0, kind, CFG)
+            assert np.abs(b.T - a).max() <= 1e-14 * np.abs(a).max()
+
+
+def test_cross_rule_grades_toward_the_near_end():
+    # 16-point panels of at most 12 rad of (mu_max + nu_max + kappa0) tau,
+    # each no longer than its distance to tau = 0, with the x-integral's
+    # breakpoints among the edges; the equal pair of enhance_pair takes 160
+    # nodes, the gap-0.001 pair is graded toward the gap
+    from cavityscat import quadrature
+    cav_k, cav_j = cs.Cavity(-0.075, -0.025, _layers()), cs.Cavity(0.025, 0.075, _layers())
+    (panels,) = quadrature._cross_panels(cav_k, cav_j, 8, 8, np.array([1.5]))
+    assert panels == 9 and len(quadrature._cross_rule(
+        cav_k.a, cav_k.b, cav_j.a, cav_j.b, 8, 8, panels).dist) == 160
+    edges = quadrature._cross_edges(0.001, (0.3, 0.5), 0.8, 0.8 / 46)
+    assert {0.3, 0.5, 0.8} <= set(edges) and np.all(np.diff(edges) > 0.0)
+    lengths = np.diff(edges)
+    assert np.all(lengths <= 0.001 + edges[:-1]) and np.all(lengths <= 0.8 / 46 * (1 + 1e-12))
+    assert np.array_equal(lengths[:5], 0.001 * 2.0 ** np.arange(5))
 
 
 @pytest.mark.parametrize("panels", [1, 7, 24, 96, 512])

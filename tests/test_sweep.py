@@ -1,6 +1,7 @@
 """A wavenumber sweep as one stacked computation: stacked modal tables,
-kernel matrices and Q_E against the single-spec path, the cross kernel from
-its distinct separations, and the resonance checks over a leading axis."""
+kernel matrices, cross blocks, solves and Q_E against the single-spec path,
+the chunks of an `enhance` sweep, and the resonance checks over a leading
+axis."""
 
 import json
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import cavityscat as cs
-from cavityscat import assembly, cli, modal, postprocess, quadrature, special
+from cavityscat import assembly, cli, modal, postprocess, quadrature
 from cavityscat.errors import ConnectionResonanceError, ModalResonanceError
 from cavityscat.model import QuadratureConfig
 
@@ -74,56 +75,30 @@ def test_stacked_system_is_the_single_systems():
         assert np.array_equal(stack.rhs[i], single.rhs)
 
 
-def _full_grid_cross(cav_k, cav_j, modes, kappa0, kind, cfg):
-    """The cross block from the kernel at every grid separation, the former
-    evaluation, with the graded nodes built here."""
-    gap = max(cav_j.a - cav_k.b, cav_k.a - cav_j.b)
-    rule = quadrature.gauss_rule(cfg.points_per_panel)
-    right = cav_k.a > cav_j.b
-    xk, wk = quadrature.composite_nodes_edges(
-        quadrature._graded_interval_edges(cav_k.w, cfg.panels, not right, gap), rule)
-    yj, wj = quadrature.composite_nodes_edges(
-        quadrature._graded_interval_edges(cav_j.w, cfg.panels, right, gap), rule)
-    dist = np.abs(xk[:, None] + cav_k.a - yj[None, :] - cav_j.a)
-    kern = special.hankel1_0(kappa0 * dist)
-    f = np.sin if kind == "sin" else np.cos
-    modes = np.asarray(modes)
-    Tm = f(pi * xk[:, None] * modes[None, :] / cav_k.w) * wk[:, None]
-    Tn = f(pi * yj[:, None] * modes[None, :] / cav_j.w) * wj[:, None]
-    return dist, kern, Tm.T @ kern @ Tn
-
-
 def _layers():
     return (cs.Layer(0.0, -1.0, 1.0 + 0j),)
 
 
-@pytest.mark.parametrize("cav_k,cav_j,graded", [
-    (cs.Cavity(-0.075, -0.025, _layers()), cs.Cavity(0.025, 0.075, _layers()), False),  # equal
-    (cs.Cavity(-0.6, -0.1, _layers()), cs.Cavity(0.0, 0.2, _layers()), False),        # unequal
-    (cs.Cavity(0.0, 0.5, _layers()), cs.Cavity(0.501, 0.8, _layers()), True),          # small gap
+@pytest.mark.parametrize("cav_k,cav_j", [
+    (cs.Cavity(-0.075, -0.025, _layers()), cs.Cavity(0.025, 0.075, _layers())),  # equal
+    (cs.Cavity(-0.6, -0.1, _layers()), cs.Cavity(0.0, 0.2, _layers())),          # unequal
+    (cs.Cavity(0.0, 0.5, _layers()), cs.Cavity(0.501, 0.8, _layers())),          # small gap
 ])
-def test_cross_kernel_from_distinct_separations(cav_k, cav_j, graded):
-    cfg = QuadratureConfig(panels=8)
+def test_cross_blocks_over_a_vector_of_wavenumbers(cav_k, cav_j):
+    # each block of the stack is bitwise its wavenumber's own, also across
+    # the wavenumber where the rule gains a panel: the panel count is a
+    # function of the wavenumber alone, and the chunk is grouped by it
     modes = np.arange(1, 6)
-    xk, _, yj, _, seps, inverse = quadrature._cross_grid(cav_k.a, cav_k.b, cav_j.a, cav_j.b,
-                                                         cfg.panels, cfg.points_per_panel)
-    assert (len(xk) > cfg.panels * cfg.points_per_panel) == graded
-    for kappa0 in (1.5, 2 * pi):
-        for a, b in ((cav_k, cav_j), (cav_j, cav_k)):
-            dist, kern, block = _full_grid_cross(a, b, modes, kappa0, "sin", cfg)
-            *_, seps_ab, inv_ab = quadrature._cross_grid(a.a, a.b, b.a, b.b, cfg.panels,
-                                                         cfg.points_per_panel)
-            assert inv_ab.shape == dist.shape and len(seps_ab) <= dist.size
-            assert np.array_equal(special.hankel1_0(kappa0 * seps_ab)[inv_ab], kern)
-            assert np.array_equal(quadrature.cross_block_matrix(a, b, modes, modes, kappa0,
-                                                                "sin", cfg), block)
-    # a vector of wavenumbers stacks the blocks of its entries
-    k0 = np.array([1.5, 2.0, 2 * pi])
-    stack = quadrature.cross_block_matrix(cav_k, cav_j, modes, modes, k0, "cos", cfg)
-    assert stack.shape == (3, 5, 5)
+    (panels,) = quadrature._cross_panels(cav_k, cav_j, 5, 5, np.array([2.0]))
+    step = 12.0 * panels / (cav_k.w + cav_j.w) - pi * 5 * (1 / cav_k.w + 1 / cav_j.w)
+    k0 = np.array([1.5, step - 0.01, 2 * pi, step + 0.01, 2.0])
+    assert len(set(quadrature._cross_panels(cav_k, cav_j, 5, 5, k0).tolist())) == 2
+    stack = quadrature.cross_block_matrix(cav_k, cav_j, modes, modes, k0, ("sin", "cos"), None)
+    assert stack.shape == (2, 5, 5, 5)
     for i, kappa0 in enumerate(k0):
-        single = quadrature.cross_block_matrix(cav_k, cav_j, modes, modes, kappa0, "cos", cfg)
-        assert np.allclose(stack[i], single, rtol=1e-15, atol=0.0)
+        single = quadrature.cross_block_matrix(cav_k, cav_j, modes, modes, kappa0,
+                                               ("sin", "cos"), None)
+        assert np.array_equal(stack[:, i], single)
 
 
 def test_singular_blocks_over_a_vector_of_scales():
@@ -246,29 +221,29 @@ def _enhance(tmp_path, spec_path, name: str, kappa_min: float, kappa_max: float,
 
 
 def test_enhance_sweep_chunks_of_the_grid_budget(tmp_path, monkeypatch):
-    # 24 panels of 4 points on two equal apertures: a wavenumber stacks the
-    # 628 distinct cross separations, the 384 entries of one singular block's
-    # 1-D sums (f and g, 2 x 24 long per point; the second cavity's block is
-    # the first one's) and the 18 x 18 system, so a chunk
-    # takes the 36 that fit STACK_ENTRIES; the last chunk holds the
+    # two equal apertures, N = 8: a wavenumber lays out the cross rule's 160
+    # H0 nodes with the larger of their planes (160), one half of the longest
+    # segment's product (3 x 80) and the fold (2 x 9 x 9), the 384 entries of
+    # one singular block's 1-D sums (f and g, 2 x 24 long per point; the
+    # second cavity's block is the first one's) and the 18 x 18 system, so a
+    # chunk takes the 44 that fit STACK_ENTRIES; the last chunk holds the
     # remainder, and every wavenumber is solved exactly once
     spec = _enhance_pair_spec()
     a, b = spec.cavities
-    seps = quadrature._cross_grid(a.a, a.b, b.a, b.b, 24, 4)[4]
-    assert len(seps) == 628
-    assert assembly.sweep_entries(spec) == 628 + 2 * (2 * 24) * 4 + 18 * 18
-    assert quadrature.stack_length(assembly.sweep_entries(spec)) == 36
+    assert quadrature.cross_entries(a, b, range(9), range(9), 1.62) == 160 + 240
+    assert assembly.sweep_entries(spec) == 400 + 2 * (2 * 24) * 4 + 18 * 18
+    assert quadrature.stack_length(assembly.sweep_entries(spec)) == 44
     spec_path = tmp_path / "spec.json"
     cs.save_spec(spec, spec_path)
     chunks = _recorded_chunks(monkeypatch)
-    _enhance(tmp_path, spec_path, "out", 1.35, 1.62, 40)
-    assert [len(c) for c in chunks] == [36, 4]
-    assert [k for c in chunks for k in c] == list(np.linspace(1.35, 1.62, 40))
+    _enhance(tmp_path, spec_path, "out", 1.35, 1.62, 50)
+    assert [len(c) for c in chunks] == [44, 6]
+    assert [k for c in chunks for k in c] == list(np.linspace(1.35, 1.62, 50))
 
 
 def _graded_three_cavities():
     """Three TE cavities of unequal widths, 64 panels of 4 points, gaps of
-    0.001 and 0.002: the facing panels are graded down to the gaps."""
+    0.001 and 0.002: the cross rules grade toward the gaps."""
     lay = (cs.Layer(0.0, -0.5, 1.0 + 0j),)
     return cs.validate(cs.ProblemSpec(
         wave=cs.IncidentWave(2.0, pi / 7), polarization="TE",
@@ -277,32 +252,34 @@ def _graded_three_cavities():
         N=4, quad=QuadratureConfig(panels=64)))
 
 
-def test_graded_unequal_grids_stack_one_wavenumber(tmp_path, monkeypatch):
-    # the separations of unequal apertures are all distinct: the 256^2 of a
-    # uniform pair of grids, more where the facing panels are graded, so
-    # one wavenumber fills STACK_ENTRIES, no more than the 8 x 96^2 / nodes^2
-    # of a count of full grids: the sweep runs one wavenumber per chunk
+def test_graded_unequal_pairs_stack_many_wavenumbers(tmp_path, monkeypatch):
+    # a cross rule's nodes grow with the modes and the wavenumber, not with
+    # the spec's panels, and its grading adds a few panels per gap: the three
+    # pairs lay out 560 + 240 + 480 entries per wavenumber where their tensor
+    # grids held about 256^2 separations each (one wavenumber per chunk),
+    # so with the three singular blocks' 3 x 1,024 and the 15 x 15 system a
+    # chunk takes ten wavenumbers
     spec = _graded_three_cavities()
-    for (a, b), nodes in (((0, 1), 264), ((0, 2), 256), ((1, 2), 260)):
-        ca, cb = spec.cavities[a], spec.cavities[b]
-        xk, _, yj, _, seps, _ = quadrature._cross_grid(ca.a, ca.b, cb.a, cb.b, 64, 4)
-        assert len(xk) == len(yj) == nodes and len(seps) == nodes * nodes
-    assert assembly.sweep_entries(spec) > quadrature.STACK_ENTRIES
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    assert [quadrature.cross_entries(spec.cavities[a], spec.cavities[b], range(5), range(5),
+                                     2.0) for a, b in pairs] == [560, 240, 480]
+    assert assembly.sweep_entries(spec) == 1280 + 3 * 2 * (2 * 64) * 4 + 15 * 15
+    assert quadrature.stack_length(assembly.sweep_entries(spec)) == 10
     spec_path = tmp_path / "spec.json"
     cs.save_spec(spec, spec_path)
     chunks = _recorded_chunks(monkeypatch)
-    _enhance(tmp_path, spec_path, "out", 1.5, 1.6, 3)
-    assert [len(c) for c in chunks] == [1, 1, 1]
+    _enhance(tmp_path, spec_path, "out", 1.5, 1.6, 12)
+    assert [len(c) for c in chunks] == [10, 2]
 
 
 def test_enhance_chunk_memory_is_bounded():
     # one chunk of enhance_pair's sweep, after a first chunk has filled the
-    # memoised rules: 36 wavenumbers stack 1.38 MiB with the singular blocks
-    # in two slabs of 18 scales (1.48 MiB in one slab of 36; numpy 2.4)
+    # memoised rules: 44 wavenumbers stack 1.21 MiB with the singular blocks
+    # in two slabs of 22 scales (numpy 2.4)
     spec = _enhance_pair_spec()
     kappas = np.linspace(1.35, 1.62, 361)
     chunk = quadrature.stack_length(assembly.sweep_entries(spec))
-    assert chunk == 36
+    assert chunk == 44
     cli._enhance_rows(spec, kappas[:chunk], [0, 1])
     tracemalloc.start()
     try:
@@ -315,7 +292,7 @@ def test_enhance_chunk_memory_is_bounded():
 
 
 def test_enhance_outputs_do_not_depend_on_the_chunk_length(tmp_path, monkeypatch):
-    # enhance_pair's grid over 40 wavenumbers: the default chunks (36 and 4),
+    # enhance_pair's grid over 40 wavenumbers: the default chunk (all 40),
     # chunks of 8 or 16 and one wavenumber per chunk write the same bytes,
     # and the same manifest but for the wall time
     spec_path = tmp_path / "spec.json"
