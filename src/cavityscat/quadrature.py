@@ -25,6 +25,20 @@ rules use), and the phases of the nodes split into two small factors
 rows and the sums in one call each per slab of scales (`STACK_ENTRIES`), and
 TM's sin and cos blocks share the sums.
 
+Every block is linear in its kernel row, and below the ascending series'
+cutoff (`special`) a kernel row is a fixed combination of monomial rows:
+H0(x s) = sum_k t_k(x) ((1 + i lam(x) - i (2/pi) H_k) s^{2k}
++ i (2/pi) s^{2k} ln s) over K = 20 terms (`special.moment_coefficients`).
+So each rule runs its linear pipeline once on the monomial rows and
+memoises the result, its moment tables (`_KernelRule.moments`,
+`_CrossRule.moments`), and a row whose argument bound is below the cutoff
+(2 pi c < 5 for a singular block; kappa0 times the pair's span < 4 for a
+cross block) costs one K-term contraction per row (`_moment_sums`) in place
+of kernel rows and their sums.  The path is a function of the row's own
+bound, so a row is bitwise its own in any chunk or slab.  The tables are
+summed in extended precision, since the contraction cancels terms up to
+some seventy times its result.
+
 Off-diagonal (cross-cavity) blocks have a smooth kernel, a function of the
 separation tau = x - y + a_k - a_j alone, which never reaches 0.  Written
 with e^{+-i mu x} and e^{+-i nu y} and integrated over x in closed form,
@@ -33,14 +47,14 @@ the separation range, folded with tables 1/(mu +- nu) that no wavenumber
 enters (`_CrossRule`); the few pairs with mu close to nu take the x-integral
 in its stable per-node form.  The rule is 16-point Gauss panels graded
 toward the near end, sized by the wavenumber alone, so the wavenumbers of
-a sweep that share a rule take H0 in one call, a row each, and every other
-sum runs per row.
+a sweep that share a rule take H0 in one call (or the moment tables in one
+contraction), a row each, and every other sum runs per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import isqrt, pi
 
 import numpy as np
@@ -51,16 +65,30 @@ from .model import MAX_APERTURE_SCALE, Cavity, QuadratureConfig
 
 TWO_PI = 2.0 * pi
 
+# A singular block's row whose kernel arguments all stay below the ascending
+# series' cutoff (2 pi c < 5) takes its sums from one contraction of its
+# rule's moment tables (`_moment_sums`).  A cross block's row does where
+# kappa0 times the pair's span is below 4: its kernel has no log part to
+# outweigh the contraction's cancellation, which grows as I0(x)/|H0(x)| (28
+# at 4, 76 at 5): from 4.95 to 5 its blocks are 2e-15 off normwise where H0
+# at the nodes gives 3e-16, below 4 the two agree to 1e-15.
+_MOMENT_CUTOFF = special._SERIES_CUTOFF
+_CROSS_MOMENT_CUTOFF = 4.0
+
 # The most complex entries (0.75 MiB) a stack of sweep values lays out at
 # once.  A chunk of `enhance` wavenumbers counts `assembly.sweep_entries` per
 # wavenumber: 1,108 for two equal apertures of 24 x 4 points and N = 8 (400
 # of the cross rule's, `cross_entries`: its 160 H0 nodes and their planes or
 # a product half of 240; a singular block's 384 kernel-rule sequence
-# entries; an 18 x 18 system), so a chunk takes 44.  A singular block splits
-# its scales into equal slabs by what a scale lays out at once
-# (`_slab_entries`, 2,112 there: two slabs of 22).  A cross rule's nodes grow
-# with the modes and the wavenumber, not with the spec's panels, so unequal,
-# graded apertures stack many wavenumbers too.
+# entries; an 18 x 18 system), so a chunk takes 44.  Those counts are of the
+# kernel rows; below the moment cutoffs a chunk's blocks lay out less (a
+# moment contraction row per wavenumber), but the chunk length stays a
+# function of the spec alone.  A singular block splits its scales into equal
+# slabs by what a scale lays out at once (`_slab_entries`: 2,112 for the
+# kernel rows there, 180 for the moment contraction and `_combine`'s halves,
+# so the 44 scales take one slab).  A cross rule's nodes grow with the modes
+# and the wavenumber, not with the spec's panels, so unequal, graded
+# apertures stack many wavenumbers too.
 STACK_ENTRIES = 48 * 1024
 
 
@@ -159,7 +187,7 @@ def _fold_panels(terms: np.ndarray, panels: int, phases, count: int, signs=(1,))
     split phases of x_a (conjugated for s = -1) sum it over a.  Every
     transform and product runs per row of the leading axes, so no sum mixes
     rows."""
-    seq = np.zeros(terms.shape[:-1] + (2 * panels,), dtype=complex)
+    seq = np.zeros(terms.shape[:-1] + (2 * panels,), dtype=np.result_type(terms, 1j))
     seq[..., :terms.shape[-1]] = terms
     spectra = np.fft.ifft(seq, axis=-1, norm="forward")
     del seq
@@ -189,13 +217,19 @@ class _KernelRule:
             arr.setflags(write=False)
 
     def sums(self, scales: np.ndarray) -> np.ndarray:
+        """`fold` of R = H0(c tau) - (2i/pi) J0(c tau) ln tau, one row per
+        scale c."""
+        return self.fold(special.regularized_kernel_abs(self.tau, scales))
+
+    def fold(self, kernel: np.ndarray) -> np.ndarray:
         """A_q = sum_tau f sin(q tau/2) and D_q = sum_tau g cos(q tau/2) for
-        f = R w and g = (2 pi - tau) f, R = H0(c tau) - (2i/pi) J0(c tau)
-        ln tau, q = 0..q_max, complex (rows, 2, q_max + 1), one row per scale
-        c.  R is complex, so each sum takes the folds of e^{+-i q tau/2}:
-        sin is their difference over 2i, cos their mean."""
-        terms = np.empty((len(scales), 2) + self.tau.shape, dtype=complex)  # f and g
-        np.multiply(special.regularized_kernel_abs(self.tau, scales), self.w, out=terms[:, 0])
+        f = K w and g = (2 pi - tau) f, q = 0..q_max, complex
+        (rows, 2, q_max + 1), from rows of a kernel K at the nodes tau.  K may
+        be complex, so each sum takes the folds of e^{+-i q tau/2}: sin is
+        their difference over 2i, cos their mean."""
+        terms = np.empty((len(kernel), 2) + self.tau.shape,
+                         dtype=np.result_type(kernel, 1j))  # f and g
+        np.multiply(kernel, self.w, out=terms[:, 0])
         np.multiply(terms[:, 0], TWO_PI - self.tau, out=terms[:, 1])
         plus, minus = _fold_panels(terms, self.panels, self.phases, self.q_max + 1, (1, -1))
         out = np.empty_like(plus)
@@ -205,9 +239,66 @@ class _KernelRule:
         out[:, 1] *= 0.5
         return out
 
+    @cached_property
+    def moments(self) -> np.ndarray:
+        """The moment tables of the whole kernel H0(c tau) for every scale
+        below the cutoff (`_moment_sums`), real (MOMENT_TERMS, 2, 2,
+        q_max + 1): [k, 0] = S_k, the sums (`fold`) of tau^{2k} on this rule,
+        and [k, 1] = U_k = L_k - H_k S_k, with L_k the log part's sums of
+        tau^{2k} ln tau on `_log_rule` at the cutoff scale's panel count (the
+        most any scale below it takes).  Built on first use, read-only."""
+        log = _log_rule(self.q_max, int(_log_panels(self.q_max, _MOMENT_SCALE)))
+        table = np.empty((special.MOMENT_TERMS, 2, 2, self.q_max + 1))
+        harmonic = np.array(special._HARMONIC[:len(table)])[:, None, None]
+        log_powers = _even_powers(log.tau)
+        for ks, powers in _power_slabs(_even_powers(self.tau),
+                                       _node_entries(self, self.q_max, _MOMENT_SCALE)):
+            s = self.fold(powers).real
+            table[ks, 0] = s
+            table[ks, 1] = log.sums(log_powers[ks].astype(powers.dtype)) - harmonic[ks] * s
+        table.setflags(write=False)
+        return table
+
 
 # the rule of a uniform grid and a largest mode, memoised
 _kernel_rule = lru_cache(maxsize=8)(_KernelRule)
+
+# the aperture scale at the series cutoff: below it, c tau < 5 on [0, 2 pi]
+_MOMENT_SCALE = _MOMENT_CUTOFF / TWO_PI
+
+
+def _even_powers(s: np.ndarray) -> np.ndarray:
+    """[k, ...] = s^{2k}, k < MOMENT_TERMS, by repeated products in
+    np.longdouble."""
+    square = np.square(s, dtype=np.longdouble)
+    out = np.empty((special.MOMENT_TERMS,) + square.shape, dtype=np.longdouble)
+    out[0] = 1.0
+    np.cumprod(np.broadcast_to(square, out[1:].shape), axis=0, out=out[1:])
+    return out
+
+
+# A contraction of the moment tables cancels terms up to some seventy times
+# its result (I0(5) over |H0(5)|), so a float sum's rounding, which differs
+# from power to power, would grow by that factor.  The tables are summed in
+# np.longdouble and then rounded, but for the powers from 8 on: below the
+# cutoff their terms |t_k(x)| s^{2k} <= 2.5^{2k}/(k!)^2 (x s < 5) are under
+# 1.5e-3, and they are summed in float.  Where longdouble is float (some
+# platforms; numpy's FFT before 2.0 for the kernel rule's fold), all are float
+# sums.
+_EXTENDED_POWERS = 8
+
+
+def _power_slabs(rows: np.ndarray, per_power: int):
+    """(k range, rows[k range]) over the powers k in consecutive slabs of at
+    most `stack_length(per_power)`, for a pipeline that lays out per_power
+    entries per row; the rows in np.longdouble below _EXTENDED_POWERS and in
+    float from it on."""
+    step = stack_length(per_power)
+    for lo, hi, dtype in ((0, _EXTENDED_POWERS, np.longdouble),
+                          (_EXTENDED_POWERS, len(rows), float)):
+        for k in range(lo, hi, step):
+            ks = slice(k, min(k + step, hi))
+            yield ks, rows[ks].astype(dtype, copy=False)
 
 
 class _LogRule:
@@ -247,13 +338,13 @@ class _LogRule:
         panel index (`_fold_panels`).  Every product and transform runs per
         row, so no sum mixes scales."""
         rows, panels, count = len(j0), self.panels, self.q_max + 1
-        terms = np.empty((rows, 2, len(self.tau)))  # f and g
+        terms = np.empty((rows, 2, len(self.tau)), dtype=np.result_type(j0, 1.0))  # f and g
         np.multiply(j0, self.lw, out=terms[:, 0])
         np.multiply(terms[:, 0], TWO_PI - self.tau, out=terms[:, 1])
         lo, hi = self.graded
         # f and g times the phase factors of each q1, cast and then multiplied
         # in place (a mixed float-complex product lays out casting buffers)
-        product = np.empty((rows, 2) + hi.shape, dtype=complex)
+        product = np.empty((rows, 2) + hi.shape, dtype=np.result_type(j0, 1j))
         product[...] = terms[:, :, None, :_GRADED_NODES]
         product *= hi
         split = product.reshape(rows, -1, _GRADED_NODES) @ lo
@@ -287,6 +378,41 @@ def _log_sums(q_max: int, scales: np.ndarray) -> np.ndarray:
         sel = np.flatnonzero(panels == p)
         out[sel] = rule.sums(special.bessel_j0_rows(scales[sel, None] * rule.tau))
     return out
+
+
+def _moment_sums(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_k t_k(x) (S_k + i (lam(x) S_k + (2/pi) U_k)), with t and lam of
+    `special.moment_coefficients`, from table[k] = (S_k, U_k): the sums of a
+    linear pipeline over the rows of H0(x s), one row per x, complex
+    (x.size,) + table.shape[2:].  The contraction is one (1, K) @ (K, ...)
+    product per row, so a row is bitwise its own in any array."""
+    t, lam = special.moment_coefficients(x)
+    rows = len(t)
+    su = np.matmul(t[:, None, :], table.reshape(len(table), -1)).reshape(rows, 2, -1)
+    out = np.empty((rows, su.shape[-1]), dtype=complex)
+    out.real = su[:, 0]
+    np.multiply(su[:, 0], lam[:, None], out=out.imag)
+    su[:, 1] *= 2.0 / pi
+    out.imag += su[:, 1]
+    return out.reshape((rows,) + table.shape[2:])
+
+
+def _whole_sums(rule: _KernelRule, q_max: int, scales: np.ndarray) -> np.ndarray:
+    """A_q and D_q of the whole kernel H0(c tau), complex (rows, 2, q_max + 1),
+    one row per scale: below the cutoff (2 pi c < 5) one contraction of the
+    rule's moment tables, from it on R's sums on the rule plus the log
+    part's on `_log_rule`.  The path is a function of each scale alone."""
+    small = TWO_PI * scales < _MOMENT_CUTOFF
+    if small.all():
+        return _moment_sums(scales, rule.moments)
+    if not small.any():
+        AD = rule.sums(scales)
+        AD.imag += (2.0 / pi) * _log_sums(q_max, scales)
+        return AD
+    AD = np.empty((scales.size, 2, q_max + 1), dtype=complex)
+    for sel in (small, ~small):
+        AD[sel] = _whole_sums(rule, q_max, scales[sel])
+    return AD
 
 
 def _kinds(kind) -> tuple:
@@ -368,11 +494,21 @@ def log_part_matrix(kind, modes_m, modes_n, c) -> np.ndarray:
     return _as_asked(kind, out.reshape((len(kinds),) + c.shape + (len(m), len(n))))
 
 
-def _slab_entries(rule: _KernelRule, q_max: int, c: float) -> int:
+def _slab_entries(rule: _KernelRule, q_max: int, c: float, block: int) -> int:
     """The complex entries a scale lays out at once in
-    `singular_block_matrix`: the kernel rule's sequences of f and g and
-    their transforms, and the log part's graded products and uniform
-    sequences and transforms at scale c."""
+    `singular_block_matrix`: below the cutoff the moment contraction's row
+    and the two halves of its `block` entries that `_combine` takes, from it
+    on `_node_entries`."""
+    if TWO_PI * c < _MOMENT_CUTOFF:
+        return 2 * (q_max + 1) + 2 * block
+    return _node_entries(rule, q_max, c)
+
+
+def _node_entries(rule: _KernelRule, q_max: int, c: float) -> int:
+    """The complex entries a row of the kernel rule's and the log part's
+    sums lays out at once at scale c: the kernel rule's sequences of f and g
+    and their transforms, and the log part's graded products and uniform
+    sequences and transforms."""
     kernel = 2 * 2 * (2 * rule.panels) * rule.tau.shape[0]
     log = 2 * ((q_max // 16 + 1) * _GRADED_NODES
                + 2 * _UNIFORM_POINTS * 2 * int(_log_panels(q_max, c)))
@@ -387,10 +523,11 @@ def singular_block_matrix(modes_m, modes_n, c, kind, cfg: QuadratureConfig) -> n
     A block is `_combine` of the integrals A_q, D_q of the whole kernel
     H0(c tau) = R(tau) + (2i/pi) J0(c tau) ln tau: R's on the spec's
     `panels` uniform panels of `points_per_panel` points (`_KernelRule`),
-    the log part's on `_log_rule`.  The scales run in equal slabs, as few
-    as keep a slab's working set within STACK_ENTRIES, and the kinds share
-    the sums; no sum mixes scales, so a scale's matrix does not depend on
-    the others."""
+    the log part's on `_log_rule`; below the series cutoff (2 pi c < 5) one
+    contraction of the moment tables of both (`_whole_sums`).  The scales
+    run in equal slabs, as few as keep a slab's working set within
+    STACK_ENTRIES, and the kinds share the sums; no sum mixes scales, so a
+    scale's matrix does not depend on the others."""
     c = np.asarray(c, dtype=float)
     if not np.all((c > 0.0) & (c <= MAX_APERTURE_SCALE)):  # NaN too, before any work
         raise ValidationError("c", f"aperture scale kappa0*w/(2 pi) must be positive and "
@@ -401,15 +538,15 @@ def singular_block_matrix(modes_m, modes_n, c, kind, cfg: QuadratureConfig) -> n
     q_max = int(max(m.max(), n.max()))
     rule = _kernel_rule(cfg.panels, cfg.points_per_panel, q_max)
     scales = c.ravel()
-    slabs = -(-scales.size // stack_length(_slab_entries(rule, q_max, scales.max())))
+    block = len(kinds) * len(m) * len(n)
+    slabs = -(-scales.size // stack_length(_slab_entries(rule, q_max, scales.max(), block)))
     step = -(-scales.size // slabs)
     out = np.empty((len(kinds), scales.size, len(m), len(n)), dtype=complex)
     # a slab's real and imaginary halves combined as rows of one call
     halves = np.empty((len(kinds), 2 * step, len(m), len(n)), dtype=complex)
     for start in range(0, scales.size, step):
         part = slice(start, start + step)
-        AD = rule.sums(scales[part])
-        AD.imag += (2.0 / pi) * _log_sums(q_max, scales[part])
+        AD = _whole_sums(rule, q_max, scales[part])
         rows = len(AD)
         _combine(kinds, m, n, np.concatenate((AD.real, AD.imag)), halves[:, :2 * rows])
         out[:, part].real = halves[:, :rows].imag
@@ -544,6 +681,7 @@ class _CrossRule:
         v, wts = composite_nodes_edges(_cross_edges(gap, cuts, total, total / panels),
                                        gauss_rule(_CROSS_POINTS))
         self.dist, self.w = gap + v, wts
+        self.far = gap + total  # kappa0 far bounds every argument of H0
         # the segments A, D (modes of k) and B, C (modes of j), each as (first
         # node, last node + 1, local coordinate at every node, width)
         below_k, below_j = (int(np.searchsorted(v, w)) for w in (w_k, w_j))
@@ -601,17 +739,16 @@ class _CrossRule:
                       for part, outer, _ in self.segments)
         return len(self.dist) + max(len(self.dist), longest, 2 * size_m * size_n)
 
-    def blocks(self, kappa0: np.ndarray, m: np.ndarray, n: np.ndarray, kinds, out) -> None:
-        """The blocks [kind, wavenumber, m, n] into out for the wavenumbers
-        kappa0 of this rule.  H0 at the nodes is one call, a row per
-        wavenumber; the sine sums, the near sums and the fold over the sign
-        pairs run per row of that stack, so no sum mixes wavenumbers."""
-        rows = len(kappa0)
-        h = special.hankel1_0(kappa0[:, None] * self.dist)
-        h *= self.w
-        near = np.matmul(self.near, h.view(float).reshape(rows, -1, 2)).view(complex)[..., 0]
-        planes = np.stack((h.real, h.imag), axis=1)  # [row, re/im, node]
-        del h
+    def _linear(self, pairs: np.ndarray):
+        """The near sums [row, entry, plane] and each segment's sine sums
+        [row, m1, plane, m0] (m = base m1 + m0, `_sine_factors`) of real
+        planes pairs[row, node, plane] that hold a kernel times the weights
+        (H0's real and imaginary parts, or the moment rows).  Every product
+        runs per row, so no sum mixes rows."""
+        rows, _, count = pairs.shape
+        near = np.matmul(self.near, pairs)
+        planes = np.ascontiguousarray(pairs.transpose(0, 2, 1))  # [row, plane, node]
+        del pairs
         sums = []
         for part, outer, inner in self.segments:
             # sum over both halves of the sines' split, one half at a time
@@ -619,13 +756,70 @@ class _CrossRule:
             folded = 0.0
             for half in range(2):
                 prod = outer[None, :, half, None] * planes[:, None, :, part]
-                folded = folded + prod.reshape(rows, 2 * len(outer), nodes) @ inner[
+                folded = folded + prod.reshape(rows, count * len(outer), nodes) @ inner[
                     half * nodes:(half + 1) * nodes]
-            folded = folded.reshape(rows, len(outer), 2, -1)
-            sums.append((folded[:, :, 0] + 1j * folded[:, :, 1]).reshape(rows, -1))
+            sums.append(folded.reshape(rows, len(outer), count, -1))
+        return near, sums
+
+    def _weighted_h0(self, kappa0: np.ndarray) -> np.ndarray:
+        """H0(kappa0 tau) w at the nodes as real pairs [row, node, re/im], a
+        row per wavenumber, from one `special.hankel1_0` call."""
+        h = special.hankel1_0(kappa0[:, None] * self.dist)
+        h *= self.w
+        return h.view(float).reshape(len(kappa0), -1, 2)
+
+    @cached_property
+    def moments(self) -> np.ndarray:
+        """The moment tables of the linear part (`_linear`, near sums then
+        each segment's sums flattened), real (MOMENT_TERMS, 2, columns):
+        [k, 0] of the rows s^{2k} w and [k, 1] of s^{2k} (ln s - H_k) w, in
+        s = tau/far.  With `_moment_sums` at x = kappa0 far they give the
+        linear part of H0(kappa0 tau) w = H0(x s) w for kappa0 far < 5.
+        Built on first use, read-only."""
+        s = self.dist / self.far
+        harmonic = np.array(special._HARMONIC[:special.MOMENT_TERMS])[:, None]
+        pairs = np.empty((special.MOMENT_TERMS, len(s), 2), dtype=np.longdouble)
+        np.multiply(_even_powers(s), self.w, out=pairs[..., 0])
+        np.multiply(pairs[..., 0], np.log(s) - harmonic, out=pairs[..., 1])
+        parts = []
+        for _, part in _power_slabs(pairs, self.entries(0, 0)):
+            near, sums = self._linear(part)
+            parts.append(np.concatenate([near.transpose(0, 2, 1)] + [
+                f.transpose(0, 2, 1, 3).reshape(len(f), 2, -1) for f in sums], axis=2))
+        table = np.concatenate(parts).astype(float)
+        table.setflags(write=False)
+        return table
+
+    def blocks(self, kappa0: np.ndarray, m: np.ndarray, n: np.ndarray, kinds, out) -> None:
+        """The blocks [kind, wavenumber, m, n] into out for the wavenumbers
+        kappa0 of this rule.  Each wavenumber with kappa0 far below the
+        series cutoff takes the linear part from one contraction of the
+        moment tables, the others from H0 at the nodes, one call with a row
+        per wavenumber; the sine sums, the near sums, the contraction and
+        the fold over the sign pairs run per row, so no sum mixes
+        wavenumbers."""
+        rows = len(kappa0)
+        small = kappa0 * self.far < _CROSS_MOMENT_CUTOFF
+        if small.any() and not small.all():
+            for sel in (small, ~small):
+                part = np.empty((len(out), np.count_nonzero(sel)) + out.shape[2:], dtype=complex)
+                self.blocks(kappa0[sel], m, n, kinds, part)
+                out[:, sel] = part
+            return
+        if small.all():
+            both = _moment_sums(kappa0 * self.far, self.moments)
+            near, sums = both[:, :len(self.near)], []
+            start = len(self.near)
+            for _, outer, inner in self.segments:
+                sums.append(both[:, start:start + len(outer) * inner.shape[1]])
+                start += len(outer) * inner.shape[1]
+        else:
+            near, sums = self._linear(self._weighted_h0(kappa0))
+            near = near.view(complex)[..., 0]
+            sums = [(f[:, :, 0] + 1j * f[:, :, 1]).reshape(rows, -1) for f in sums]
         a, d = (s[:, m] for s in sums[:2])
         b, c = (s[:, n] for s in sums[2:])
-        del planes, sums
+        del sums
         # Y = (-1)^n a - d and Z = (-1)^m b - c; then cos = U + V and
         # sin = V - U for U = (Y + Z)/(2(mu + nu)), V = (Y - Z)/(2(mu - nu)),
         # U formed in the first kind's block and written last

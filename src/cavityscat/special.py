@@ -13,7 +13,12 @@ J0, the harmonic numbers the log-free part of Y0).  Its row rule: each row
 at that row's largest entry, so a row's values are bitwise those of a call
 with that row alone.  Each caller sets a cutoff, and the entries past it
 enter as zeros: the series takes x < 5 for J0 by rows, H0 and the
-log-regularized Hankel kernel (at z = c*d there).
+log-regularized Hankel kernel (at z = c*d there).  `moment_coefficients`
+gives the same series' coefficients over monomials of the separation, for
+the moment tables of `quadrature`: a singular block whose arguments stay
+below the cutoff (2 pi c < 5), and a cross block whose wavenumber times the
+pair's span is below 4, contracts them in place of calling the evaluators
+here.
 
 Also provides the truncated Bessel power-series remainder, which only the
 tests call (to check the truncation K of `_moments.bessel_K_for`).
@@ -96,6 +101,34 @@ def _series(x, small, *coefs):
             acc[terms < k] = a[k - 1]  # a row starts at its own last term
         sums.append(acc)
     return sums
+
+
+# the terms of the ascending series that a row below the cutoff takes at most
+MOMENT_TERMS = _series_terms((_SERIES_CUTOFF / 2.0) ** 2) + 1
+
+
+def moment_coefficients(x):
+    """The coefficients of H0^(1)(x s) over the monomials s^{2k} and
+    s^{2k} ln s, k < MOMENT_TERMS, for each x (a 1-D array, each entry below
+    the cutoff times the largest s): t[row, k] = (-(x/2)^2)^k/(k!)^2 and
+    lam[row] = (2/pi)(gamma + ln(x/2)), so that from `_series`
+
+        H0(x s) = sum_k t_k ((1 + i lam - i (2/pi) H_k) s^{2k} + i (2/pi) s^{2k} ln s)
+
+    with H_k the harmonic numbers; J0(x s) is sum_k t_k s^{2k}.  Every
+    operation is elementwise, so a row is bitwise its own in any array."""
+    x = np.asarray(x, dtype=float)
+    quarter = x / 2.0
+    quarter *= quarter
+    t = np.empty((x.size, MOMENT_TERMS))
+    t[:, 0] = 1.0
+    for k in range(1, MOMENT_TERMS):
+        np.multiply(t[:, k - 1], quarter, out=t[:, k])
+        t[:, k] /= -float(k * k)
+    lam = np.log(x / 2.0)
+    lam += EULER_GAMMA
+    lam *= 2.0 / pi
+    return t, lam
 
 
 def _asym_j0_y0(x):

@@ -411,29 +411,36 @@ def test_cross_pairs_integrated_once(pol, monkeypatch):
 
 @pytest.mark.parametrize("pol", ["TM", "TE"])
 def test_build_evaluates_each_kernel_once_for_every_kind(pol, monkeypatch):
-    # three_cavity_fields at seed 0 (N = 90, 64 panels), warm: three aperture
-    # scales and three cavity pairs.  TM takes its sin and cos blocks from one
-    # regularized-kernel call per scale and one Hankel call per pair (six of
-    # each when every kind had its own pass); TE forms no sin block
+    # three_cavity_fields' geometry (N = 90, 64 panels), warm: three aperture
+    # scales and three cavity pairs.  At kappa0 = 8 pi every argument bound
+    # is above the moment tables' cutoffs (kappa0 w >= 5.03 on the apertures,
+    # where the cutoff is 5; kappa0 times the pair's span >= 15.1, where it is
+    # 4), and TM takes its sin and cos blocks from one regularized-kernel call
+    # per scale and one Hankel call per pair (six of each when every kind had
+    # its own pass).  At kappa0 = pi every bound is below them (at most 1.57
+    # and 3.77), and the blocks come from the moment tables with no kernel
+    # call.  TE forms no sin block
     from cavityscat import quadrature, special
-    spec = example4_spec(pol, N=90, panels=64)
-    tables = build_modal_tables(spec)
-    build_system(spec, tables)
-    calls, kinds = [], set()
+    for kappa0, want in ((8 * pi, ["hankel"] * 3 + ["kernel"] * 3), (pi, [])):
+        spec = example4_spec(pol, N=90, panels=64, kappa0=kappa0)
+        tables = build_modal_tables(spec)
+        build_system(spec, tables)
+        calls, kinds = [], set()
 
-    def wrap(module, name, record):
-        original = getattr(module, name)
+        def wrap(module, name, record):
+            original = getattr(module, name)
 
-        def wrapper(*args):
-            record(args)
-            return original(*args)
-        monkeypatch.setattr(module, name, wrapper)
+            def wrapper(*args):
+                record(args)
+                return original(*args)
+            monkeypatch.setattr(module, name, wrapper)
 
-    wrap(special, "regularized_kernel_abs", lambda args: calls.append("kernel"))
-    wrap(special, "hankel1_0", lambda args: calls.append("hankel"))
-    wrap(quadrature, "singular_block_matrix", lambda args: kinds.add(tuple(args[3])))
-    wrap(quadrature, "log_part_matrix", lambda args: kinds.add(tuple(args[0])))
-    wrap(assembly, "cross_block_matrix", lambda args: kinds.add(tuple(args[5])))
-    build_system(spec, tables)
-    assert sorted(calls) == ["hankel"] * 3 + ["kernel"] * 3
-    assert kinds == ({("sin", "cos")} if pol == "TM" else {("cos",)})
+        wrap(special, "regularized_kernel_abs", lambda args: calls.append("kernel"))
+        wrap(special, "hankel1_0", lambda args: calls.append("hankel"))
+        wrap(quadrature, "singular_block_matrix", lambda args: kinds.add(tuple(args[3])))
+        wrap(quadrature, "log_part_matrix", lambda args: kinds.add(tuple(args[0])))
+        wrap(assembly, "cross_block_matrix", lambda args: kinds.add(tuple(args[5])))
+        build_system(spec, tables)
+        monkeypatch.undo()
+        assert sorted(calls) == want, kappa0
+        assert kinds == ({("sin", "cos")} if pol == "TM" else {("cos",)})

@@ -365,9 +365,10 @@ def test_singular_blocks_at_the_benchmark_settings_are_converged(modes, c, kinds
 
 
 def test_singular_block_slabs_do_not_change_the_bits(monkeypatch):
-    # enhance_pair's 36 scales of a chunk: in equal slabs of the default
-    # stack (18) and of smaller ones (12, 1), or in one slab, every matrix
-    # is bitwise the same
+    # 36 scales above the series cutoff (2 pi c from 5.03 to 6.28, so every
+    # scale sums its kernel rows) at enhance_pair's rule: in equal slabs of
+    # the default stack (18) and of smaller ones (12, 1), or in one slab,
+    # every matrix is bitwise the same
     from cavityscat import quadrature, special
     kernel, slabs = special.regularized_kernel_abs, []
 
@@ -377,7 +378,7 @@ def test_singular_block_slabs_do_not_change_the_bits(monkeypatch):
 
     monkeypatch.setattr(special, "regularized_kernel_abs", recorded)
     cfg, modes = QuadratureConfig(panels=24, points_per_panel=4), range(0, 9)
-    scales = np.linspace(0.0107, 0.0129, 36)
+    scales = np.linspace(0.8, 1.0, 36)
     base = singular_block_matrix(modes, modes, scales, ("cos",), cfg)
     assert slabs == [18, 18]
     for entries, lengths in ((10 ** 6, [36]), (30_000, [12] * 3), (1, [1] * 36)):
@@ -385,6 +386,61 @@ def test_singular_block_slabs_do_not_change_the_bits(monkeypatch):
         slabs.clear()
         assert np.array_equal(singular_block_matrix(modes, modes, scales, ("cos",), cfg), base)
         assert slabs == lengths, entries
+
+
+def _counted_kernels(monkeypatch) -> list:
+    """Record every kernel-row evaluation that the blocks make."""
+    from cavityscat import special
+    calls = []
+    for name in ("regularized_kernel_abs", "bessel_j0_rows", "hankel1_0"):
+        def counted(*args, _original=getattr(special, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(special, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("N, panels", [(8, 24), (40, 32), (90, 64)])
+def test_singular_moment_path_matches_the_kernel_rows(N, panels, monkeypatch):
+    # below the series cutoff (2 pi c < 5) a block is one contraction of its
+    # rule's moment tables, with no kernel row; against the sums of the
+    # kernel rows on the same rules (a zero cutoff), sin and cos
+    from cavityscat import quadrature
+    cfg = QuadratureConfig(panels=panels, points_per_panel=4)
+    scales = np.array([0.001, 0.01, 0.1, 0.3, 0.5, 0.79])
+    kinds = (("sin", range(1, N + 1)), ("cos", range(0, N + 1)))
+    calls = _counted_kernels(monkeypatch)
+    got = [singular_block_matrix(modes, modes, scales, kind, cfg) for kind, modes in kinds]
+    assert calls == []
+    monkeypatch.setattr(quadrature, "_MOMENT_CUTOFF", 0.0)
+    for (kind, modes), stack in zip(kinds, got):
+        want = singular_block_matrix(modes, modes, scales, kind, cfg)
+        for c, g, w in zip(scales, stack, want):
+            assert np.linalg.norm(g - w) <= 2e-15 * np.linalg.norm(w), (kind, c)
+    assert calls
+
+
+@pytest.mark.parametrize("cav_k,cav_j", [
+    (cs.Cavity(-0.075, -0.025, _layers()), cs.Cavity(0.025, 0.075, _layers())),  # equal
+    (cs.Cavity(-0.6, -0.1, _layers()), cs.Cavity(0.0, 0.2, _layers())),          # unequal
+    (cs.Cavity(0.0, 0.5, _layers()), cs.Cavity(0.501, 0.8, _layers())),          # small gap
+])
+def test_cross_moment_path_matches_the_hankel_rows(cav_k, cav_j, monkeypatch):
+    # kappa0 times the pair's span from 0.05 to 3.99: the linear part is one
+    # contraction of the rule's moment tables, with no H0 row; against H0 at
+    # the nodes of the same rules (a zero cutoff), sin and cos.  Up to 7.3e-16
+    # on the default OpenBLAS kernels, 1.2e-15 on Haswell's
+    from cavityscat import quadrature
+    modes = np.arange(0, 9)
+    span = max(cav_k.b, cav_j.b) - min(cav_k.a, cav_j.a)
+    k0 = np.array([0.05, 1.0, 2.5, 3.5, 3.99]) / span
+    calls = _counted_kernels(monkeypatch)
+    got = cross_block_matrix(cav_k, cav_j, modes, modes, k0, ("sin", "cos"), None)
+    assert calls == []
+    monkeypatch.setattr(quadrature, "_CROSS_MOMENT_CUTOFF", 0.0)
+    want = cross_block_matrix(cav_k, cav_j, modes, modes, k0, ("sin", "cos"), None)
+    for g, w in zip(got.reshape(-1, 9, 9), want.reshape(-1, 9, 9)):
+        assert np.linalg.norm(g - w) <= 2e-15 * np.linalg.norm(w)
 
 
 def test_singular_block_lays_out_no_full_grid():

@@ -84,6 +84,27 @@ def test_hankel_rows_are_their_own_calls():
     assert np.array_equal(hankel1_0(_ROWS.reshape(5, 3, 3)).reshape(_ROWS.shape), stack)
 
 
+def test_moment_coefficients_sum_to_the_series():
+    # sum_k t_k ((1 + i lam - i (2/pi) H_k) s^{2k} + i (2/pi) s^{2k} ln s) is
+    # H0(x s) for x s below the cutoff, and sum_k t_k s^{2k} is J0(x s); every
+    # row is bitwise its own
+    x = np.array([1e-3, 0.3, 2.0, 4.99])
+    t, lam = special.moment_coefficients(x)
+    assert t.shape == (4, special.MOMENT_TERMS) == (4, 20) and lam.shape == (4,)
+    s = np.linspace(1e-3, 1.0, 50)
+    powers = s ** (2.0 * np.arange(special.MOMENT_TERMS))[:, None]
+    harmonic = np.array(special._HARMONIC[:special.MOMENT_TERMS])[:, None]
+    for i, xi in enumerate(x):
+        j0 = t[i] @ powers
+        y = (lam[i] * t[i]) @ powers - (2 / pi) * ((t[i, :, None] * harmonic * powers).sum(0)
+                                                   - (t[i] @ powers) * np.log(s))
+        h = hankel1_0(xi * s)
+        assert np.max(np.abs(j0 - h.real)) <= 1e-14
+        assert np.max(np.abs(y - h.imag)) <= 1e-14 * np.max(np.abs(h.imag))
+        ti, li = special.moment_coefficients(x[i:i + 1])
+        assert np.array_equal(ti[0], t[i]) and li[0] == lam[i]
+
+
 @pytest.mark.parametrize("c,d", [(1.0, 5.0), (2.0, 2.5), (1.0, 8.0), (2.0, 4.0)])
 def test_regularized_kernel_at_the_series_edge(c, d):
     # the series branch stops below c*d = 5, as for J0 and H0; it and the

@@ -101,6 +101,42 @@ def test_cross_blocks_over_a_vector_of_wavenumbers(cav_k, cav_j):
         assert np.array_equal(stack[:, i], single)
 
 
+@pytest.mark.parametrize("cav_k,cav_j", [
+    (cs.Cavity(-0.075, -0.025, _layers()), cs.Cavity(0.025, 0.075, _layers())),  # equal
+    (cs.Cavity(-0.6, -0.1, _layers()), cs.Cavity(0.0, 0.2, _layers())),          # unequal
+    (cs.Cavity(0.0, 0.5, _layers()), cs.Cavity(0.501, 0.8, _layers())),          # small gap
+])
+def test_cross_blocks_straddling_the_moment_cutoff(cav_k, cav_j):
+    # kappa0 times the pair's span on both sides of the cross moment cutoff
+    # (4): each block of the stack is bitwise its wavenumber's own, whichever
+    # path the other wavenumbers take
+    modes = np.arange(0, 9)
+    span = max(cav_k.b, cav_j.b) - min(cav_k.a, cav_j.a)
+    k0 = np.array([3.99, 4.01, 0.3, 7.0, 2.0, 4.0]) / span
+    stack = quadrature.cross_block_matrix(cav_k, cav_j, modes, modes, k0, ("sin", "cos"), None)
+    for i, kappa0 in enumerate(k0):
+        single = quadrature.cross_block_matrix(cav_k, cav_j, modes, modes, kappa0,
+                                               ("sin", "cos"), None)
+        assert np.array_equal(stack[:, i], single)
+
+
+def test_singular_blocks_straddling_the_moment_cutoff(monkeypatch):
+    # scales on both sides of 2 pi c = 5, in enhance_pair's rule: each matrix
+    # of the stack is bitwise its scale's own, whichever path the other
+    # scales take, in one slab or in slabs of one scale
+    cfg = QuadratureConfig(panels=24, points_per_panel=4)
+    modes = np.arange(0, 9)
+    c = np.array([0.5, 0.9, 0.7957, 0.7959, 1.2, 0.0107, 5.0 / (2 * pi)])
+    assert len(set((2 * pi * c < 5.0).tolist())) == 2
+    stack = quadrature.singular_block_matrix(modes, modes, c, ("sin", "cos"), cfg)
+    for i, s in enumerate(c):
+        single = quadrature.singular_block_matrix(modes, modes, float(s), ("sin", "cos"), cfg)
+        assert np.array_equal(stack[:, i], single)
+    monkeypatch.setattr(quadrature, "STACK_ENTRIES", 1)
+    assert np.array_equal(quadrature.singular_block_matrix(modes, modes, c, ("sin", "cos"), cfg),
+                          stack)
+
+
 def test_singular_blocks_over_a_vector_of_scales():
     # each matrix of the stack is bitwise its scale's own
     cfg = QuadratureConfig(panels=8)
@@ -274,8 +310,9 @@ def test_graded_unequal_pairs_stack_many_wavenumbers(tmp_path, monkeypatch):
 
 def test_enhance_chunk_memory_is_bounded():
     # one chunk of enhance_pair's sweep, after a first chunk has filled the
-    # memoised rules: 44 wavenumbers stack 1.21 MiB with the singular blocks
-    # in two slabs of 22 scales (numpy 2.4)
+    # memoised rules and moment tables: 44 wavenumbers stack 1.21 MiB with
+    # the singular and the cross blocks from one moment contraction each
+    # (numpy 2.4)
     spec = _enhance_pair_spec()
     kappas = np.linspace(1.35, 1.62, 361)
     chunk = quadrature.stack_length(assembly.sweep_entries(spec))
