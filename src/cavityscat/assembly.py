@@ -4,7 +4,8 @@ only).
 
 A wavenumber sweep (one spec and an array of kappa0, read from its modal
 tables) is assembled as one stack of systems, (wavenumbers x size x size).
-Each system gets its own factorization (its rcond and singular check); the
+The exact rcond of every system is taken in one stacked call, and each
+system gets its own factorization (that rcond and its singular check); the
 stack is then solved, and its backward errors taken, in one stacked call
 each, by the same helper that solves a single system."""
 
@@ -48,9 +49,12 @@ class ModeLayout:
 
 @dataclass
 class ApertureSystem:
+    """lhs x = rhs; rcond, when known, is 1/np.linalg.cond(lhs, 1)."""
+
     lhs: np.ndarray
     rhs: np.ndarray
     layout: ModeLayout
+    rcond: float | None = None
 
 
 @dataclass
@@ -194,16 +198,18 @@ def build_system(spec: ProblemSpec, tables: ModalTables | None = None) -> Apertu
 
 class SystemFactorization:
     """An aperture matrix with its exact 1-norm reciprocal condition number
-    1/(||A||_1 ||A^-1||_1), from `np.linalg.cond(A, 1)`: that is inf, with
-    no warning, for a singular matrix and for an inverse or a norm product
-    that overflows, so those all raise SingularSystemError.  It keeps no
-    LU: each solve() factors afresh, so pass all right-hand sides as the
-    columns of one matrix, as `backscatter_sweep` does."""
+    1/(||A||_1 ||A^-1||_1), from `np.linalg.cond(A, 1)` (the system's own
+    rcond when it carries one, as a sweep's rows do): the condition number
+    is inf, with no warning, for a singular matrix and for an inverse or a
+    norm product that overflows, so those all raise SingularSystemError.
+    It keeps no LU: each solve() factors afresh, so pass all right-hand
+    sides as the columns of one matrix, as `backscatter_sweep` does."""
 
     def __init__(self, sys: ApertureSystem):
         self.layout = sys.layout
         self._lhs = sys.lhs
-        self.rcond = 1.0 / float(np.linalg.cond(sys.lhs, 1))
+        self.rcond = (1.0 / float(np.linalg.cond(sys.lhs, 1)) if sys.rcond is None
+                      else sys.rcond)
         if not self.rcond > 0.0:
             raise SingularSystemError(f"system singular (rcond = {self.rcond:g})")
 
@@ -293,12 +299,15 @@ def solve_sweep(spec: ProblemSpec, kappa0):
     """Solve spec at every wavenumber of the array kappa0 (layer kappa scaled
     by kappa0/spec.wave.kappa0) from one stacked assembly.  Returns the tables,
     with a leading wavenumber axis, and one solution per wavenumber in order.
-    Each wavenumber gets its own factorization, for its rcond and singular
-    check; the stack is then solved in one call (`_solve_stack`), and each
-    row is bitwise its wavenumber's solve in any chunk."""
+    The rconds come from one stacked `np.linalg.cond` (a singular row reads
+    inf there, so its rcond is 0 and it raises as a single solve does); each
+    wavenumber gets its own factorization with its row's rcond, for its
+    singular check; the stack is then solved in one call (`_solve_stack`),
+    and each row is bitwise its wavenumber's solve in any chunk."""
     tables = build_modal_tables(spec, kappa0)
     stack = build_system(spec, tables)
-    facts = [SystemFactorization(ApertureSystem(lhs, rhs, stack.layout))
-             for lhs, rhs in zip(stack.lhs, stack.rhs)]
+    rconds = 1.0 / np.linalg.cond(stack.lhs, 1)
+    facts = [SystemFactorization(ApertureSystem(lhs, rhs, stack.layout, float(rc)))
+             for lhs, rhs, rc in zip(stack.lhs, stack.rhs, rconds)]
     x, errs = _solve_stack(stack.lhs, stack.rhs)
     return tables, [f._solution(row, float(e)) for f, row, e in zip(facts, x, errs)]

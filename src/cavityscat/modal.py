@@ -243,10 +243,14 @@ def layer_profiles(layer: Layer, betas, u_top, u_bottom, y, *, modes, layer_inde
     wavenumber axes), modes one per mode; y holds points in [y_bottom, y_top].
     Returns (values, dy), each of shape ((wavenumbers x) modes x points):
     the profile of mode i interpolates u_top[i] at y_top and u_bottom[i] at
-    y_bottom, and both arrays come from the same four exponentials, each of
-    modulus <= 1, so evanescent modes with large |beta| |h| stay finite.  Modes
-    with beta = 0 are linear in y.  A resonant layer raises
-    ModalResonanceError naming the mode, the layer and the cavity.
+    y_bottom.  With s = y - y_bottom, t = -h and E = e^{i beta t}, the
+    profile is P + Q and its derivative i beta (P - Q), where
+    P = (u_bottom - u_top E)/(1 - E^2) e^{i beta s} and
+    Q = (u_top - u_bottom E)/(1 - E^2) e^{i beta (t - s)}: two exponentials
+    per point, each of modulus <= 1, so evanescent modes with large
+    |beta| |h| stay finite.  Modes with beta = 0 are linear in y.  A
+    resonant layer raises ModalResonanceError naming the mode, the layer and
+    the cavity.
     """
     betas = np.asarray(betas, dtype=complex)[..., None]
     u_top = np.asarray(u_top, dtype=complex)[..., None]
@@ -254,15 +258,15 @@ def layer_profiles(layer: Layer, betas, u_top, u_bottom, y, *, modes, layer_inde
     y = np.asarray(y, dtype=float)
     h = layer.h
     flat, ib, one_minus_r = _layer_factors(betas, h, modes, (layer_index,), cavity)
-    e1 = np.exp(ib * (y - layer.y_bottom))
-    e2 = np.exp(-ib * (y - layer.y_top + h))
-    e3 = np.exp(ib * (y - layer.y_bottom - h))
-    e4 = np.exp(-ib * (y - layer.y_bottom + h))
-    values = np.where(flat, ((u_bottom - u_top) * y + u_top * layer.y_bottom
-                             - u_bottom * layer.y_top) / h,
-                      (u_bottom * (e1 - e2) - u_top * (e3 - e4)) / one_minus_r)
-    dy = np.where(flat, (u_bottom - u_top) / h,
-                  ib * (u_bottom * (e1 + e2) - u_top * (e3 + e4)) / one_minus_r)
+    e_t = np.exp(-ib * h)
+    p = (u_bottom - u_top * e_t) / one_minus_r * np.exp(ib * (y - layer.y_bottom))
+    q = (u_top - u_bottom * e_t) / one_minus_r * np.exp(ib * (layer.y_top - y))
+    values = p + q
+    dy = ib * (p - q)
+    if np.any(flat):  # linear in y; np.where keeps every other entry its own
+        values = np.where(flat, ((u_bottom - u_top) * y + u_top * layer.y_bottom
+                                 - u_bottom * layer.y_top) / h, values)
+        dy = np.where(flat, (u_bottom - u_top) / h, dy)
     return values, dy
 
 

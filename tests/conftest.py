@@ -32,6 +32,18 @@ def example4_spec(polarization: str, N: int = 36, panels: int = 48,
         cavities=(c1, c2, c3), N=N, quad=QuadratureConfig(panels=panels)))
 
 
+def enhance_pair_spec() -> cs.ProblemSpec:
+    """The enhance_pair benchmark scenario at seed 0: two TE cavities of width
+    0.05, depth 1, one width apart, theta = -pi/9, N = 8, 24 panels."""
+    w, gap = 0.05, 0.05
+    layers = (cs.Layer(0.0, -1.0, 1.0 + 0j),)
+    return cs.validate(cs.ProblemSpec(
+        wave=cs.IncidentWave(1.0, -pi / 9), polarization="TE",
+        cavities=(cs.Cavity(-gap / 2 - w, -gap / 2, layers),
+                  cs.Cavity(gap / 2, gap / 2 + w, layers)),
+        N=8, quad=QuadratureConfig(panels=24)))
+
+
 def two_layer_spec(polarization: str, N: int = 16, panels: int = 32) -> cs.ProblemSpec:
     return cs.validate(cs.ProblemSpec(
         wave=cs.IncidentWave(kappa0=1.5, theta=pi / 9), polarization=polarization,

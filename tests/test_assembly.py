@@ -5,14 +5,14 @@ import pytest
 from math import pi
 
 import cavityscat as cs
-from cavityscat import assembly
+from cavityscat import assembly, quadrature
 from cavityscat.assembly import (SystemFactorization, aperture_phases, build_system,
                                  solve_system)
 from cavityscat.errors import SingularSystemError, ValidationError
 from cavityscat.modal import build_modal_tables, single_layer_impedance_tm
 from cavityscat.quadrature import gauss_rule
 
-from conftest import (composite_integral_1d, example1_spec, example4_spec,
+from conftest import (composite_integral_1d, enhance_pair_spec, example1_spec, example4_spec,
                       scalar_aperture_phase)
 
 
@@ -230,6 +230,19 @@ def test_sweep_factors_each_wavenumber_once(monkeypatch):
     _, sols = assembly.solve_sweep(spec, np.linspace(5.0, 7.0, 7))
     assert inits == [sol.rcond for sol in sols] and len(inits) == 7
     assert solves == [(7, 15, 15)]
+
+
+def test_stacked_rcond_is_each_rows_exact_rcond():
+    # one np.linalg.cond over enhance_pair's first chunk: every row's rcond
+    # is bitwise its own matrix's 1/np.linalg.cond(A_i, 1)
+    spec = enhance_pair_spec()
+    kappas = np.linspace(1.35, 1.62, 361)
+    chunk = kappas[:quadrature.stack_length(assembly.sweep_entries(spec))]
+    assert len(chunk) == 44
+    tables, sols = assembly.solve_sweep(spec, chunk)
+    stack = build_system(spec, tables)
+    for sol, A in zip(sols, stack.lhs):
+        assert sol.rcond == 1.0 / np.linalg.cond(A, 1)
 
 
 def test_singular_row_fails_its_chunk_and_is_isolated_by_halves(tmp_path, monkeypatch):

@@ -17,19 +17,7 @@ from cavityscat import assembly, cli, modal, postprocess, quadrature
 from cavityscat.errors import ConnectionResonanceError, ModalResonanceError
 from cavityscat.model import QuadratureConfig
 
-from conftest import example4_spec
-
-
-def _enhance_pair_spec():
-    """The enhance_pair benchmark scenario at seed 0: two TE cavities of width
-    0.05, depth 1, one width apart, theta = -pi/9, N = 8, 24 panels."""
-    w, gap = 0.05, 0.05
-    layers = (cs.Layer(0.0, -1.0, 1.0 + 0j),)
-    return cs.validate(cs.ProblemSpec(
-        wave=cs.IncidentWave(1.0, -pi / 9), polarization="TE",
-        cavities=(cs.Cavity(-gap / 2 - w, -gap / 2, layers),
-                  cs.Cavity(gap / 2, gap / 2 + w, layers)),
-        N=8, quad=QuadratureConfig(panels=24)))
+from conftest import enhance_pair_spec as _enhance_pair_spec, example4_spec
 
 
 def _rel(a, b) -> float:
